@@ -43,7 +43,6 @@ from .sketch import (
     SketchState,
     apply_sketch,
     consume_rows,
-    fwht,
     load_state,
     merge,
     save_state,
@@ -70,7 +69,6 @@ __all__ = [
     "consume_rows",
     "emit_batches",
     "errors",
-    "fwht",
     "gen_synthetic",
     "leverage_exact",
     "leverage_oracle",

@@ -124,7 +124,7 @@ def run_distributed(
     t0 = time.perf_counter()
     basis = _approx_basis(svd)
     with ThreadPoolExecutor(max_workers=pool_size) as pool:
-        blocks = list(pool.map(lambda part: _block_scores(part.rows, basis), parts))
+        blocks = list(pool.map(lambda part: _block_scores(part.rows, basis, part.lo), parts))
     scores = np.concatenate(blocks)
     score_time = time.perf_counter() - t0
 

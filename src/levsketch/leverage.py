@@ -10,8 +10,8 @@ variant drops small singular components first, which restores the
 approximation guarantee on such inputs.
 """
 
-import csv
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,6 +28,9 @@ from .svd import SvdResult, thin_svd, truncate
 MACHINE_RANK_TOL = 1e-12
 
 ORACLE_MAX_ROWS = 5000
+
+# Height of the fixed, globally aligned row blocks the score GEMM runs on.
+SCORE_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -85,14 +88,31 @@ def _approx_basis(svd: SvdResult) -> np.ndarray:
     return svd.vt.T / svd.sigma
 
 
-def _block_scores(rows: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Scores for a row block: squared row norms of ``rows @ basis``.
+def _block_scores(rows: np.ndarray, basis: np.ndarray, start: int = 0) -> np.ndarray:
+    """Scores for the rows at global indices ``start, start + 1, ...``: squared
+    row norms of ``rows @ basis``.
 
-    Shared by the serial and distributed paths; row-blocked GEMM keeps
-    per-row results identical to a whole-matrix product.
+    Shared by the serial and distributed paths. BLAS does not promise a row the
+    same bits at every GEMM height, so each row is scored in the globally
+    aligned block of ``SCORE_BLOCK_ROWS`` rows that holds it, by a GEMM of
+    exactly that height, partial edge blocks zero-padded. A row's result then
+    does not depend on how the rows were partitioned.
     """
-    u = rows @ basis
-    return np.einsum("ij,ij->i", u, u)
+    n, d = rows.shape
+    scores = np.empty(n)
+    lo = 0
+    while lo < n:
+        offset = (start + lo) % SCORE_BLOCK_ROWS
+        hi = min(n, lo + SCORE_BLOCK_ROWS - offset)
+        if hi - lo == SCORE_BLOCK_ROWS:
+            block = rows[lo:hi]
+        else:
+            block = np.zeros((SCORE_BLOCK_ROWS, d))
+            block[offset : offset + hi - lo] = rows[lo:hi]
+        u = block @ basis
+        scores[lo:hi] = np.einsum("ij,ij->i", u, u)[offset : offset + hi - lo]
+        lo = hi
+    return scores
 
 
 def leverage_sketched(a, spec: SketchSpec, mem_cap_bytes: int | None = None) -> LeverageResult:
@@ -167,19 +187,24 @@ def save_scores(result: LeverageResult, csv_path, meta_path=None, extra_meta: di
 
 
 def load_scores(path) -> np.ndarray:
-    """Read a scores CSV written by :func:`save_scores` (index,score rows)."""
+    """Read a scores CSV written by :func:`save_scores`: ``index,score`` rows
+    whose indices run 0..n-1 in order."""
     path = Path(path)
-    scores = []
-    with open(path) as f:
-        for lineno, row in enumerate(csv.reader(f), start=1):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise FormatError(f"{path}: expected index,score at line {lineno}, got {len(row)} fields")
-            try:
-                scores.append(float(row[1]))
-            except ValueError:
-                raise FormatError(f"{path}: non-numeric score {row[1]!r} at line {lineno}") from None
-    if not scores:
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty file is reported below
+            table = np.loadtxt(path, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
+    except ValueError as exc:
+        raise FormatError(f"{path}: expected index,score rows: {exc}") from None
+    if table.size == 0:
         raise FormatError(f"{path}: no scores found")
-    return np.asarray(scores, dtype=np.float64)
+    if table.shape[1] != 2:
+        raise FormatError(f"{path}: expected index,score rows, got {table.shape[1]} fields")
+    wrong = np.flatnonzero(table[:, 0] != np.arange(table.shape[0]))
+    if wrong.size:
+        i = wrong[0]
+        raise FormatError(
+            f"{path}: index column must run 0..{table.shape[0] - 1} in order; "
+            f"row {i + 1} has index {table[i, 0]:g}"
+        )
+    return np.ascontiguousarray(table[:, 1])

@@ -3,9 +3,19 @@
 The product ``S @ A`` is accumulated without materializing ``S``. CountSketch
 hashes each input row to one bucket with a random sign; OSNAP splits the
 sketch rows into ``s`` blocks and hashes each input row into every block with
-independent signs, scaled by ``1/sqrt(s)``; SRHT is sign-flip, fast
-Walsh-Hadamard transform, then uniform row subsampling, with zero-padding up
-to the next power of two so arbitrary row counts are accepted.
+independent signs, scaled by ``1/sqrt(s)``; SRHT is sign-flip, Walsh-Hadamard
+transform of order m (the next power of two at or above the row count, the
+input being implicitly zero-padded), then uniform subsampling of k of the m
+rows.
+
+An SRHT state buffers its n x d input rows and transforms them lazily, on the
+first read of ``.data`` after an update. Only the k sampled rows of
+``H_m D A`` are computed, through the Sylvester split ``H_m = H_{m/B} (x) H_B``
+with B a power of two near sqrt(k): one batched GEMM applies the dense +-1
+matrix ``H_B`` to every B-row block of ``D A``, then each sampled row
+``p = p1*B + p2`` is row ``p1`` of ``H_{m/B}`` times the block-transformed rows
+at low index ``p2``, one GEMM per distinct ``p2``. That is n*B*d + k*(n/B)*d
+work against m*log2(m)*d for a full transform.
 
 Bucket accumulation is compensated (TwoSum carries kept alongside the sums),
 which makes the accumulated product insensitive to how the input rows were
@@ -49,7 +59,8 @@ _M64 = (1 << 64) - 1
 _HASH_STREAM = {COUNTSKETCH: 0x6353, OSNAP: 0x6F53, SRHT: 0x7253}
 _SRHT_SAMPLE_STREAM = 0x5348
 
-# Contribution buffer target per chunk, in float64 elements (16 MiB).
+# Target size of a per-chunk temporary (hash contributions, sign-flipped SRHT
+# row blocks), in float64 elements (16 MiB).
 _CHUNK_ELEMENTS = 1 << 21
 
 
@@ -216,13 +227,18 @@ class SketchState:
                 raise ConfigurationError(
                     f"SRHT needs k <= padded row count: k={self.k}, padded rows={self._m}"
                 )
-            ensure_capacity(8 * (self._m + self.k) * self.d, "SRHT transform buffer", mem_cap)
+            self._block = _srht_block_rows(self.k, self._m)
+            ensure_capacity(
+                8 * (n_rows * self.d + _srht_transform_elements(n_rows, self.d, self.k, self._m, self._block)),
+                "SRHT row buffer and transform",
+                mem_cap,
+            )
             rng = np.random.Generator(
                 np.random.Philox(np.random.SeedSequence([_SRHT_SAMPLE_STREAM, spec.seed]))
             )
             self._signs = (2.0 * rng.integers(0, 2, self._m) - 1.0).astype(np.float64)
             self._sample = np.sort(rng.choice(self._m, size=self.k, replace=False))
-            self._pending = np.zeros((self._m, self.d))
+            self._rows = np.zeros((n_rows, self.d))
             self._cache = None
         else:
             s = spec.s
@@ -250,10 +266,10 @@ class SketchState:
         """The accumulated ``S @ A`` (k x d), materialized as float64."""
         if self.spec.family == SRHT:
             if self._cache is None:
-                if self._pending is None:
+                if self._rows is None:
                     raise ConfigurationError("SRHT state was deserialized without its row buffer")
-                transformed = fwht(self._signs[:, None] * self._pending)
-                self._cache = transformed[self._sample] / math.sqrt(self.k)
+                self._cache = _sampled_hadamard(self._rows, self._signs, self._sample, self._block)
+                self._cache /= math.sqrt(self.k)
             return self._cache
         return self._acc_hi + self._acc_lo
 
@@ -275,9 +291,9 @@ def stream_update(state: SketchState, row_index: int, row) -> SketchState:
     if not 0 <= row_index < state.n_rows:
         raise DimensionMismatchError(f"row index {row_index} outside [0, {state.n_rows})")
     if state.spec.family == SRHT:
-        if state._pending is None:
+        if state._rows is None:
             raise ConfigurationError("deserialized SRHT states are read-only")
-        state._pending[row_index] = row
+        state._rows[row_index] = row
         state._cache = None
     else:
         idx = np.array([row_index], dtype=np.uint64)
@@ -298,9 +314,9 @@ def consume_rows(state: SketchState, rows, start_index: int) -> SketchState:
             f"rows [{start_index}, {start_index + n_block}) outside [0, {state.n_rows})"
         )
     if state.spec.family == SRHT:
-        if state._pending is None:
+        if state._rows is None:
             raise ConfigurationError("deserialized SRHT states are read-only")
-        state._pending[start_index : start_index + n_block] = rows
+        state._rows[start_index : start_index + n_block] = rows
         state._cache = None
     else:
         chunk = max(1, _CHUNK_ELEMENTS // state.d)
@@ -345,9 +361,9 @@ def merge(s1: SketchState, s2: SketchState) -> SketchState:
         )
     out = SketchState(s1.spec, s1.n_rows)
     if s1.spec.family == SRHT:
-        if s1._pending is None or s2._pending is None:
+        if s1._rows is None or s2._rows is None:
             raise IncompatibleSketchError("deserialized SRHT states cannot be merged")
-        out._pending = s1._pending + s2._pending
+        out._rows = s1._rows + s2._rows
         out._cache = None
     else:
         s, e = _two_sum(s1._acc_hi, s2._acc_hi)
@@ -358,31 +374,63 @@ def merge(s1: SketchState, s2: SketchState) -> SketchState:
 
 
 # ---------------------------------------------------------------------------
-# Walsh-Hadamard transform
+# Sampled rows of the Walsh-Hadamard transform
 
 
-def fwht(x) -> np.ndarray:
-    """Unnormalized fast Walsh-Hadamard transform along axis 0, out of place.
+def _hadamard(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Entries ``(-1)^popcount(r & c)`` of the Sylvester Hadamard matrix at the
+    given row and column indices."""
+    parity = np.bitwise_count(rows[:, None] & cols[None, :])
+    parity &= np.uint8(1)
+    return 1.0 - 2.0 * parity
 
-    Length must be a power of two; applying it twice multiplies by the length.
-    """
-    arr = np.array(x, dtype=np.float64)
-    was_vector = arr.ndim == 1
-    if was_vector:
-        arr = arr[:, None]
-    if arr.ndim != 2:
-        raise DimensionMismatchError(f"fwht input must be 1-D or 2-D, got ndim={arr.ndim}")
-    m = arr.shape[0]
-    if m < 1 or m & (m - 1):
-        raise ConfigurationError(f"fwht length must be a power of two, got {m}")
-    h = 1
-    while h < m:
-        view = arr.reshape(m // (2 * h), 2, h, arr.shape[1])
-        tmp = view[:, 0] - view[:, 1]
-        view[:, 0] += view[:, 1]
-        view[:, 1] = tmp
-        h *= 2
-    return arr[:, 0] if was_vector else arr
+
+def _srht_block_rows(k: int, m: int) -> int:
+    """Block height B of the split ``H_m = H_{m/B} (x) H_B``: the power of two
+    at or above sqrt(k), which balances the n*B*d block transform against the
+    k*(n/B)*d sampled-row products."""
+    return min(m, _next_pow2(math.ceil(math.sqrt(k))))
+
+
+def _srht_transform_elements(n: int, d: int, k: int, m: int, block: int) -> int:
+    """Float64 elements :func:`_sampled_hadamard` holds at its peak: the
+    block-transformed rows, one chunk of sign-flipped rows, the k sampled rows,
+    and the +-1 factor (plus one temporary of its size) of the largest possible
+    group of samples sharing a low index."""
+    n_blocks = -(-n // block)
+    chunk = max(1, _CHUNK_ELEMENTS // (block * d)) * block * d
+    return n_blocks * block * d + chunk + k * d + 2 * min(k, m // block) * n_blocks
+
+
+def _sampled_hadamard(x: np.ndarray, signs: np.ndarray, sample: np.ndarray, block: int) -> np.ndarray:
+    """Rows ``sample`` of ``H_m @ diag(signs) @ x``, x implicitly zero-padded to
+    m rows, computed through ``H_m = H_{m/B} (x) H_B`` with B = ``block``."""
+    n, d = x.shape
+    n_blocks = -(-n // block)
+    local = np.arange(block)
+    h_block = _hadamard(local, local)
+    # Step 1: H_B times every B-row block of D x, one batched GEMM per chunk of
+    # blocks. Only the last, partial block is zero-filled.
+    transformed = np.empty((n_blocks, block, d))
+    per_chunk = max(1, _CHUNK_ELEMENTS // (block * d))
+    flipped = np.empty((per_chunk * block, d))
+    for b0 in range(0, n_blocks, per_chunk):
+        b1 = min(b0 + per_chunk, n_blocks)
+        r0, r1 = b0 * block, min(b1 * block, n)
+        height = (b1 - b0) * block
+        np.multiply(signs[r0:r1, None], x[r0:r1], out=flipped[: r1 - r0])
+        flipped[r1 - r0 : height] = 0.0
+        np.matmul(h_block, flipped[:height].reshape(b1 - b0, block, d), out=transformed[b0:b1])
+    # Step 2: sampled row p = p1*B + p2 is H_{m/B}[p1, :n_blocks] times the
+    # transformed rows at low index p2, one GEMM per distinct p2.
+    low = sample & (block - 1)
+    high = sample >> (block.bit_length() - 1)
+    out = np.empty((sample.size, d))
+    blocks = np.arange(n_blocks)
+    order = np.argsort(low, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(low[order])) + 1):
+        out[group] = _hadamard(high[group], blocks) @ transformed[:, low[group[0]]]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -396,11 +444,8 @@ def sketch_matrix(spec: SketchSpec, n_rows: int, mem_cap: int | None = None) -> 
     idx = np.arange(n_rows, dtype=np.uint64)
     cols = np.arange(n_rows)
     if spec.family == SRHT:
-        # H[p, i] = (-1)^popcount(p & i); overall scale sqrt(m/k)/sqrt(m).
-        v = state._sample[:, None].astype(np.uint64) & idx[None, :]
-        for shift in (32, 16, 8, 4, 2, 1):  # XOR-fold popcount parity into bit 0
-            v ^= v >> np.uint64(shift)
-        signs_h = 1.0 - 2.0 * (v & np.uint64(1)).astype(np.float64)
+        # overall scale sqrt(m/k)/sqrt(m)
+        signs_h = _hadamard(state._sample, cols)
         return signs_h * state._signs[None, :n_rows] / math.sqrt(state.k)
     s_mat = np.zeros((state.k, n_rows))
     for j in range(spec.s):
@@ -465,7 +510,7 @@ def load_state(data_path, meta_path=None) -> SketchState:
             f"{data_path}: payload shape {data.shape} does not match spec-derived ({state.k}, {state.d})"
         )
     if spec.family == SRHT:
-        state._pending = None
+        state._rows = None
         state._cache = data
     else:
         state._acc_hi = data.copy()

@@ -10,6 +10,7 @@ from levsketch import (
     run_distributed,
 )
 from levsketch.errors import ConfigurationError, UnsupportedFamilyError
+from levsketch.leverage import _block_scores
 
 
 def test_partition_even_split():
@@ -59,6 +60,30 @@ def test_uneven_split_bit_equals_serial():
     serial = leverage_sketched_trunc(a, spec, 1e-3)
     res, _ = run_distributed(a, spec, 3, 1e-3)  # 334 + 333 + 333
     assert np.array_equal(res.scores, serial.scores)
+
+
+@pytest.mark.parametrize("workers", [2, 3, 8])
+def test_distributed_bit_equals_serial_at_odd_kept_rank(workers):
+    # a 256 x 255 basis: BLAS gives rows different last bits at different GEMM
+    # heights, so this holds only because scoring runs on globally aligned blocks
+    a = gen_synthetic(SyntheticSpec(n=2**13, d=256, rank=255, seed=1))
+    spec = SketchSpec("countsketch", eps=0.5, d=256, seed=1, rows_override=4096)
+    serial = leverage_sketched_trunc(a, spec, 1e-3)
+    assert serial.effective_rank == 255
+    res, _ = run_distributed(a, spec, workers, 1e-3)
+    assert np.array_equal(res.scores, serial.scores)
+
+
+def test_block_scores_independent_of_split():
+    rng = np.random.default_rng(23)
+    rows = rng.standard_normal((3000, 256))
+    basis = rng.standard_normal((256, 255))  # a width where GEMM height changes the bits
+    whole = _block_scores(rows, basis)
+    u = rows @ basis
+    assert np.allclose(whole, np.einsum("ij,ij->i", u, u), rtol=1e-13)
+    cuts = [0, 1, 1023, 1024, 1500, 2049, 2999, 3000]
+    pieces = [_block_scores(rows[lo:hi], basis, lo) for lo, hi in zip(cuts, cuts[1:])]
+    assert np.array_equal(np.concatenate(pieces), whole)
 
 
 def test_srht_not_mergeable():

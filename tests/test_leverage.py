@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from levsketch import (
+    LeverageResult,
     SketchSpec,
     SyntheticSpec,
     gen_synthetic,
@@ -182,3 +183,35 @@ def test_load_scores_rejects_junk(tmp_path):
     path.write_text("0,1.0,extra\n")
     with pytest.raises(FormatError):
         load_scores(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("", id="empty"),
+        pytest.param("\n\n", id="blank-lines-only"),
+        pytest.param("0,0.5\n1,abc\n", id="non-numeric-score"),
+        pytest.param("0,0.5\n1\n", id="missing-field"),
+        pytest.param("0,0.5,1\n1,0.5,1\n", id="three-fields"),
+        pytest.param("0,0.5\n2,0.25\n3,0.25\n", id="gapped"),
+        pytest.param("1,0.5\n0,0.25\n2,0.25\n", id="permuted"),
+        pytest.param("0,0.5\n1,0.25\n1,0.25\n", id="duplicated"),
+        pytest.param("1,0.5\n2,0.25\n", id="starts-at-1"),
+        pytest.param("0,0.5\n1.5,0.25\n", id="fractional-index"),
+    ],
+)
+def test_load_scores_rejects_malformed(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(FormatError):
+        load_scores(path)
+
+
+def test_load_scores_roundtrip_is_bit_exact(tmp_path):
+    rng = np.random.default_rng(19)
+    scores = np.concatenate([rng.random(500) ** 7, [0.0, 1.0, 5e-324, 1 - 2**-53]])
+    path = tmp_path / "scores.csv"
+    save_scores(LeverageResult(scores=scores, method="exact", effective_rank=1), path)
+    assert np.array_equal(load_scores(path), scores)
+    path.write_text("0,0.5\n\n1,0.25\n")  # blank lines are skipped
+    assert load_scores(path).tolist() == [0.5, 0.25]

@@ -10,7 +10,6 @@ from levsketch import (
     SyntheticSpec,
     apply_sketch,
     consume_rows,
-    fwht,
     gen_synthetic,
     load_state,
     merge,
@@ -27,6 +26,7 @@ from levsketch.errors import (
     IncompatibleSketchError,
     UnsupportedFamilyError,
 )
+from levsketch.sketch import _sampled_hadamard
 
 
 def cs_spec(**kw):
@@ -245,6 +245,31 @@ def test_merge_rejects_overlapping_counts():
 # Walsh-Hadamard transform and SRHT
 
 
+def fwht(x) -> np.ndarray:
+    """Butterfly fast Walsh-Hadamard transform along axis 0, out of place and
+    unnormalized: the oracle for the sampled-rows transform of the package.
+
+    Length must be a power of two; applying it twice multiplies by the length.
+    """
+    arr = np.array(x, dtype=np.float64)
+    was_vector = arr.ndim == 1
+    if was_vector:
+        arr = arr[:, None]
+    if arr.ndim != 2:
+        raise DimensionMismatchError(f"fwht input must be 1-D or 2-D, got ndim={arr.ndim}")
+    m = arr.shape[0]
+    if m < 1 or m & (m - 1):
+        raise ConfigurationError(f"fwht length must be a power of two, got {m}")
+    h = 1
+    while h < m:
+        view = arr.reshape(m // (2 * h), 2, h, arr.shape[1])
+        tmp = view[:, 0] - view[:, 1]
+        view[:, 0] += view[:, 1]
+        view[:, 1] = tmp
+        h *= 2
+    return arr[:, 0] if was_vector else arr
+
+
 def test_fwht_impulse():
     assert np.array_equal(fwht([1.0, 0.0, 0.0, 0.0]), [1.0, 1.0, 1.0, 1.0])
 
@@ -283,6 +308,72 @@ def test_srht_matches_explicit_matrix_oracle():
     assert np.allclose(state.data, s_explicit @ a, atol=1e-10)
     # the diagnostic dense path agrees too
     assert np.allclose(sketch_matrix(spec, 64), s_explicit, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "n, d, block, k",
+    [
+        (64, 5, 8, 24),  # eight full row blocks, power-of-two n
+        (1000, 3, 16, 100),  # many blocks, the last one partial
+        (5, 4, 16, 6),  # n below the block height: one zero-padded block
+        (100, 2, 4, 128),  # k = m, every row kept
+        (777, 3, 32, 1),  # k = 1
+        (300, 1, 8, 64),  # d = 1
+        (50, 3, 1, 20),  # block height 1: step 1 is the identity
+    ],
+)
+def test_sampled_hadamard_matches_butterfly_and_scipy(n, d, block, k):
+    rng = np.random.default_rng(n + d + block + k)
+    m = 1 << (n - 1).bit_length()
+    x = rng.standard_normal((n, d))
+    signs = 2.0 * rng.integers(0, 2, m) - 1.0
+    sample = np.sort(rng.choice(m, size=k, replace=False))
+    got = _sampled_hadamard(x, signs, sample, block)
+    padded = np.zeros((m, d))
+    padded[:n] = x
+    flipped = signs[:, None] * padded
+    np.testing.assert_allclose(got, fwht(flipped)[sample], rtol=1e-12, atol=1e-12)
+    h = scipy.linalg.hadamard(m).astype(float)
+    np.testing.assert_allclose(got, (h @ flipped)[sample], rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "n, d, k",
+    [
+        (1000, 6, 256),  # several row blocks, non-power-of-two n
+        (100, 3, 128),  # k = m
+        (100, 3, 1),  # k = 1
+        (513, 1, 64),  # d = 1
+        (1, 2, 1),  # a single row
+    ],
+)
+def test_srht_state_matches_butterfly(n, d, k):
+    rng = np.random.default_rng(n * d + k)
+    a = rng.standard_normal((n, d))
+    spec = SketchSpec("srht", eps=0.5, d=d, seed=n + k, rows_override=k)
+    state = apply_sketch(a, spec)
+    assert state.data.shape == (k, d)
+    padded = np.zeros((state._m, d))
+    padded[:n] = a
+    butterfly = fwht(state._signs[:, None] * padded)[state._sample] / math.sqrt(k)
+    np.testing.assert_allclose(state.data, butterfly, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(state.data, sketch_matrix(spec, n) @ a, rtol=1e-12, atol=1e-12)
+
+
+def test_srht_row_buffer_is_unpadded():
+    state = SketchState(SketchSpec("srht", eps=0.5, d=4, seed=3, rows_override=16), 100)
+    assert state._rows.shape == (100, 4)
+
+
+def test_srht_update_after_read_recomputes():
+    rng = np.random.default_rng(19)
+    a = rng.standard_normal((90, 4))
+    spec = SketchSpec("srht", eps=0.5, d=4, seed=7, rows_override=32)
+    state = consume_rows(SketchState(spec, 90), a[:40], 0)
+    first = state.data.copy()
+    consume_rows(state, a[40:], 40)
+    assert not np.array_equal(state.data, first)
+    assert np.array_equal(state.data, apply_sketch(a, spec).data)
 
 
 def test_srht_pads_to_power_of_two():
