@@ -12,14 +12,16 @@ orderings for training loops.
 __version__ = "0.1.0"
 
 from . import errors
-from .dist import CoordinatorReport, Partition, partition_rows, run_distributed
 from .leverage import (
+    CoordinatorReport,
     LeverageResult,
     leverage_exact,
     leverage_oracle,
     leverage_sketched,
     leverage_sketched_trunc,
     load_scores,
+    partition_rows,
+    run_distributed,
     save_scores,
 )
 from .matrix import (
@@ -46,10 +48,7 @@ from .sketch import (
     load_state,
     merge,
     save_state,
-    sketch_matrix,
     sketch_rows,
-    srht_apply,
-    stream_update,
 )
 from .svd import SvdResult, thin_svd, truncate
 
@@ -58,7 +57,6 @@ __all__ = [
     "LeverageResult",
     "OrderingPlan",
     "OrderingPolicy",
-    "Partition",
     "SketchSpec",
     "SketchState",
     "SvdResult",
@@ -87,10 +85,7 @@ __all__ = [
     "save_state",
     "scores_to_distribution",
     "singular_values",
-    "sketch_matrix",
     "sketch_rows",
-    "srht_apply",
-    "stream_update",
     "thin_svd",
     "truncate",
 ]

@@ -25,6 +25,7 @@ from .leverage import (
     leverage_sketched,
     leverage_sketched_trunc,
     load_scores,
+    run_distributed,
     save_scores,
 )
 from .matrix import (
@@ -37,7 +38,6 @@ from .matrix import (
     save_matrix,
     singular_values,
 )
-from .dist import run_distributed
 from .order import OrderingPolicy, emit_batches, make_plan, save_manifest, save_plan, scores_to_distribution
 from .sketch import FAMILIES, SketchSpec
 
@@ -227,20 +227,16 @@ def cmd_leverage(args) -> int:
         result = leverage_exact(a)
     elif args.method == "oracle":
         result = leverage_oracle(a)
-    elif args.method == "sketch":
-        result = leverage_sketched(a, _sketch_spec(args, a.shape[1]), mem_cap_bytes=args.mem_cap)
     else:
-        spec = _sketch_spec(args, a.shape[1])
-        if args.workers > 1:
-            result, report = run_distributed(
-                a, spec, args.workers, args.sv_tol, max_threads=args.threads, mem_cap_bytes=args.mem_cap
-            )
-        else:
-            result = leverage_sketched_trunc(a, spec, args.sv_tol, mem_cap_bytes=args.mem_cap)
+        sv_tol = args.sv_tol if args.method == "sketch-trunc" else None
+        result, report = run_distributed(
+            a, _sketch_spec(args, a.shape[1]), args.workers, sv_tol,
+            max_threads=args.threads, mem_cap_bytes=args.mem_cap,
+        )
     result.wall_time_s = time.perf_counter() - t0
 
     extra = _metadata(args, "leverage")
-    if report is not None:
+    if report is not None and args.workers > 1:
         report_path = Path(str(args.out) + ".report.json")
         _write_json(report_path, report.to_json_dict())
         extra["report_file"] = str(report_path)

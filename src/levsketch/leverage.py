@@ -1,4 +1,4 @@
-"""Leverage scores: exact by SVD, brute-force oracle, and two sketched variants.
+"""Leverage scores: exact by SVD, brute-force oracle, and one sketched pipeline.
 
 The exact method reads scores off the thin-SVD left factor. The oracle forms
 the full projection matrix through a pseudo-inverse and is kept as a fully
@@ -8,19 +8,40 @@ inverts every singular value of the sketch and is deliberately retained
 because it fails on rank-deficient or noise-corrupted inputs. The truncated
 variant drops small singular components first, which restores the
 approximation guarantee on such inputs.
+
+Both sketched variants run through :func:`run_distributed`, a simulation of
+row-partitioned sketching in the coordinator model; the serial methods are its
+one-worker run. Workers sketch contiguous row partitions using global row
+indices, so each worker's hash assignments are identical to a serial pass; the
+coordinator merges the states in ascending worker order, runs the SVD once,
+and broadcasts the basis so workers score their own rows. Workers are
+concurrent tasks in one process exchanging owned values; the message types
+serialize (see sketch.save_state), but no network transport is implemented.
+Communication is accounted as the sketch payloads shipped to the coordinator,
+``w * k * d * 8`` bytes, independent of n.
 """
 
 import json
+import os
+import time
 import warnings
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .config import ensure_capacity
-from .errors import CapacityError, DegenerateInputError, FormatError, SingularInversionError
+from .errors import (
+    CapacityError,
+    ConfigurationError,
+    DegenerateInputError,
+    FormatError,
+    SingularInversionError,
+    UnsupportedFamilyError,
+)
 from .matrix import as_matrix, format_float
-from .sketch import SketchSpec, apply_sketch, sketch_rows
+from .sketch import SRHT, SketchSpec, SketchState, consume_rows, merge, sketch_rows
 from .svd import SvdResult, thin_svd, truncate
 
 # Relative floor under which singular components are treated as numerically
@@ -92,11 +113,11 @@ def _block_scores(rows: np.ndarray, basis: np.ndarray, start: int = 0) -> np.nda
     """Scores for the rows at global indices ``start, start + 1, ...``: squared
     row norms of ``rows @ basis``.
 
-    Shared by the serial and distributed paths. BLAS does not promise a row the
-    same bits at every GEMM height, so each row is scored in the globally
-    aligned block of ``SCORE_BLOCK_ROWS`` rows that holds it, by a GEMM of
-    exactly that height, partial edge blocks zero-padded. A row's result then
-    does not depend on how the rows were partitioned.
+    BLAS does not promise a row the same bits at every GEMM height, so each row
+    is scored in the globally aligned block of ``SCORE_BLOCK_ROWS`` rows that
+    holds it, by a GEMM of exactly that height, partial edge blocks
+    zero-padded. A row's result then does not depend on how the rows were
+    partitioned.
     """
     n, d = rows.shape
     scores = np.empty(n)
@@ -115,41 +136,152 @@ def _block_scores(rows: np.ndarray, basis: np.ndarray, start: int = 0) -> np.nda
     return scores
 
 
+@dataclass
+class CoordinatorReport:
+    merged: SketchState
+    basis_sigma: np.ndarray
+    basis_vt: np.ndarray
+    workers: int
+    per_worker_times: list[float]
+    merge_time: float
+    svd_time: float
+    score_time: float
+    bytes_communicated: int
+    per_worker_rows: list[int] = field(default_factory=list)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "workers": self.workers,
+            "per_worker_times_s": self.per_worker_times,
+            "merge_time_s": self.merge_time,
+            "svd_time_s": self.svd_time,
+            "score_time_s": self.score_time,
+            "bytes_communicated": self.bytes_communicated,
+            "per_worker_rows": self.per_worker_rows,
+            "sketch": {
+                "family": self.merged.spec.family,
+                "k": self.merged.k,
+                "d": self.merged.d,
+                "eps": self.merged.spec.eps,
+                "seed": self.merged.spec.seed,
+            },
+        }
+
+
+def partition_rows(n: int, w: int) -> list[tuple[int, int]]:
+    """Split [0, n) into w contiguous ranges with sizes differing by at most 1."""
+    if w < 1:
+        raise ConfigurationError(f"need at least one worker, got {w}")
+    if w > n:
+        raise ConfigurationError(f"cannot split {n} rows across {w} workers")
+    base, rem = divmod(n, w)
+    ranges = []
+    lo = 0
+    for p in range(w):
+        hi = lo + base + (1 if p < rem else 0)
+        ranges.append((lo, hi))
+        lo = hi
+    return ranges
+
+
+def run_distributed(
+    a,
+    spec: SketchSpec,
+    workers: int,
+    sv_tol: float | None,
+    max_threads: int | None = None,
+    mem_cap_bytes: int | None = None,
+) -> tuple[LeverageResult, CoordinatorReport]:
+    """Sketched leverage scores over ``workers`` row partitions: sketch, merge,
+    SVD, basis, score.
+
+    ``sv_tol=None`` inverts every singular component of the sketch (method
+    ``"sketch"``); otherwise components at or below ``sv_tol`` times the
+    largest are dropped first (``"sketch_trunc"``). One worker is the serial
+    computation; more workers give the same scores bit for bit on data
+    without catastrophic cancellation in the compensated bucket sums. SRHT
+    runs on one worker only, since its state buffers the whole n x d input.
+    At most ``max_threads`` tasks run at once, by default one per CPU; the
+    thread count never changes the result.
+    """
+    if spec.family == SRHT and workers > 1:
+        raise UnsupportedFamilyError(
+            f"distributed sketching supports countsketch and osnap, not {spec.family!r}"
+        )
+    a = as_matrix(a)
+    n = a.shape[0]
+    ranges = partition_rows(n, workers)
+    los, his = zip(*ranges)
+
+    def sketch_partition(lo: int, hi: int) -> tuple[SketchState, float]:
+        t0 = time.perf_counter()
+        state = consume_rows(SketchState(spec, n, mem_cap=mem_cap_bytes), a[lo:hi], lo)
+        return state, time.perf_counter() - t0
+
+    if max_threads is None:
+        pool_size = min(workers, os.cpu_count() or 1)
+    else:
+        pool_size = max(1, min(workers, max_threads))
+    with ThreadPoolExecutor(max_workers=pool_size) as pool:
+        sketched = list(pool.map(sketch_partition, los, his))
+
+        t0 = time.perf_counter()
+        merged = sketched[0][0]
+        for state, _ in sketched[1:]:
+            merged = merge(merged, state)
+        merge_time = time.perf_counter() - t0
+
+        t0 = time.perf_counter()
+        svd = thin_svd(merged.data)
+        if sv_tol is not None:
+            svd = truncate(svd, sv_tol)
+        svd_time = time.perf_counter() - t0
+
+        t0 = time.perf_counter()
+        basis = _approx_basis(svd)
+        blocks = pool.map(lambda lo, hi: _block_scores(a[lo:hi], basis, lo), los, his)
+        scores = np.concatenate(list(blocks))
+        score_time = time.perf_counter() - t0
+
+    result = LeverageResult(
+        scores=scores,
+        method="sketch" if sv_tol is None else "sketch_trunc",
+        effective_rank=svd.rank,
+        eps=spec.eps,
+        spec=spec,
+        sv_tol=sv_tol,
+    )
+    report = CoordinatorReport(
+        merged=merged,
+        basis_sigma=svd.sigma,
+        basis_vt=svd.vt,
+        workers=workers,
+        per_worker_times=[t for _, t in sketched],
+        merge_time=merge_time,
+        svd_time=svd_time,
+        score_time=score_time,
+        bytes_communicated=workers * merged.payload_bytes,
+        per_worker_rows=[hi - lo for lo, hi in ranges],
+    )
+    return result, report
+
+
 def leverage_sketched(a, spec: SketchSpec, mem_cap_bytes: int | None = None) -> LeverageResult:
-    """Uncorrected sketched scores (no truncation).
+    """Uncorrected sketched scores (no truncation), computed serially.
 
     Assumes full column rank; on rank-deficient or noisy inputs the inverted
     near-zero singular values corrupt the result, which is the documented
     failure mode this method exists to demonstrate.
     """
-    a = as_matrix(a)
-    state = apply_sketch(a, spec, mem_cap=mem_cap_bytes)
-    svd = thin_svd(state.data)
-    basis = _approx_basis(svd)
-    scores = _block_scores(a, basis)
-    return LeverageResult(
-        scores=scores, method="sketch", effective_rank=svd.rank, eps=spec.eps, spec=spec
-    )
+    return run_distributed(a, spec, 1, None, mem_cap_bytes=mem_cap_bytes)[0]
 
 
 def leverage_sketched_trunc(
     a, spec: SketchSpec, sv_tol: float, mem_cap_bytes: int | None = None
 ) -> LeverageResult:
     """Sketched scores with singular components below ``sv_tol`` (relative to
-    the largest) dropped before the basis inversion."""
-    a = as_matrix(a)
-    state = apply_sketch(a, spec, mem_cap=mem_cap_bytes)
-    svd = truncate(thin_svd(state.data), sv_tol)
-    basis = _approx_basis(svd)
-    scores = _block_scores(a, basis)
-    return LeverageResult(
-        scores=scores,
-        method="sketch_trunc",
-        effective_rank=svd.rank,
-        eps=spec.eps,
-        spec=spec,
-        sv_tol=sv_tol,
-    )
+    the largest) dropped before the basis inversion, computed serially."""
+    return run_distributed(a, spec, 1, sv_tol, mem_cap_bytes=mem_cap_bytes)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ keyed splitmix64-style mix for signs; both are cheap pairwise-independent
 families, and everything derives deterministically from ``SketchSpec.seed``.
 """
 
+import copy
 import json
 import math
 from dataclasses import dataclass
@@ -282,29 +283,11 @@ class SketchState:
             _scatter_add(self._acc_hi, self._acc_lo, buckets, (signs * self._scale)[:, None] * block)
 
 
-def stream_update(state: SketchState, row_index: int, row) -> SketchState:
-    """Consume one globally indexed row. Each global index must be consumed at
-    most once; only the count is tracked, duplicates are the caller's bug."""
-    row = np.asarray(row, dtype=np.float64)
-    if row.shape != (state.d,):
-        raise DimensionMismatchError(f"row has shape {row.shape}, expected ({state.d},)")
-    if not 0 <= row_index < state.n_rows:
-        raise DimensionMismatchError(f"row index {row_index} outside [0, {state.n_rows})")
-    if state.spec.family == SRHT:
-        if state._rows is None:
-            raise ConfigurationError("deserialized SRHT states are read-only")
-        state._rows[row_index] = row
-        state._cache = None
-    else:
-        idx = np.array([row_index], dtype=np.uint64)
-        state._update_hashed(idx, row[None, :])
-    state.rows_consumed += 1
-    return state
-
-
 def consume_rows(state: SketchState, rows, start_index: int) -> SketchState:
     """Consume a contiguous block of rows whose global indices start at
-    ``start_index``. Equivalent to repeated :func:`stream_update`, vectorized."""
+    ``start_index``; one row is the block ``row[None, :]``. Each global index
+    must be consumed at most once; only the count is tracked, duplicates are
+    the caller's bug."""
     rows = as_matrix(rows, "row block")
     if rows.shape[1] != state.d:
         raise DimensionMismatchError(f"row block has {rows.shape[1]} columns, expected {state.d}")
@@ -335,20 +318,14 @@ def apply_sketch(a, spec: SketchSpec, mem_cap: int | None = None) -> SketchState
     return consume_rows(state, a, 0)
 
 
-def srht_apply(spec: SketchSpec, a, mem_cap: int | None = None) -> SketchState:
-    """Apply an SRHT sketch to a whole matrix and materialize the result."""
-    if spec.family != SRHT:
-        raise UnsupportedFamilyError(f"srht_apply requires an SRHT spec, got {spec.family!r}")
-    state = apply_sketch(a, spec, mem_cap=mem_cap)
-    _ = state.data  # materialize eagerly; later reads are cached
-    return state
-
-
 def merge(s1: SketchState, s2: SketchState) -> SketchState:
     """Sum two states built from disjoint row sets of the same stream.
 
     Linearity of the sketch makes this the state that would have been produced
-    by consuming both row sets in one pass.
+    by consuming both row sets in one pass. The result is a copy of ``s1``
+    holding the sums: it is not checked again against the process-wide memory
+    cap (the inputs passed their own check), and SRHT's sign and sample draws
+    are not repeated.
     """
     if s1.spec != s2.spec or s1.n_rows != s2.n_rows:
         raise IncompatibleSketchError(
@@ -359,7 +336,7 @@ def merge(s1: SketchState, s2: SketchState) -> SketchState:
         raise IncompatibleSketchError(
             "merged states would cover more rows than the stream holds; inputs must be disjoint"
         )
-    out = SketchState(s1.spec, s1.n_rows)
+    out = copy.copy(s1)
     if s1.spec.family == SRHT:
         if s1._rows is None or s2._rows is None:
             raise IncompatibleSketchError("deserialized SRHT states cannot be merged")
@@ -431,29 +408,6 @@ def _sampled_hadamard(x: np.ndarray, signs: np.ndarray, sample: np.ndarray, bloc
     for group in np.split(order, np.flatnonzero(np.diff(low[order])) + 1):
         out[group] = _hadamard(high[group], blocks) @ transformed[:, low[group[0]]]
     return out
-
-
-# ---------------------------------------------------------------------------
-# Explicit sketch matrix (diagnostic/testing path; never used by the pipeline)
-
-
-def sketch_matrix(spec: SketchSpec, n_rows: int, mem_cap: int | None = None) -> np.ndarray:
-    """Materialize S as a dense k x n matrix for direct-multiplication checks."""
-    state = SketchState(spec, n_rows, mem_cap=mem_cap)
-    ensure_capacity(8 * state.k * n_rows, "explicit sketch matrix", mem_cap)
-    idx = np.arange(n_rows, dtype=np.uint64)
-    cols = np.arange(n_rows)
-    if spec.family == SRHT:
-        # overall scale sqrt(m/k)/sqrt(m)
-        signs_h = _hadamard(state._sample, cols)
-        return signs_h * state._signs[None, :n_rows] / math.sqrt(state.k)
-    s_mat = np.zeros((state.k, n_rows))
-    for j in range(spec.s):
-        buckets = state._block_offsets[j] + _bucket_hash(
-            idx, state._hash_a[j], state._hash_b[j], state._block_sizes[j]
-        )
-        s_mat[buckets, cols] = _sign_hash(idx, state._sign_keys[j]) * state._scale
-    return s_mat
 
 
 # ---------------------------------------------------------------------------

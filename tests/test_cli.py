@@ -57,6 +57,24 @@ def test_leverage_sketch_trunc_distributed(tmp_path):
     assert load_scores(out).tolist() == load_scores(serial_out).tolist()
 
 
+def test_leverage_sketch_workers_match_serial_bytes(tmp_path):
+    mat = tmp_path / "a.bin"
+    run(["gen", "--n", "200", "--d", "8", "--seed", "3", "--out", str(mat)])
+    for w in (1, 3):
+        code = run([
+            "leverage", "--in", str(mat), "--method", "sketch", "--workers", str(w),
+            "--out", str(tmp_path / f"w{w}.csv"),
+        ])
+        assert code == 0
+    assert (tmp_path / "w3.csv").read_bytes() == (tmp_path / "w1.csv").read_bytes()
+    assert not (tmp_path / "w1.csv.report.json").exists()
+    report = json.loads((tmp_path / "w3.csv.report.json").read_text())
+    assert report["workers"] == 3
+    meta = json.loads((tmp_path / "w3.csv.json").read_text())
+    assert meta["method"] == "sketch"
+    assert meta["sv_tol"] is None
+
+
 def test_leverage_csv_input_with_header(tmp_path):
     src = tmp_path / "a.csv"
     src.write_text("x,y\n1,0\n0,1\n1,1\n")

@@ -1,10 +1,14 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+import levsketch.leverage
 from levsketch import (
     SketchSpec,
     SyntheticSpec,
     gen_synthetic,
+    leverage_sketched,
     leverage_sketched_trunc,
     partition_rows,
     run_distributed,
@@ -84,6 +88,59 @@ def test_block_scores_independent_of_split():
     cuts = [0, 1, 1023, 1024, 1500, 2049, 2999, 3000]
     pieces = [_block_scores(rows[lo:hi], basis, lo) for lo, hi in zip(cuts, cuts[1:])]
     assert np.array_equal(np.concatenate(pieces), whole)
+
+
+def test_srht_single_worker_equals_serial():
+    a = gen_synthetic(SyntheticSpec(n=300, d=8, rank=8, seed=17))
+    spec = SketchSpec("srht", eps=0.5, d=8, seed=18, rows_override=64)
+    serial = leverage_sketched_trunc(a, spec, 1e-3)
+    res, rep = run_distributed(a, spec, 1, 1e-3)
+    assert np.array_equal(res.scores, serial.scores)
+    assert res.method == "sketch_trunc"
+    assert rep.merged.rows_consumed == 300
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_uncorrected_run_equals_leverage_sketched(workers):
+    a = gen_synthetic(SyntheticSpec(n=600, d=16, rank=16, seed=19))
+    spec = SketchSpec("countsketch", eps=0.5, d=16, seed=20)
+    serial = leverage_sketched(a, spec)
+    res, _ = run_distributed(a, spec, workers, None)
+    assert res.method == serial.method == "sketch"
+    assert res.sv_tol is None
+    assert res.effective_rank == serial.effective_rank == 16
+    assert np.array_equal(res.scores, serial.scores)
+
+
+def test_merge_keeps_the_callers_memory_cap(monkeypatch):
+    # the process-wide cap is below the accumulator size; the call's own cap is not
+    monkeypatch.setenv("LVSK_MEM_CAP", "1000")
+    a = np.random.default_rng(21).standard_normal((200, 4))
+    spec = SketchSpec("countsketch", eps=0.5, d=4, seed=0, rows_override=64)
+    serial = leverage_sketched_trunc(a, spec, 1e-3, mem_cap_bytes=10**9)
+    res, _ = run_distributed(a, spec, 2, 1e-3, mem_cap_bytes=10**9)
+    assert np.array_equal(res.scores, serial.scores)
+
+
+def test_default_pool_capped_at_cpu_count(monkeypatch):
+    sizes = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(levsketch.leverage, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(levsketch.leverage.os, "cpu_count", lambda: 2)
+    a = gen_synthetic(SyntheticSpec(n=120, d=4, rank=4, seed=22))
+    spec = SketchSpec("countsketch", eps=0.5, d=4, seed=23)
+    default, _ = run_distributed(a, spec, 6, 1e-3)
+    explicit, _ = run_distributed(a, spec, 6, 1e-3, max_threads=3)
+    monkeypatch.setattr(levsketch.leverage.os, "cpu_count", lambda: None)
+    unknown, _ = run_distributed(a, spec, 6, 1e-3)
+    assert sizes == [2, 3, 1]
+    assert np.array_equal(default.scores, explicit.scores)
+    assert np.array_equal(default.scores, unknown.scores)
 
 
 def test_srht_not_mergeable():

@@ -15,10 +15,7 @@ from levsketch import (
     merge,
     partition_rows,
     save_state,
-    sketch_matrix,
     sketch_rows,
-    srht_apply,
-    stream_update,
 )
 from levsketch.errors import (
     ConfigurationError,
@@ -26,7 +23,7 @@ from levsketch.errors import (
     IncompatibleSketchError,
     UnsupportedFamilyError,
 )
-from levsketch.sketch import _sampled_hadamard
+from levsketch.sketch import _bucket_hash, _hadamard, _sampled_hadamard, _sign_hash
 
 
 def cs_spec(**kw):
@@ -79,6 +76,25 @@ def test_spec_validation():
 # Column structure of the implicit matrix
 
 
+def sketch_matrix(spec: SketchSpec, n_rows: int) -> np.ndarray:
+    """Materialize S as a dense k x n matrix from the state's hash keys, signs
+    and sample: the oracle for the streaming products of the package."""
+    state = SketchState(spec, n_rows)
+    idx = np.arange(n_rows, dtype=np.uint64)
+    cols = np.arange(n_rows)
+    if spec.family == "srht":
+        # overall scale sqrt(m/k)/sqrt(m)
+        signs_h = _hadamard(state._sample, cols)
+        return signs_h * state._signs[None, :n_rows] / math.sqrt(state.k)
+    s_mat = np.zeros((state.k, n_rows))
+    for j in range(spec.s):
+        buckets = state._block_offsets[j] + _bucket_hash(
+            idx, state._hash_a[j], state._hash_b[j], state._block_sizes[j]
+        )
+        s_mat[buckets, cols] = _sign_hash(idx, state._sign_keys[j]) * state._scale
+    return s_mat
+
+
 def test_countsketch_one_nonzero_per_column():
     s_mat = sketch_matrix(cs_spec(), n_rows=200)
     nz = np.count_nonzero(s_mat, axis=0)
@@ -115,7 +131,7 @@ def test_countsketch_single_basis_row_touches_one_bucket():
     before = state.data.copy()
     e1 = np.zeros(16)
     e1[0] = 1.0
-    stream_update(state, 7, e1)
+    consume_rows(state, e1[None, :], 7)
     delta = state.data - before
     changed = np.flatnonzero(np.any(delta != 0, axis=1))
     assert changed.size == 1
@@ -127,7 +143,7 @@ def test_osnap_single_row_touches_s_buckets():
     state = SketchState(spec, 50)
     e1 = np.zeros(16)
     e1[0] = 1.0
-    stream_update(state, 7, e1)
+    consume_rows(state, e1[None, :], 7)
     delta = state.data
     changed = np.flatnonzero(np.any(delta != 0, axis=1))
     assert changed.size <= 2
@@ -135,22 +151,22 @@ def test_osnap_single_row_touches_s_buckets():
         assert np.allclose(np.abs(delta[row]), e1 / math.sqrt(2))
 
 
-def test_stream_update_validates():
+def test_single_row_consume_validates():
     state = SketchState(cs_spec(), 10)
     with pytest.raises(DimensionMismatchError):
-        stream_update(state, 0, np.zeros(7))
+        consume_rows(state, np.zeros(7)[None, :], 0)
     with pytest.raises(DimensionMismatchError):
-        stream_update(state, 10, np.zeros(16))
+        consume_rows(state, np.zeros(16)[None, :], 10)
 
 
-def test_consume_rows_matches_stream_update():
+def test_consume_rows_matches_row_by_row():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((60, 16))
     spec = cs_spec()
     bulk = apply_sketch(a, spec)
     single = SketchState(spec, 60)
     for i, row in enumerate(a):
-        stream_update(single, i, row)
+        consume_rows(single, row[None, :], i)
     diff = np.linalg.norm(bulk.data - single.data)
     assert diff <= 1e-10 * max(1.0, np.linalg.norm(bulk.data))
     assert bulk.rows_consumed == single.rows_consumed == 60
@@ -162,10 +178,10 @@ def test_row_order_independence():
     spec = SketchSpec("osnap", eps=0.5, d=16, seed=11)
     natural = SketchState(spec, 80)
     for i in range(80):
-        stream_update(natural, i, a[i])
+        consume_rows(natural, a[i][None, :], i)
     permuted = SketchState(spec, 80)
     for i in rng.permutation(80):
-        stream_update(permuted, int(i), a[i])
+        consume_rows(permuted, a[i][None, :], int(i))
     rel = np.linalg.norm(natural.data - permuted.data) / np.linalg.norm(natural.data)
     assert rel <= 1e-10
 
@@ -298,7 +314,7 @@ def test_srht_matches_explicit_matrix_oracle():
     rng = np.random.default_rng(13)
     a = rng.standard_normal((64, 8))
     spec = SketchSpec("srht", eps=0.5, d=8, seed=17, rows_override=32)
-    state = srht_apply(spec, a)
+    state = apply_sketch(a, spec)
     m = 64
     h = scipy.linalg.hadamard(m).astype(float)
     d_signs = np.diag(state._signs)
@@ -380,7 +396,7 @@ def test_srht_pads_to_power_of_two():
     rng = np.random.default_rng(14)
     a = rng.standard_normal((100, 8))  # pads to 128
     spec = SketchSpec("srht", eps=0.5, d=8, seed=19, rows_override=64)
-    state = srht_apply(spec, a)
+    state = apply_sketch(a, spec)
     assert state.data.shape == (64, 8)
     # zero-padding means appending explicit zero rows changes nothing
     padded = np.vstack([a, np.zeros((28, 8))])
@@ -393,7 +409,7 @@ def test_srht_embedding_norm_preservation():
     rng = np.random.default_rng(15)
     a = rng.standard_normal((64, 8))
     spec = SketchSpec("srht", eps=0.5, d=8, seed=23, rows_override=32)
-    sa = srht_apply(spec, a).data
+    sa = apply_sketch(a, spec).data
     worst = 0.0
     for _ in range(100):
         x = rng.standard_normal(8)
@@ -408,10 +424,10 @@ def test_srht_streaming_matches_bulk():
     rng = np.random.default_rng(16)
     a = rng.standard_normal((48, 8))
     spec = SketchSpec("srht", eps=0.5, d=8, seed=29, rows_override=16)
-    bulk = srht_apply(spec, a)
+    bulk = apply_sketch(a, spec)
     streamed = SketchState(spec, 48)
     for i, row in enumerate(a):
-        stream_update(streamed, i, row)
+        consume_rows(streamed, row[None, :], i)
     assert np.array_equal(bulk.data, streamed.data)
 
 
