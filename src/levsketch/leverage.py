@@ -17,8 +17,10 @@ coordinator merges the states in ascending worker order, runs the SVD once,
 and broadcasts the basis so workers score their own rows. Workers are
 concurrent tasks in one process exchanging owned values; the message types
 serialize (see sketch.save_state), but no network transport is implemented.
-Communication is accounted as the sketch payloads shipped to the coordinator,
-``w * k * d * 8`` bytes, independent of n.
+Communication is accounted as what the workers ship to the coordinator: each
+worker's canonical block-tree nodes (k x d each, O(log(n/L)) of them for a
+contiguous range over leaves of L rows) plus its raw rows of the at most two
+leaves it holds only in part, O(k*d*log(n/L) + L*d) bytes per worker.
 """
 
 import json
@@ -198,9 +200,11 @@ def run_distributed(
     ``sv_tol=None`` inverts every singular component of the sketch (method
     ``"sketch"``); otherwise components at or below ``sv_tol`` times the
     largest are dropped first (``"sketch_trunc"``). One worker is the serial
-    computation; more workers give the same scores bit for bit on data
-    without catastrophic cancellation in the compensated bucket sums. SRHT
-    runs on one worker only, since its state buffers the whole n x d input.
+    computation; more workers give the same scores bit for bit on any data,
+    since the hashed sketch is a fixed block-tree sum that the merged states
+    reproduce exactly (see the sketch module) and scores are computed on
+    globally aligned row blocks. SRHT runs on one worker only, since its state
+    buffers the whole n x d input.
     At most ``max_threads`` tasks run at once, by default one per CPU; the
     thread count never changes the result.
     """
@@ -260,7 +264,7 @@ def run_distributed(
         merge_time=merge_time,
         svd_time=svd_time,
         score_time=score_time,
-        bytes_communicated=workers * merged.payload_bytes,
+        bytes_communicated=sum(state.message_bytes for state, _ in sketched),
         per_worker_rows=[hi - lo for lo, hi in ranges],
     )
     return result, report

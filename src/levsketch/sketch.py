@@ -17,11 +17,16 @@ matrix ``H_B`` to every B-row block of ``D A``, then each sampled row
 at low index ``p2``, one GEMM per distinct ``p2``. That is n*B*d + k*(n/B)*d
 work against m*log2(m)*d for a full transform.
 
-Bucket accumulation is compensated (TwoSum carries kept alongside the sums),
-which makes the accumulated product insensitive to how the input rows were
-partitioned: merging per-partition states reproduces the serial state
-bit-for-bit in practice. Plain float64 accumulation does not survive
-re-association and would break the distributed-equals-serial contract.
+CountSketch and OSNAP define ``S @ A`` as a fixed binary tree over globally
+aligned leaves of L rows, L the power of two at or above max(k, 1024). A leaf
+is reduced by one plain float64 kernel: every bucket sums its signed rows in
+row-index order, then the leaf is scaled by ``1/sqrt(s)`` once. A tree node
+(level, i) covers leaves [i*2^level, (i+1)*2^level); its value is left + right,
+a child past the last leaf counting as absent. A state holds the complete
+nodes it has (combined with a sibling as soon as both are present) plus the
+raw rows of leaves it holds only in part, and :func:`merge` unions two
+states. The tree fixes the value of any set of rows, so any row partition,
+merge order or chunking of the stream gives the same bits, whatever the data.
 
 Hashing is seed-keyed multiply-shift for bucket choice and the low bit of a
 keyed splitmix64-style mix for signs; both are cheap pairwise-independent
@@ -63,6 +68,11 @@ _SRHT_SAMPLE_STREAM = 0x5348
 # Target size of a per-chunk temporary (hash contributions, sign-flipped SRHT
 # row blocks), in float64 elements (16 MiB).
 _CHUNK_ELEMENTS = 1 << 21
+
+# Target size of one gathered, sign-flipped block of rows in the leaf kernel,
+# in float64 elements (256 KiB): small enough that it is added to the
+# accumulator while still in cache.
+_GATHER_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -172,39 +182,31 @@ def _sign_hash(idx: np.ndarray, key: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Compensated accumulation
+# Block tree of the hashed families
+
+# Floor of the leaf height, so that small sketches still reduce rows in blocks.
+_MIN_LEAF_ROWS = 1024
 
 
-def _two_sum(a, b):
-    s = a + b
-    bb = s - a
-    err = (a - (s - bb)) + (b - bb)
-    return s, err
+def _leaf_rows(k: int) -> int:
+    """Leaf height L of the block tree: the power of two at or above
+    max(k, 1024), so a leaf's k x d accumulator costs no more than its rows."""
+    return _next_pow2(max(k, _MIN_LEAF_ROWS))
 
 
-def _scatter_add(hi: np.ndarray, lo: np.ndarray, buckets: np.ndarray, contribs: np.ndarray) -> None:
-    """Add ``contribs[t]`` into bucket row ``buckets[t]``, in index order ``t``
-    for contributions sharing a bucket, carrying compensation terms."""
-    order = np.argsort(buckets, kind="stable")
-    sorted_b = buckets[order]
-    starts = np.flatnonzero(np.r_[True, sorted_b[1:] != sorted_b[:-1]])
-    lengths = np.diff(np.r_[starts, sorted_b.size])
-    depth = 0
-    while True:
-        live = lengths > depth
-        if not live.any():
-            return
-        sel = starts[live] + depth
-        rows = order[sel]
-        tgt = sorted_b[sel]
-        s, e = _two_sum(hi[tgt], contribs[rows])
-        hi[tgt] = s
-        lo[tgt] += e
-        depth += 1
-
-
-# ---------------------------------------------------------------------------
-# Sketch state
+def _tree_state_elements(n: int, k: int, d: int, s: int) -> int:
+    """Float64 elements (an index entry counted as one) a hashed state holds at
+    its peak while consuming a contiguous row range: the canonical nodes held
+    (at most two per level below the root) plus two more k x d arrays (the
+    leaf kernel's accumulator and its bucket-ordered copy, or a combination's
+    inputs and sum), one gathered chunk, the kernel's index arrays, and a
+    partial-leaf row buffer at each end of the range."""
+    leaf = _leaf_rows(k)
+    n_leaves = -(-n // leaf)
+    height = min(leaf, n)
+    nodes = (2 * (n_leaves - 1).bit_length() + 2) * k * d
+    kernel = max(d, _GATHER_ELEMENTS) + 10 * s * height + 4 * k
+    return nodes + kernel + min(2, n_leaves) * height * d
 
 
 class SketchState:
@@ -215,6 +217,28 @@ class SketchState:
     """
 
     def __init__(self, spec: SketchSpec, n_rows: int, mem_cap: int | None = None):
+        self._describe(spec, n_rows)
+        if spec.family == SRHT:
+            ensure_capacity(
+                8 * (n_rows * self.d + _srht_transform_elements(n_rows, self.d, self.k, self._m, self._block)),
+                "SRHT row buffer and transform",
+                mem_cap,
+            )
+            rng = np.random.Generator(
+                np.random.Philox(np.random.SeedSequence([_SRHT_SAMPLE_STREAM, spec.seed]))
+            )
+            self._signs = (2.0 * rng.integers(0, 2, self._m) - 1.0).astype(np.float64)
+            self._sample = np.sort(rng.choice(self._m, size=self.k, replace=False))
+            self._rows = np.zeros((n_rows, self.d))
+        else:
+            ensure_capacity(
+                8 * _tree_state_elements(n_rows, self.k, self.d, spec.s), "sketch tree and leaf kernel", mem_cap
+            )
+
+    def _describe(self, spec: SketchSpec, n_rows: int) -> None:
+        """Everything derived from the spec and the row count, with no row
+        storage allocated: an empty hashed state, or an SRHT state without its
+        sign and sample draws and row buffer."""
         if n_rows < 1:
             raise ConfigurationError(f"n_rows must be at least 1, got {n_rows}")
         self.spec = spec
@@ -229,42 +253,41 @@ class SketchState:
                     f"SRHT needs k <= padded row count: k={self.k}, padded rows={self._m}"
                 )
             self._block = _srht_block_rows(self.k, self._m)
-            ensure_capacity(
-                8 * (n_rows * self.d + _srht_transform_elements(n_rows, self.d, self.k, self._m, self._block)),
-                "SRHT row buffer and transform",
-                mem_cap,
-            )
-            rng = np.random.Generator(
-                np.random.Philox(np.random.SeedSequence([_SRHT_SAMPLE_STREAM, spec.seed]))
-            )
-            self._signs = (2.0 * rng.integers(0, 2, self._m) - 1.0).astype(np.float64)
-            self._sample = np.sort(rng.choice(self._m, size=self.k, replace=False))
-            self._rows = np.zeros((n_rows, self.d))
-            self._cache = None
-        else:
-            s = spec.s
-            if self.k < s:
-                raise ConfigurationError(f"sketch rows k={self.k} below nonzeros per column s={s}")
-            ensure_capacity(2 * 8 * self.k * self.d, "sketch accumulator", mem_cap)
-            base, rem = divmod(self.k, s)
-            self._block_sizes = [base + (1 if j < rem else 0) for j in range(s)]
-            self._block_offsets = np.concatenate([[0], np.cumsum(self._block_sizes[:-1])]).astype(np.int64)
-            keys = _splitmix_stream(spec.seed, _HASH_STREAM[spec.family])
-            self._hash_a = [next(keys) | 1 for _ in range(s)]
-            self._hash_b = [next(keys) for _ in range(s)]
-            self._sign_keys = [next(keys) for _ in range(s)]
-            self._scale = 1.0 / math.sqrt(s)
-            self._acc_hi = np.zeros((self.k, self.d))
-            self._acc_lo = np.zeros((self.k, self.d))
+            self._signs = self._sample = self._rows = self._cache = None
+            return
+        s = spec.s
+        if self.k < s:
+            raise ConfigurationError(f"sketch rows k={self.k} below nonzeros per column s={s}")
+        base, rem = divmod(self.k, s)
+        self._block_sizes = [base + (1 if j < rem else 0) for j in range(s)]
+        self._block_offsets = np.concatenate([[0], np.cumsum(self._block_sizes[:-1])]).astype(np.int64)
+        keys = _splitmix_stream(spec.seed, _HASH_STREAM[spec.family])
+        self._hash_a = [next(keys) | 1 for _ in range(s)]
+        self._hash_b = [next(keys) for _ in range(s)]
+        self._sign_keys = [next(keys) for _ in range(s)]
+        self._scale = 1.0 / math.sqrt(s)
+        self._leaf = _leaf_rows(self.k)
+        self._n_leaves = -(-n_rows // self._leaf)
+        self._top = (self._n_leaves - 1).bit_length()
+        self._nodes = {}  # (level, i) -> k x d sum of the rows under the node
+        self._pending = {}  # leaf -> (its rows, zero where absent; mask of rows present)
+        self._loaded = None  # a deserialized k x d payload, added after the tree
 
     @property
-    def payload_bytes(self) -> int:
-        """Size of the accumulated product if shipped as float64, k*d*8."""
-        return 8 * self.k * self.d
+    def message_bytes(self) -> int:
+        """Bytes this state ships to a coordinator as float64: its canonical
+        nodes and its rows of partly held leaves (the k x d product for SRHT
+        and for a deserialized payload)."""
+        if self.spec.family == SRHT:
+            return 8 * self.k * self.d
+        rows = sum(int(present.sum()) for _, present in self._pending.values())
+        terms = len(self._nodes) + (self._loaded is not None)
+        return 8 * (terms * self.k * self.d + rows * self.d)
 
     @property
     def data(self) -> np.ndarray:
-        """The accumulated ``S @ A`` (k x d), materialized as float64."""
+        """The accumulated ``S @ A`` (k x d), materialized as float64. For the
+        hashed families it is read-only and may be the state's own node."""
         if self.spec.family == SRHT:
             if self._cache is None:
                 if self._rows is None:
@@ -272,41 +295,162 @@ class SketchState:
                 self._cache = _sampled_hadamard(self._rows, self._signs, self._sample, self._block)
                 self._cache /= math.sqrt(self.k)
             return self._cache
-        return self._acc_hi + self._acc_lo
+        total = self._fold()
+        if self._loaded is not None:
+            total = self._loaded if total is None else total + self._loaded
+        if total is None:
+            total = np.zeros((self.k, self.d))
+        view = total.view()
+        view.flags.writeable = False
+        return view
 
-    def _update_hashed(self, idx: np.ndarray, block: np.ndarray) -> None:
+    def _leaf_span(self, leaf: int) -> tuple[int, int]:
+        lo = leaf * self._leaf
+        return lo, min(lo + self._leaf, self.n_rows)
+
+    def _reduce(self, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """``S @ A`` over ``rows`` at the ascending global indices ``idx``, all
+        in one leaf: each bucket sums its signed rows in index order, then the
+        result is scaled by 1/sqrt(s).
+
+        The s hash copies go through one stable sort by bucket, which gives
+        every contribution its depth (its rank within its bucket). Buckets are
+        laid out by decreasing count, so the buckets still live at depth t are
+        a prefix of the accumulator and each depth is one gathered, sign-
+        flipped block added to that prefix, in chunks of about
+        ``_GATHER_ELEMENTS``.
+        """
+        m, d, k = idx.size, self.d, self.k
+        buckets = np.empty((self.spec.s, m), dtype=np.int64)
+        signs = np.empty((self.spec.s, m))
         for j in range(self.spec.s):
-            buckets = self._block_offsets[j] + _bucket_hash(
+            buckets[j] = self._block_offsets[j] + _bucket_hash(
                 idx, self._hash_a[j], self._hash_b[j], self._block_sizes[j]
             )
-            signs = _sign_hash(idx, self._sign_keys[j])
-            _scatter_add(self._acc_hi, self._acc_lo, buckets, (signs * self._scale)[:, None] * block)
+            signs[j] = _sign_hash(idx, self._sign_keys[j])
+        buckets, signs = buckets.ravel(), signs.ravel()
+        counts = np.bincount(buckets, minlength=k)
+        order = np.argsort(buckets, kind="stable")
+        depth = np.empty_like(order)
+        depth[order] = np.arange(order.size) - (np.cumsum(counts) - counts)[buckets[order]]
+        slot = np.empty(k, dtype=np.int64)
+        slot[np.argsort(-counts, kind="stable")] = np.arange(k)
+        live = k - np.cumsum(np.bincount(counts))[:-1]  # buckets with more than t contributions
+        starts = np.cumsum(live) - live
+        sequence = np.empty_like(order)
+        sequence[starts[depth] + slot[buckets]] = np.arange(order.size)
+        src, signs = sequence % m, signs[sequence]
+        acc = np.zeros((k, d))
+        step = max(1, _GATHER_ELEMENTS // d)
+        for base, width in zip(starts, live):
+            for p0 in range(0, width, step):
+                p1 = min(width, p0 + step)
+                picked = rows[src[base + p0 : base + p1]]
+                picked *= signs[base + p0 : base + p1, None]
+                acc[p0:p1] += picked
+        acc = acc[slot]
+        if self.spec.s > 1:
+            acc *= self._scale
+        return acc
+
+    def _claim(self, level: int, i: int) -> None:
+        """Raise if a node or partly held leaf of this state overlaps node
+        (level, i)."""
+        above = any((up, i >> (up - level)) in self._nodes for up in range(level, self._top + 1))
+        below = any(lv < level and j >> (level - lv) == i for lv, j in self._nodes)
+        if above or below or any(leaf >> level == i for leaf in self._pending):
+            raise IncompatibleSketchError(f"rows under tree node ({level}, {i}) are already held")
+
+    def _insert(self, level: int, i: int, value: np.ndarray) -> None:
+        """Add a complete node, combining it with its sibling for as long as
+        the sibling is held; a sibling past the last leaf is absent, so the
+        node stands for its parent."""
+        while level < self._top:
+            sibling = i ^ 1
+            if sibling << level < self._n_leaves:
+                other = self._nodes.pop((level, sibling), None)
+                if other is None:
+                    break
+                value = other + value if sibling < i else value + other
+            level, i = level + 1, i >> 1
+        self._nodes[(level, i)] = value
+
+    def _claim_rows(self, leaf: int, window: slice, present=True) -> None:
+        """Raise if a row of ``leaf`` in ``window`` (of those flagged in
+        ``present``) is already held."""
+        if leaf not in self._pending:
+            self._claim(0, leaf)
+        elif (self._pending[leaf][1][window] & present).any():
+            raise IncompatibleSketchError(f"rows of leaf {leaf} are already held")
+
+    def _fill(self, leaf: int, offset: int, rows: np.ndarray, present: np.ndarray | None = None) -> None:
+        """Place rows of a leaf at row ``offset`` within it (only the rows
+        flagged in ``present``, if given); reduce the leaf once it is whole."""
+        window = slice(offset, offset + rows.shape[0])
+        present = np.ones(rows.shape[0], dtype=bool) if present is None else present
+        self._claim_rows(leaf, window, present)
+        lo, hi = self._leaf_span(leaf)
+        if leaf not in self._pending:
+            self._pending[leaf] = (np.zeros((hi - lo, self.d)), np.zeros(hi - lo, dtype=bool))
+        buffer, held = self._pending[leaf]
+        buffer[window][present] = rows[present]
+        held[window] |= present
+        if held.all():
+            del self._pending[leaf]
+            self._insert(0, leaf, self._reduce(np.arange(lo, hi, dtype=np.uint64), buffer))
+
+    def _fold(self) -> np.ndarray | None:
+        """Tree sum of the held nodes and of each partly held leaf reduced over
+        the rows present; None if the state holds no rows."""
+        if (self._top, 0) in self._nodes:
+            return self._nodes[(self._top, 0)]
+        occupied = set()
+        for level, i in [*self._nodes, *((0, leaf) for leaf in self._pending)]:
+            for up in range(level, self._top + 1):
+                occupied.add((up, i >> (up - level)))
+
+        def value(level, i):
+            if (level, i) in self._nodes:
+                return self._nodes[(level, i)]
+            if level == 0:
+                buffer, held = self._pending[i]
+                at = np.flatnonzero(held)
+                return self._reduce((self._leaf_span(i)[0] + at).astype(np.uint64), buffer[at])
+            parts = [value(level - 1, c) for c in (2 * i, 2 * i + 1) if (level - 1, c) in occupied]
+            return parts[0] if len(parts) == 1 else parts[0] + parts[1]
+
+        return value(self._top, 0) if occupied else None
 
 
 def consume_rows(state: SketchState, rows, start_index: int) -> SketchState:
     """Consume a contiguous block of rows whose global indices start at
     ``start_index``; one row is the block ``row[None, :]``. Each global index
-    must be consumed at most once; only the count is tracked, duplicates are
-    the caller's bug."""
+    must be consumed at most once: the hashed families raise
+    IncompatibleSketchError on a row they already hold, SRHT does not check."""
     rows = as_matrix(rows, "row block")
     if rows.shape[1] != state.d:
         raise DimensionMismatchError(f"row block has {rows.shape[1]} columns, expected {state.d}")
     n_block = rows.shape[0]
-    if start_index < 0 or start_index + n_block > state.n_rows:
-        raise DimensionMismatchError(
-            f"rows [{start_index}, {start_index + n_block}) outside [0, {state.n_rows})"
-        )
+    stop = start_index + n_block
+    if start_index < 0 or stop > state.n_rows:
+        raise DimensionMismatchError(f"rows [{start_index}, {stop}) outside [0, {state.n_rows})")
     if state.spec.family == SRHT:
         if state._rows is None:
             raise ConfigurationError("deserialized SRHT states are read-only")
-        state._rows[start_index : start_index + n_block] = rows
+        state._rows[start_index:stop] = rows
         state._cache = None
     else:
-        chunk = max(1, _CHUNK_ELEMENTS // state.d)
-        for lo in range(0, n_block, chunk):
-            hi = min(lo + chunk, n_block)
-            idx = np.arange(start_index + lo, start_index + hi, dtype=np.uint64)
-            state._update_hashed(idx, rows[lo:hi])
+        leaves = range(start_index // state._leaf, (stop - 1) // state._leaf + 1)
+        for leaf in leaves:  # all checks first, so a rejected block changes nothing
+            lo, hi = state._leaf_span(leaf)
+            state._claim_rows(leaf, slice(max(lo, start_index) - lo, min(hi, stop) - lo))
+        for leaf in leaves:
+            lo, hi = state._leaf_span(leaf)
+            part = rows[max(lo, start_index) - start_index : min(hi, stop) - start_index]
+            if part.shape[0] == hi - lo:
+                state._insert(0, leaf, state._reduce(np.arange(lo, hi, dtype=np.uint64), part))
+            else:
+                state._fill(leaf, max(lo, start_index) - lo, part)
     state.rows_consumed += n_block
     return state
 
@@ -322,10 +466,12 @@ def merge(s1: SketchState, s2: SketchState) -> SketchState:
     """Sum two states built from disjoint row sets of the same stream.
 
     Linearity of the sketch makes this the state that would have been produced
-    by consuming both row sets in one pass. The result is a copy of ``s1``
-    holding the sums: it is not checked again against the process-wide memory
-    cap (the inputs passed their own check), and SRHT's sign and sample draws
-    are not repeated.
+    by consuming both row sets in one pass; for the hashed families it is that
+    state bit for bit, since both hold the same tree nodes and partial leaves.
+    A row held by both inputs raises IncompatibleSketchError. The result is a
+    copy of ``s1`` holding the union: it is not checked again against the
+    process-wide memory cap (the inputs passed their own check), and SRHT's
+    sign and sample draws are not repeated. Neither input is modified.
     """
     if s1.spec != s2.spec or s1.n_rows != s2.n_rows:
         raise IncompatibleSketchError(
@@ -343,9 +489,15 @@ def merge(s1: SketchState, s2: SketchState) -> SketchState:
         out._rows = s1._rows + s2._rows
         out._cache = None
     else:
-        s, e = _two_sum(s1._acc_hi, s2._acc_hi)
-        out._acc_hi = s
-        out._acc_lo = s1._acc_lo + s2._acc_lo + e
+        out._nodes = dict(s1._nodes)
+        out._pending = {leaf: (rows.copy(), held.copy()) for leaf, (rows, held) in s1._pending.items()}
+        for (level, i), value in s2._nodes.items():
+            out._claim(level, i)
+            out._insert(level, i, value)
+        for leaf, (rows, held) in s2._pending.items():
+            out._fill(leaf, 0, rows, held)
+        if s2._loaded is not None:
+            out._loaded = s2._loaded if s1._loaded is None else s1._loaded + s2._loaded
     out.rows_consumed = s1.rows_consumed + s2.rows_consumed
     return out
 
@@ -440,9 +592,12 @@ def save_state(state: SketchState, data_path, meta_path=None) -> None:
 def load_state(data_path, meta_path=None) -> SketchState:
     """Reconstruct a state from :func:`save_state` output.
 
-    The compensation carries are folded into the payload on save, so a loaded
-    state is bit-identical in value; SRHT states lose their row buffer and can
-    no longer be updated or merged.
+    The state is built from the spec without the constructor, so loading
+    allocates nothing but the payload and checks no memory cap. A hashed
+    payload is kept as one opaque term added after the tree sum: the loaded
+    state equals the saved one in value, keeps consuming and merging, but no
+    longer detects rows consumed twice. SRHT states lose their row buffer and
+    can no longer be updated or merged.
     """
     data_path = Path(data_path)
     meta_path = Path(meta_path) if meta_path is not None else data_path.with_suffix(".json")
@@ -457,17 +612,16 @@ def load_state(data_path, meta_path=None) -> SketchState:
         rows_override=meta["rows_override"],
         sizing_c=meta["sizing_c"],
     )
-    state = SketchState(spec, meta["n_rows"])
+    state = SketchState.__new__(SketchState)
+    state._describe(spec, meta["n_rows"])
     data = load_matrix(data_path, "binary")
     if data.shape != (state.k, state.d):
         raise FormatError(
             f"{data_path}: payload shape {data.shape} does not match spec-derived ({state.k}, {state.d})"
         )
     if spec.family == SRHT:
-        state._rows = None
         state._cache = data
     else:
-        state._acc_hi = data.copy()
-        state._acc_lo = np.zeros_like(data)
+        state._loaded = data
     state.rows_consumed = meta["rows_consumed"]
     return state

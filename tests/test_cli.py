@@ -48,7 +48,8 @@ def test_leverage_sketch_trunc_distributed(tmp_path):
     assert code == 0
     report = json.loads((tmp_path / "l.csv.report.json").read_text())
     assert report["workers"] == 4
-    assert report["bytes_communicated"] == 4 * report["sketch"]["k"] * 8 * 8
+    # all 200 rows lie in one partly held leaf, so the workers ship them raw
+    assert report["bytes_communicated"] == 200 * 8 * 8
     serial_out = tmp_path / "serial.csv"
     run([
         "leverage", "--in", str(mat), "--method", "sketch-trunc", "--sketch", "osnap",

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levsketch import (
     SketchSpec,
@@ -18,12 +21,13 @@ from levsketch import (
     sketch_rows,
 )
 from levsketch.errors import (
+    CapacityError,
     ConfigurationError,
     DimensionMismatchError,
     IncompatibleSketchError,
     UnsupportedFamilyError,
 )
-from levsketch.sketch import _bucket_hash, _hadamard, _sampled_hadamard, _sign_hash
+from levsketch.sketch import _bucket_hash, _hadamard, _sampled_hadamard, _sign_hash, _tree_state_elements
 
 
 def cs_spec(**kw):
@@ -257,6 +261,128 @@ def test_merge_rejects_overlapping_counts():
         merge(s1, s2)
 
 
+# Values whose sums cancel across some 32 orders of magnitude: plain float
+# sums of them depend on the association order.
+ADVERSARIAL = [1.0, -1.0, 1e-16, -1e-16, 1e16, -1e16, 3.0, 1e-8]
+
+
+def adversarial_rows(seed, n, d=2):
+    return np.random.default_rng(seed).choice(ADVERSARIAL, size=(n, d))
+
+
+@pytest.mark.parametrize("spec", [cs_spec(rows_override=64), SketchSpec("osnap", eps=0.5, d=16, osnap_s=3, seed=5)])
+def test_tree_matches_row_order_loop_per_leaf(spec):
+    # the definition, bit for bit: per leaf of 1024 rows, every bucket adds its
+    # signed rows in row order, then the leaf is scaled; the root is leaf 0 + leaf 1
+    a = adversarial_rows(28, 1500, d=16)
+    state = SketchState(spec, 1500)
+    leaves = []
+    for lo, hi in ((0, 1024), (1024, 1500)):
+        acc = np.zeros((state.k, 16))
+        for i in range(lo, hi):
+            idx = np.array([i], dtype=np.uint64)
+            for j in range(spec.s):
+                b = _bucket_hash(idx, state._hash_a[j], state._hash_b[j], state._block_sizes[j])[0]
+                acc[state._block_offsets[j] + b] += _sign_hash(idx, state._sign_keys[j])[0] * a[i]
+        leaves.append(acc * state._scale if spec.s > 1 else acc)
+    assert np.array_equal(apply_sketch(a, spec).data, leaves[0] + leaves[1])
+
+
+@pytest.mark.parametrize("family", ["countsketch", "osnap"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_any_partition_and_merge_order_gives_the_same_bits(family, data):
+    # k = 2 or 12 gives leaves of 1024 rows, so up to three leaves and a tree
+    n = data.draw(st.integers(1, 3000), label="n")
+    a = adversarial_rows(data.draw(st.integers(0, 2**32 - 1), label="seed"), n)
+    spec = SketchSpec(family, eps=0.5, d=2, seed=0, rows_override=2 if family == "countsketch" else None)
+    serial = apply_sketch(a, spec)
+    cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=6), label="cuts")) if n > 1 else []
+    parts = []
+    for lo, hi in zip([0, *cuts], [*cuts, n]):
+        state = SketchState(spec, n)
+        step = data.draw(st.integers(1, hi - lo), label="chunk")
+        for start in range(lo, hi, step):
+            consume_rows(state, a[start : min(start + step, hi)], start)
+        parts.append(state)
+    parts = data.draw(st.permutations(parts), label="order")
+    while len(parts) > 1:
+        i = data.draw(st.integers(0, len(parts) - 2), label="pair")
+        parts[i : i + 2] = [merge(parts[i], parts[i + 1])]
+    assert np.array_equal(parts[0].data, serial.data)
+    assert parts[0].rows_consumed == n
+
+
+@pytest.mark.parametrize("family", ["countsketch", "osnap"])
+def test_merge_rejects_overlapping_rows(family):
+    a = np.random.default_rng(24).standard_normal((10, 16))
+    spec = SketchSpec(family, eps=0.5, d=16, seed=3)
+    s1 = consume_rows(SketchState(spec, 100), a, 0)
+    s2 = consume_rows(SketchState(spec, 100), a, 0)
+    with pytest.raises(IncompatibleSketchError):
+        merge(s1, s2)
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ((0, 2048), (1024, 2048)),  # a leaf inside a held node
+        ((0, 1024), (0, 2048)),  # a node over a held leaf
+        ((0, 1500), (1400, 1600)),  # rows of a partly held leaf
+        ((0, 2048), (2047, 2049)),  # a partly held leaf against a held node
+    ],
+)
+def test_merge_rejects_overlapping_tree_nodes(first, second):
+    a = np.random.default_rng(25).standard_normal((3000, 4))
+    spec = SketchSpec("countsketch", eps=0.5, d=4, seed=3, rows_override=64)  # leaves of 1024 rows
+    s1 = consume_rows(SketchState(spec, 3000), a[first[0] : first[1]], first[0])
+    s2 = consume_rows(SketchState(spec, 3000), a[second[0] : second[1]], second[0])
+    with pytest.raises(IncompatibleSketchError):
+        merge(s1, s2)
+    with pytest.raises(IncompatibleSketchError):
+        merge(s2, s1)
+
+
+def test_consume_rejects_rows_already_held():
+    a = np.random.default_rng(26).standard_normal((3000, 4))
+    spec = SketchSpec("osnap", eps=0.5, d=4, seed=3)
+    state = consume_rows(SketchState(spec, 3000), a[:1500], 0)
+    for lo, hi in ((10, 11), (1499, 1501), (0, 3000)):
+        with pytest.raises(IncompatibleSketchError):
+            consume_rows(state, a[lo:hi], lo)
+    # a rejected block changes nothing, even where its first leaves were free
+    tail = consume_rows(SketchState(spec, 3000), a[2048:], 2048)
+    with pytest.raises(IncompatibleSketchError):
+        consume_rows(tail, a, 0)
+    assert tail.rows_consumed == 952
+    consume_rows(tail, a[:2048], 0)
+    assert np.array_equal(tail.data, apply_sketch(a, spec).data)
+
+
+@pytest.mark.parametrize(
+    "family, override, d, n, lo, hi",
+    [
+        ("countsketch", 64, 4, 5000, 1, 4999),  # ragged ends, five leaves
+        ("countsketch", 1024, 32, 13 * 1024 + 5, 300, 12 * 1024 + 7),  # thirteen leaves
+        ("osnap", None, 64, 20000, 0, 20000),  # s = 6, aligned start
+        ("osnap", None, 16, 3000, 700, 2100),  # a range inside few leaves
+    ],
+)
+def test_tree_state_peak_within_its_capacity_check(family, override, d, n, lo, hi):
+    spec = SketchSpec(family, eps=0.5, d=d, seed=5, rows_override=override)
+    a = np.random.default_rng(n).standard_normal((n, d))
+    need = 8 * _tree_state_elements(n, sketch_rows(spec), d, spec.s)
+    with pytest.raises(CapacityError):
+        SketchState(spec, n, mem_cap=need - 1)
+    tracemalloc.start()
+    try:
+        consume_rows(SketchState(spec, n, mem_cap=need), a[lo:hi], lo)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= need
+
+
 # ---------------------------------------------------------------------------
 # Walsh-Hadamard transform and SRHT
 
@@ -437,8 +563,6 @@ def test_srht_k_must_fit_padded_rows():
 
 
 def test_srht_transform_buffer_respects_memory_cap():
-    from levsketch.errors import CapacityError
-
     with pytest.raises(CapacityError):
         SketchState(SketchSpec("srht", eps=0.5, d=64, rows_override=16), 100_000, mem_cap=1_000_000)
 
@@ -501,3 +625,15 @@ def test_loaded_countsketch_state_still_merges(tmp_path):
     s2 = consume_rows(SketchState(spec, 60), a[30:], 30)
     merged = merge(s1_loaded, s2)
     assert np.allclose(merged.data, serial.data, atol=1e-12)
+
+
+def test_load_state_allocates_no_row_buffer(tmp_path, monkeypatch):
+    # the SRHT constructor would check and allocate 42 MB for 100000 x 8 rows
+    a = np.random.default_rng(27).standard_normal((100_000, 8))
+    spec = SketchSpec("srht", eps=0.5, d=8, seed=5, rows_override=64)
+    state = apply_sketch(a, spec)
+    save_state(state, tmp_path / "srht.bin")
+    monkeypatch.setenv("LVSK_MEM_CAP", "2000000")
+    back = load_state(tmp_path / "srht.bin")
+    assert back.rows_consumed == 100_000
+    assert np.array_equal(back.data, state.data)
