@@ -50,7 +50,7 @@ from .sketch import (
     save_state,
     sketch_rows,
 )
-from .svd import SvdResult, thin_svd, truncate
+from .svd import SvdResult, right_svd, thin_svd, truncate
 
 __all__ = [
     "CoordinatorReport",
@@ -79,6 +79,7 @@ __all__ = [
     "merge",
     "numerical_rank",
     "partition_rows",
+    "right_svd",
     "run_distributed",
     "save_matrix",
     "save_scores",

@@ -3,20 +3,23 @@
 The exact method reads scores off the thin-SVD left factor. The oracle forms
 the full projection matrix through a pseudo-inverse and is kept as a fully
 independent code path for testing. The sketched method computes an
-approximate orthonormal basis from the SVD of ``S @ A``; uncorrected, it
-inverts every singular value of the sketch and is deliberately retained
-because it fails on rank-deficient or noise-corrupted inputs. The truncated
-variant drops small singular components first, which restores the
-approximation guarantee on such inputs.
+approximate orthonormal basis ``A V diag(1/sigma)`` from the singular values
+and right singular vectors of ``S @ A``, taken from the SVD of its R factor
+(:func:`levsketch.svd.right_svd`), so the k x d left factor of the sketch is
+never formed. Uncorrected, it inverts every singular value of the sketch and
+is deliberately retained because it fails on rank-deficient or
+noise-corrupted inputs. The truncated variant drops small singular components
+first, which restores the approximation guarantee on such inputs.
 
 Both sketched variants run through :func:`run_distributed`, a simulation of
 row-partitioned sketching in the coordinator model; the serial methods are its
 one-worker run. Workers sketch contiguous row partitions using global row
 indices, so each worker's hash assignments are identical to a serial pass; the
-coordinator merges the states in ascending worker order, runs the SVD once,
-and broadcasts the basis so workers score their own rows. Workers are
-concurrent tasks in one process exchanging owned values; the message types
-serialize (see sketch.save_state), but no network transport is implemented.
+coordinator merges the states in ascending worker order, runs the R-factor
+SVD of the merged sketch once, and broadcasts the basis so workers score their
+own rows. Workers are concurrent tasks in one process exchanging owned values;
+the message types serialize (see sketch.save_state), but no network transport
+is implemented.
 Communication is accounted as what the workers ship to the coordinator: each
 worker's canonical block-tree nodes (k x d each, O(log(n/L)) of them for a
 contiguous range over leaves of L rows) plus its raw rows of the at most two
@@ -43,8 +46,8 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .matrix import as_matrix, format_float
-from .sketch import SRHT, SketchSpec, SketchState, consume_rows, merge, sketch_rows
-from .svd import SvdResult, thin_svd, truncate
+from .sketch import SRHT, SketchSpec, SketchState, _consume, merge, sketch_rows
+from .svd import SvdResult, right_svd, thin_svd, truncate
 
 # Relative floor under which singular components are treated as numerically
 # zero by the exact method, so rank-deficient inputs stay well-defined.
@@ -70,7 +73,6 @@ class LeverageResult:
 def leverage_exact(a) -> LeverageResult:
     """Exact scores: squared row norms of the thin-SVD left factor, restricted
     to components above the machine-relative rank floor."""
-    a = as_matrix(a)
     svd = thin_svd(a)
     if svd.sigma[0] <= 0:
         raise DegenerateInputError("leverage scores of an all-zero matrix are undefined")
@@ -195,7 +197,7 @@ def run_distributed(
     mem_cap_bytes: int | None = None,
 ) -> tuple[LeverageResult, CoordinatorReport]:
     """Sketched leverage scores over ``workers`` row partitions: sketch, merge,
-    SVD, basis, score.
+    SVD of the merged sketch's R factor (sigma and V^T only), basis, score.
 
     ``sv_tol=None`` inverts every singular component of the sketch (method
     ``"sketch"``); otherwise components at or below ``sv_tol`` times the
@@ -219,7 +221,7 @@ def run_distributed(
 
     def sketch_partition(lo: int, hi: int) -> tuple[SketchState, float]:
         t0 = time.perf_counter()
-        state = consume_rows(SketchState(spec, n, mem_cap=mem_cap_bytes), a[lo:hi], lo)
+        state = _consume(SketchState(spec, n, mem_cap=mem_cap_bytes), a[lo:hi], lo)
         return state, time.perf_counter() - t0
 
     if max_threads is None:
@@ -236,7 +238,7 @@ def run_distributed(
         merge_time = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        svd = thin_svd(merged.data)
+        svd = right_svd(merged.data)
         if sv_tol is not None:
             svd = truncate(svd, sv_tol)
         svd_time = time.perf_counter() - t0

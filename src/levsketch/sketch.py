@@ -8,13 +8,14 @@ transform of order m (the next power of two at or above the row count, the
 input being implicitly zero-padded), then uniform subsampling of k of the m
 rows.
 
-An SRHT state buffers its n x d input rows and transforms them lazily, on the
-first read of ``.data`` after an update. Only the k sampled rows of
-``H_m D A`` are computed, through the Sylvester split ``H_m = H_{m/B} (x) H_B``
-with B a power of two near sqrt(k): one batched GEMM applies the dense +-1
-matrix ``H_B`` to every B-row block of ``D A``, then each sampled row
-``p = p1*B + p2`` is row ``p1`` of ``H_{m/B}`` times the block-transformed rows
-at low index ``p2``, one GEMM per distinct ``p2``. That is n*B*d + k*(n/B)*d
+An SRHT state buffers its n x d input rows, with a mask of the rows it holds,
+and transforms them lazily, on the first read of ``.data`` after an update.
+Only the k sampled rows of ``H_m D A`` are computed, through the Sylvester
+split ``H_m = H_{m/B} (x) H_B`` with B a power of two near sqrt(k): one
+batched GEMM applies the dense +-1 matrix ``H_B`` to every B-row block of
+``D A``, then each sampled row ``p = p1*B + p2`` is row ``p1`` of ``H_{m/B}``
+times the block-transformed rows at low index ``p2``, one GEMM per distinct
+``p2``. That is n*B*d + k*(n/B)*d
 work against m*log2(m)*d for a full transform.
 
 CountSketch and OSNAP define ``S @ A`` as a fixed binary tree over globally
@@ -219,9 +220,10 @@ class SketchState:
     def __init__(self, spec: SketchSpec, n_rows: int, mem_cap: int | None = None):
         self._describe(spec, n_rows)
         if spec.family == SRHT:
+            transform = _srht_transform_elements(n_rows, self.d, self.k, self._m, self._block)
             ensure_capacity(
-                8 * (n_rows * self.d + _srht_transform_elements(n_rows, self.d, self.k, self._m, self._block)),
-                "SRHT row buffer and transform",
+                8 * (n_rows * self.d + self._m + self.k + transform) + n_rows,
+                "SRHT row buffer, signs, sample, held-row mask and transform",
                 mem_cap,
             )
             rng = np.random.Generator(
@@ -230,6 +232,7 @@ class SketchState:
             self._signs = (2.0 * rng.integers(0, 2, self._m) - 1.0).astype(np.float64)
             self._sample = np.sort(rng.choice(self._m, size=self.k, replace=False))
             self._rows = np.zeros((n_rows, self.d))
+            self._held = np.zeros(n_rows, dtype=bool)
         else:
             ensure_capacity(
                 8 * _tree_state_elements(n_rows, self.k, self.d, spec.s), "sketch tree and leaf kernel", mem_cap
@@ -238,7 +241,7 @@ class SketchState:
     def _describe(self, spec: SketchSpec, n_rows: int) -> None:
         """Everything derived from the spec and the row count, with no row
         storage allocated: an empty hashed state, or an SRHT state without its
-        sign and sample draws and row buffer."""
+        sign and sample draws, row buffer and held-row mask."""
         if n_rows < 1:
             raise ConfigurationError(f"n_rows must be at least 1, got {n_rows}")
         self.spec = spec
@@ -253,7 +256,7 @@ class SketchState:
                     f"SRHT needs k <= padded row count: k={self.k}, padded rows={self._m}"
                 )
             self._block = _srht_block_rows(self.k, self._m)
-            self._signs = self._sample = self._rows = self._cache = None
+            self._signs = self._sample = self._rows = self._held = self._cache = None
             return
         s = spec.s
         if self.k < s:
@@ -425,9 +428,13 @@ class SketchState:
 def consume_rows(state: SketchState, rows, start_index: int) -> SketchState:
     """Consume a contiguous block of rows whose global indices start at
     ``start_index``; one row is the block ``row[None, :]``. Each global index
-    must be consumed at most once: the hashed families raise
-    IncompatibleSketchError on a row they already hold, SRHT does not check."""
-    rows = as_matrix(rows, "row block")
+    must be consumed at most once: a row the state already holds raises
+    IncompatibleSketchError, and a rejected block leaves the state unchanged."""
+    return _consume(state, as_matrix(rows, "row block"), start_index)
+
+
+def _consume(state: SketchState, rows: np.ndarray, start_index: int) -> SketchState:
+    """:func:`consume_rows` on rows already validated by ``as_matrix``."""
     if rows.shape[1] != state.d:
         raise DimensionMismatchError(f"row block has {rows.shape[1]} columns, expected {state.d}")
     n_block = rows.shape[0]
@@ -437,7 +444,10 @@ def consume_rows(state: SketchState, rows, start_index: int) -> SketchState:
     if state.spec.family == SRHT:
         if state._rows is None:
             raise ConfigurationError("deserialized SRHT states are read-only")
+        if state._held[start_index:stop].any():
+            raise IncompatibleSketchError(f"rows in [{start_index}, {stop}) are already held")
         state._rows[start_index:stop] = rows
+        state._held[start_index:stop] = True
         state._cache = None
     else:
         leaves = range(start_index // state._leaf, (stop - 1) // state._leaf + 1)
@@ -459,15 +469,15 @@ def apply_sketch(a, spec: SketchSpec, mem_cap: int | None = None) -> SketchState
     """Sketch an entire matrix: fresh state, all rows consumed in order."""
     a = as_matrix(a)
     state = SketchState(spec, a.shape[0], mem_cap=mem_cap)
-    return consume_rows(state, a, 0)
+    return _consume(state, a, 0)
 
 
 def merge(s1: SketchState, s2: SketchState) -> SketchState:
     """Sum two states built from disjoint row sets of the same stream.
 
     Linearity of the sketch makes this the state that would have been produced
-    by consuming both row sets in one pass; for the hashed families it is that
-    state bit for bit, since both hold the same tree nodes and partial leaves.
+    by consuming both row sets in one pass, bit for bit: the hashed families
+    hold the same tree nodes and partial leaves, SRHT the same row buffer.
     A row held by both inputs raises IncompatibleSketchError. The result is a
     copy of ``s1`` holding the union: it is not checked again against the
     process-wide memory cap (the inputs passed their own check), and SRHT's
@@ -486,7 +496,11 @@ def merge(s1: SketchState, s2: SketchState) -> SketchState:
     if s1.spec.family == SRHT:
         if s1._rows is None or s2._rows is None:
             raise IncompatibleSketchError("deserialized SRHT states cannot be merged")
-        out._rows = s1._rows + s2._rows
+        if (s1._held & s2._held).any():
+            raise IncompatibleSketchError("both SRHT states hold some of the same rows")
+        out._rows = s1._rows.copy()
+        np.copyto(out._rows, s2._rows, where=s2._held[:, None])
+        out._held = s1._held | s2._held
         out._cache = None
     else:
         out._nodes = dict(s1._nodes)
@@ -522,13 +536,14 @@ def _srht_block_rows(k: int, m: int) -> int:
 
 
 def _srht_transform_elements(n: int, d: int, k: int, m: int, block: int) -> int:
-    """Float64 elements :func:`_sampled_hadamard` holds at its peak: the
-    block-transformed rows, one chunk of sign-flipped rows, the k sampled rows,
-    and the +-1 factor (plus one temporary of its size) of the largest possible
-    group of samples sharing a low index."""
+    """Float64 elements (an index entry counted as one) :func:`_sampled_hadamard`
+    holds at its peak: the block-transformed rows, one chunk of sign-flipped
+    rows, the k sampled rows, the +-1 factor (plus one temporary of its size)
+    of the largest possible group of samples sharing a low index, and the
+    k-long index arrays that group the samples."""
     n_blocks = -(-n // block)
     chunk = max(1, _CHUNK_ELEMENTS // (block * d)) * block * d
-    return n_blocks * block * d + chunk + k * d + 2 * min(k, m // block) * n_blocks
+    return n_blocks * block * d + chunk + k * d + 2 * min(k, m // block) * n_blocks + 5 * k
 
 
 def _sampled_hadamard(x: np.ndarray, signs: np.ndarray, sample: np.ndarray, block: int) -> np.ndarray:

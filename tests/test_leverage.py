@@ -4,13 +4,17 @@ import pytest
 from levsketch import (
     LeverageResult,
     SketchSpec,
+    SketchState,
     SyntheticSpec,
+    apply_sketch,
+    consume_rows,
     gen_synthetic,
     leverage_exact,
     leverage_oracle,
     leverage_sketched,
     leverage_sketched_trunc,
     load_scores,
+    run_distributed,
     save_scores,
     thin_svd,
     truncate,
@@ -157,6 +161,61 @@ def test_exact_zero_singular_value_refused():
     res = SvdResult(u=np.eye(3), sigma=np.array([2.0, 1.0, 0.0]), vt=np.eye(3))
     with pytest.raises(SingularInversionError):
         _approx_basis(res)
+
+
+def thin_svd_sketch_scores(a, spec, sv_tol):
+    """The sketched pipeline written out on the full thin SVD of S @ A: the
+    oracle for the R-factor route the package takes."""
+    svd = thin_svd(apply_sketch(a, spec).data)
+    if sv_tol is not None:
+        svd = truncate(svd, sv_tol)
+    u = a @ (svd.vt.T / svd.sigma)
+    return np.einsum("ij,ij->i", u, u), svd.rank
+
+
+@pytest.mark.parametrize("family", ["countsketch", "osnap", "srht"])
+def test_sketched_scores_match_a_thin_svd_oracle(family):
+    full = gen_synthetic(SyntheticSpec(n=700, d=12, rank=12, seed=21))
+    noisy = gen_synthetic(SyntheticSpec(n=700, d=12, rank=5, noise_sigma=1e-6, seed=22))
+    spec = SketchSpec(family, eps=0.5, d=12, seed=23)
+    for a, sv_tol in ((full, None), (noisy, 1e-3)):
+        res = leverage_sketched(a, spec) if sv_tol is None else leverage_sketched_trunc(a, spec, sv_tol)
+        ref, rank = thin_svd_sketch_scores(a, spec, sv_tol)
+        assert res.effective_rank == rank
+        assert (np.abs(res.scores - ref) <= 1e-12 * ref).all()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_every_entry_point_rejects_a_non_finite_row(bad):
+    a = gen_synthetic(SyntheticSpec(n=300, d=6, rank=6, seed=24))
+    a[117, 2] = bad
+    spec = SketchSpec("countsketch", eps=0.5, d=6, seed=25)
+    for call in (
+        lambda: run_distributed(a, spec, 1, 1e-3),
+        lambda: run_distributed(a, spec, 3, None),
+        lambda: apply_sketch(a, spec),
+        lambda: consume_rows(SketchState(spec, 300), a[100:200], 100),
+        lambda: leverage_exact(a),
+    ):
+        with pytest.raises(FormatError, match="non-finite"):
+            call()
+
+
+def test_exact_svd_checks_the_memory_cap_before_allocating(monkeypatch):
+    n, d = 2000, 16
+    a = gen_synthetic(SyntheticSpec(n=n, d=d, rank=d, seed=26))
+    need = 8 * (4 * n * d + 7 * d * d)  # input copy, U and V^T twice, workspace
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the SVD ran despite the memory cap")
+
+    with monkeypatch.context() as patched:
+        patched.setenv("LVSK_MEM_CAP", str(need - 1))
+        patched.setattr(np.linalg, "svd", refuse)
+        with pytest.raises(CapacityError):
+            leverage_exact(a)
+    monkeypatch.delenv("LVSK_MEM_CAP", raising=False)
+    assert leverage_exact(a).effective_rank == d
 
 
 def test_sketched_scale_consistency():

@@ -27,7 +27,16 @@ from levsketch.errors import (
     IncompatibleSketchError,
     UnsupportedFamilyError,
 )
-from levsketch.sketch import _bucket_hash, _hadamard, _sampled_hadamard, _sign_hash, _tree_state_elements
+from levsketch.sketch import (
+    _bucket_hash,
+    _hadamard,
+    _next_pow2,
+    _sampled_hadamard,
+    _sign_hash,
+    _srht_block_rows,
+    _srht_transform_elements,
+    _tree_state_elements,
+)
 
 
 def cs_spec(**kw):
@@ -555,6 +564,58 @@ def test_srht_streaming_matches_bulk():
     for i, row in enumerate(a):
         consume_rows(streamed, row[None, :], i)
     assert np.array_equal(bulk.data, streamed.data)
+
+
+def test_srht_rejects_rows_it_already_holds():
+    a = np.random.default_rng(28).standard_normal((8, 4))
+    spec = SketchSpec("srht", eps=0.5, d=4, seed=31, rows_override=4)
+    state = consume_rows(SketchState(spec, 8), a, 0)
+    before = state.data.copy()
+    with pytest.raises(IncompatibleSketchError):
+        consume_rows(state, 2.0 * a, 0)
+    assert state.rows_consumed == 8
+    assert np.array_equal(state.data, before)
+    # a block that overlaps only in part is rejected whole
+    head = consume_rows(SketchState(spec, 8), a[:5], 0)
+    with pytest.raises(IncompatibleSketchError):
+        consume_rows(head, a[3:], 3)
+    assert head.rows_consumed == 5
+    consume_rows(head, a[5:], 5)
+    assert np.array_equal(head.data, before)
+
+
+def test_srht_merge_rejects_overlapping_rows():
+    a = np.random.default_rng(29).standard_normal((8, 4))
+    spec = SketchSpec("srht", eps=0.5, d=4, seed=31, rows_override=4)
+    s1 = consume_rows(SketchState(spec, 8), a[:5], 0)
+    s2 = consume_rows(SketchState(spec, 8), a[2:5], 2)
+    for left, right in ((s1, s2), (s2, s1)):
+        with pytest.raises(IncompatibleSketchError):
+            merge(left, right)
+    tail = consume_rows(SketchState(spec, 8), a[5:], 5)
+    both = merge(s1, tail)
+    assert both.rows_consumed == 8
+    assert np.array_equal(both.data, apply_sketch(a, spec).data)
+    with pytest.raises(IncompatibleSketchError):
+        consume_rows(both, a[7:], 7)
+
+
+@pytest.mark.parametrize("n, d, k", [(3000, 16, 256), (5000, 4, 1024), (1 << 14, 8, 1 << 14)])
+def test_srht_state_peak_within_its_capacity_check(n, d, k):
+    spec = SketchSpec("srht", eps=0.5, d=d, seed=5, rows_override=k)
+    a = np.random.default_rng(n).standard_normal((n, d))
+    m = _next_pow2(n)
+    # row buffer, signs, sample, transform, plus one byte per row of the held-row mask
+    need = 8 * (n * d + m + k + _srht_transform_elements(n, d, k, m, _srht_block_rows(k, m))) + n
+    with pytest.raises(CapacityError):
+        SketchState(spec, n, mem_cap=need - 1)
+    tracemalloc.start()
+    try:
+        consume_rows(SketchState(spec, n, mem_cap=need), a, 0).data
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= need
 
 
 def test_srht_k_must_fit_padded_rows():
