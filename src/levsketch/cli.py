@@ -124,8 +124,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 # Config file support
 
 
-def _load_config(path: str) -> dict[str, str]:
-    cfg = {}
+# Flags that take no value: a config value of 1, true, yes or on sets them.
+_SWITCHES = {"header"}
+
+
+def _load_config(path: str) -> list[str]:
+    """The flags a key=value config file stands for, as command-line tokens:
+    ``--key=value``, or ``--key`` for a switch set by a true value."""
+    tokens = []
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
@@ -134,27 +140,12 @@ def _load_config(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise LevsketchError(f"{path}: line {lineno} is not key=value")
             key, _, value = line.partition("=")
-            cfg[key.strip().replace("-", "_")] = value.strip().strip("\"'")
-    return cfg
-
-
-def _coerce(action: argparse.Action, raw: str):
-    if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-        return raw.lower() in ("1", "true", "yes", "on")
-    if action.type is not None:
-        return action.type(raw)
-    return raw
-
-
-def _apply_config(subparser: argparse.ArgumentParser, cfg: dict[str, str]) -> None:
-    known = {a.dest: a for a in subparser._actions}
-    unknown = set(cfg) - set(known)
-    if unknown:
-        raise LevsketchError(f"config keys do not match any flag: {sorted(unknown)}")
-    for dest, raw in cfg.items():
-        action = known[dest]
-        subparser.set_defaults(**{dest: _coerce(action, raw)})
-        action.required = False  # the config satisfied it; explicit flags still win
+            key, value = key.strip().replace("_", "-"), value.strip().strip("\"'")
+            if key not in _SWITCHES:
+                tokens.append(f"--{key}={value}")
+            elif value.lower() in ("1", "true", "yes", "on"):
+                tokens.append(f"--{key}")
+    return tokens
 
 
 def _peek_config(argv: list[str]) -> str | None:
@@ -220,13 +211,13 @@ def cmd_gen(args) -> int:
 
 
 def cmd_leverage(args) -> int:
-    a = load_matrix(args.infile, args.format, header=args.header)
+    a = load_matrix(args.infile, args.format, header=args.header, mem_cap=args.mem_cap)
     report = None
     t0 = time.perf_counter()
     if args.method == "exact":
-        result = leverage_exact(a)
+        result = leverage_exact(a, mem_cap_bytes=args.mem_cap)
     elif args.method == "oracle":
-        result = leverage_oracle(a)
+        result = leverage_oracle(a, mem_cap_bytes=args.mem_cap)
     else:
         sv_tol = args.sv_tol if args.method == "sketch-trunc" else None
         result, report = run_distributed(
@@ -269,7 +260,7 @@ def _bench_cell(a, method: str, eps: float, sv_tol: float, sketch_c, seed: int, 
     """One timed score computation; data generation and I/O stay outside."""
     t0 = time.perf_counter()
     if method == "exact":
-        leverage_exact(a)
+        leverage_exact(a, mem_cap_bytes=cap)
     else:
         spec = SketchSpec(family=method, eps=eps, d=a.shape[1], seed=seed, sizing_c=sketch_c)
         leverage_sketched_trunc(a, spec, sv_tol, mem_cap_bytes=cap)
@@ -352,7 +343,7 @@ def cmd_figure(args) -> int:
         _write_json(Path(str(out) + ".json"), meta)
         return 0
     spec = _sketch_spec(args, d)
-    exact = leverage_exact(a)
+    exact = leverage_exact(a, mem_cap_bytes=args.mem_cap)
     if args.kind == "trunc-fix":
         approx = leverage_sketched_trunc(a, spec, args.sv_tol, mem_cap_bytes=args.mem_cap)
     else:
@@ -380,9 +371,14 @@ def main(argv=None) -> int:
     command = argv[0] if argv and argv[0] in subs else None
     try:
         cfg_path = _peek_config(argv)
-        if cfg_path is not None and command is not None:
-            _apply_config(subs[command], _load_config(cfg_path))
-        args = parser.parse_args(argv)
+        config = _load_config(cfg_path) if cfg_path is not None and command is not None else []
+        # the config's flags go first, so that explicit flags after them win
+        args, extra = parser.parse_known_args(argv[:1] + config + argv[1:])
+        unknown = [token for token in extra if token in config]
+        if unknown:
+            raise LevsketchError(f"config keys do not match any flag: {unknown}")
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
         if args.mem_cap is not None:
             mem_cap(args.mem_cap)  # validate early
         return _DISPATCH[args.command](args)

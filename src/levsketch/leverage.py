@@ -18,12 +18,12 @@ indices, so each worker's hash assignments are identical to a serial pass; the
 coordinator merges the states in ascending worker order, runs the R-factor
 SVD of the merged sketch once, and broadcasts the basis so workers score their
 own rows. Workers are concurrent tasks in one process exchanging owned values;
-the message types serialize (see sketch.save_state), but no network transport
-is implemented.
-Communication is accounted as what the workers ship to the coordinator: each
-worker's canonical block-tree nodes (k x d each, O(log(n/L)) of them for a
-contiguous range over leaves of L rows) plus its raw rows of the at most two
-leaves it holds only in part, O(k*d*log(n/L) + L*d) bytes per worker.
+no network transport is implemented. Communication is accounted as what the
+workers ship to the coordinator, which is exactly what sketch.save_state
+writes: each worker's canonical block-tree nodes (k x d each, O(log(n/L)) of
+them for a contiguous range over leaves of L rows) plus its raw rows of the at
+most two leaves it holds only in part, O(k*d*log(n/L) + L*d) bytes per worker,
+for every sketch family.
 """
 
 import json
@@ -43,10 +43,9 @@ from .errors import (
     DegenerateInputError,
     FormatError,
     SingularInversionError,
-    UnsupportedFamilyError,
 )
 from .matrix import as_matrix, format_float
-from .sketch import SRHT, SketchSpec, SketchState, _consume, merge, sketch_rows
+from .sketch import SketchSpec, SketchState, _consume, merge, sketch_rows
 from .svd import SvdResult, right_svd, thin_svd, truncate
 
 # Relative floor under which singular components are treated as numerically
@@ -70,10 +69,10 @@ class LeverageResult:
     wall_time_s: float | None = None
 
 
-def leverage_exact(a) -> LeverageResult:
+def leverage_exact(a, mem_cap_bytes: int | None = None) -> LeverageResult:
     """Exact scores: squared row norms of the thin-SVD left factor, restricted
     to components above the machine-relative rank floor."""
-    svd = thin_svd(a)
+    svd = thin_svd(a, mem_cap=mem_cap_bytes)
     if svd.sigma[0] <= 0:
         raise DegenerateInputError("leverage scores of an all-zero matrix are undefined")
     kept = truncate(svd, MACHINE_RANK_TOL)
@@ -81,7 +80,7 @@ def leverage_exact(a) -> LeverageResult:
     return LeverageResult(scores=scores, method="exact", effective_rank=kept.rank)
 
 
-def leverage_oracle(a) -> LeverageResult:
+def leverage_oracle(a, mem_cap_bytes: int | None = None) -> LeverageResult:
     """Brute-force scores from the projection matrix ``A (A^T A)^+ A^T``.
 
     Independent of the SVD-based path; quadratic memory in n, so capped at
@@ -91,7 +90,7 @@ def leverage_oracle(a) -> LeverageResult:
     n = a.shape[0]
     if n > ORACLE_MAX_ROWS:
         raise CapacityError(f"oracle forms an n x n projector; n={n} exceeds {ORACLE_MAX_ROWS}")
-    ensure_capacity(8 * n * n, "projection matrix")
+    ensure_capacity(8 * n * n, "projection matrix", mem_cap_bytes)
     if not a.any():
         raise DegenerateInputError("leverage scores of an all-zero matrix are undefined")
     h = a @ np.linalg.pinv(a.T @ a) @ a.T
@@ -202,18 +201,12 @@ def run_distributed(
     ``sv_tol=None`` inverts every singular component of the sketch (method
     ``"sketch"``); otherwise components at or below ``sv_tol`` times the
     largest are dropped first (``"sketch_trunc"``). One worker is the serial
-    computation; more workers give the same scores bit for bit on any data,
-    since the hashed sketch is a fixed block-tree sum that the merged states
-    reproduce exactly (see the sketch module) and scores are computed on
-    globally aligned row blocks. SRHT runs on one worker only, since its state
-    buffers the whole n x d input.
-    At most ``max_threads`` tasks run at once, by default one per CPU; the
+    computation; more workers give the same scores bit for bit on any data
+    and for every family, since the sketch is a fixed block-tree sum that the
+    merged states reproduce exactly (see the sketch module) and scores are
+    computed on globally aligned row blocks. At most ``max_threads`` tasks run at once, by default one per CPU; the
     thread count never changes the result.
     """
-    if spec.family == SRHT and workers > 1:
-        raise UnsupportedFamilyError(
-            f"distributed sketching supports countsketch and osnap, not {spec.family!r}"
-        )
     a = as_matrix(a)
     n = a.shape[0]
     ranges = partition_rows(n, workers)
@@ -238,7 +231,7 @@ def run_distributed(
         merge_time = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        svd = right_svd(merged.data)
+        svd = right_svd(merged.data, mem_cap=mem_cap_bytes)
         if sv_tol is not None:
             svd = truncate(svd, sv_tol)
         svd_time = time.perf_counter() - t0

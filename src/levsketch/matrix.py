@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ensure_capacity
+from .config import ensure_capacity, mem_cap as resolve_mem_cap
 from .errors import ConfigurationError, FormatError, ParseError
 
 MAGIC = b"LVSK"
@@ -98,7 +98,7 @@ def format_float(v: float) -> str:
     return "%.17g" % v
 
 
-def load_matrix(path, format: str | None = None, header: bool = False) -> np.ndarray:
+def load_matrix(path, format: str | None = None, header: bool = False, mem_cap: int | None = None) -> np.ndarray:
     """Read a matrix written by :func:`save_matrix` (or any conforming file).
 
     Parameters
@@ -106,18 +106,21 @@ def load_matrix(path, format: str | None = None, header: bool = False) -> np.nda
     path : file path
     format : "csv", "binary", or None to infer from the extension
     header : for CSV, skip one leading header line
+    mem_cap : memory cap in bytes (default: ``LVSK_MEM_CAP``, then 4 GiB),
+        checked against the header's n x d before a binary payload is read,
+        and against the rows parsed so far while a CSV file is read
     """
     path = Path(path)
     if format is None:
         format = detect_format(path)
     if format == "binary":
-        return _load_binary(path)
+        return _load_binary(path, mem_cap)
     if format == "csv":
-        return _load_csv(path, header)
+        return _load_csv(path, header, mem_cap)
     raise ConfigurationError(f"unknown matrix format {format!r}")
 
 
-def _load_binary(path: Path) -> np.ndarray:
+def _load_binary(path: Path, mem_cap: int | None) -> np.ndarray:
     with open(path, "rb") as f:
         head = f.read(_HEADER.size)
         if len(head) != _HEADER.size:
@@ -127,13 +130,15 @@ def _load_binary(path: Path) -> np.ndarray:
             raise FormatError(f"{path}: bad magic {magic!r}")
         if version != BINARY_VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
+        ensure_capacity(8 * n * d, f"{path}: {n}x{d} matrix", mem_cap)
         data = np.fromfile(f, dtype="<f8", count=n * d)
     if data.size != n * d:
         raise FormatError(f"{path}: expected {n * d} values, found {data.size}")
     return as_matrix(data.reshape(n, d), str(path))
 
 
-def _load_csv(path: Path, header: bool) -> np.ndarray:
+def _load_csv(path: Path, header: bool, mem_cap: int | None) -> np.ndarray:
+    limit = resolve_mem_cap(mem_cap)
     rows = []
     width = None
     with open(path) as f:
@@ -150,6 +155,9 @@ def _load_csv(path: Path, header: bool) -> np.ndarray:
                 raise FormatError(
                     f"{path}: ragged row at line {lineno}: expected {width} fields, got {len(fields)}"
                 )
+            # per value a Python float, its list slot and its place in the
+            # final float64 array; per row a list header and its slot
+            ensure_capacity((len(rows) + 1) * (40 * width + 64), f"{path}: CSV rows parsed", limit)
             try:
                 rows.append([float(v) for v in fields])
             except ValueError:

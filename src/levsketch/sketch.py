@@ -8,36 +8,41 @@ transform of order m (the next power of two at or above the row count, the
 input being implicitly zero-padded), then uniform subsampling of k of the m
 rows.
 
-An SRHT state buffers its n x d input rows, with a mask of the rows it holds,
-and transforms them lazily, on the first read of ``.data`` after an update.
-Only the k sampled rows of ``H_m D A`` are computed, through the Sylvester
-split ``H_m = H_{m/B} (x) H_B`` with B a power of two near sqrt(k): one
-batched GEMM applies the dense +-1 matrix ``H_B`` to every B-row block of
-``D A``, then each sampled row ``p = p1*B + p2`` is row ``p1`` of ``H_{m/B}``
-times the block-transformed rows at low index ``p2``, one GEMM per distinct
-``p2``. That is n*B*d + k*(n/B)*d
-work against m*log2(m)*d for a full transform.
+Every family defines ``S @ A`` as a fixed binary tree over globally aligned
+leaves of L rows, L the power of two at or above max(k, 1024). A leaf is
+reduced to a k x d node by its family's kernel:
 
-CountSketch and OSNAP define ``S @ A`` as a fixed binary tree over globally
-aligned leaves of L rows, L the power of two at or above max(k, 1024). A leaf
-is reduced by one plain float64 kernel: every bucket sums its signed rows in
-row-index order, then the leaf is scaled by ``1/sqrt(s)`` once. A tree node
-(level, i) covers leaves [i*2^level, (i+1)*2^level); its value is left + right,
-a child past the last leaf counting as absent. A state holds the complete
-nodes it has (combined with a sibling as soon as both are present) plus the
-raw rows of leaves it holds only in part, and :func:`merge` unions two
-states. The tree fixes the value of any set of rows, so any row partition,
-merge order or chunking of the stream gives the same bits, whatever the data.
+- CountSketch and OSNAP: one plain float64 kernel; every bucket sums its
+  signed rows in row-index order, then the leaf is scaled by ``1/sqrt(s)``.
+- SRHT: the k sampled rows of ``H_m D``, restricted to the leaf's columns,
+  times the leaf's rows, through the Sylvester split ``H_m = H_{m/B} (x) H_B``
+  with B a power of two near sqrt(k) (B <= L, so a leaf holds whole B-row
+  blocks). One batched GEMM applies the dense +-1 matrix ``H_B`` to every
+  B-row block of ``D A``; then each sampled row ``p = p1*B + p2`` is row
+  ``p1`` of ``H_{m/B}``, restricted to the leaf's blocks, times the
+  block-transformed rows at low index ``p2``, one GEMM per distinct ``p2``.
+  Over all leaves that is n*B*d + k*(n/B)*d work against m*log2(m)*d for a
+  full transform.
+
+A tree node (level, i) covers leaves [i*2^level, (i+1)*2^level); its value is
+left + right, a child past the last leaf counting as absent. A state holds
+the complete nodes it has (combined with a sibling as soon as both are
+present) plus the raw rows of leaves it holds only in part, and :func:`merge`
+unions two states. The tree fixes the value of any set of rows, so any row
+partition, merge order or chunking of the stream gives the same bits,
+whatever the data. A saved state is exactly that message: its nodes and its
+rows of partly held leaves.
 
 Hashing is seed-keyed multiply-shift for bucket choice and the low bit of a
 keyed splitmix64-style mix for signs; both are cheap pairwise-independent
 families, and everything derives deterministically from ``SketchSpec.seed``.
 """
 
+import bisect
 import copy
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -66,13 +71,9 @@ _M64 = (1 << 64) - 1
 _HASH_STREAM = {COUNTSKETCH: 0x6353, OSNAP: 0x6F53, SRHT: 0x7253}
 _SRHT_SAMPLE_STREAM = 0x5348
 
-# Target size of a per-chunk temporary (hash contributions, sign-flipped SRHT
-# row blocks), in float64 elements (16 MiB).
-_CHUNK_ELEMENTS = 1 << 21
-
-# Target size of one gathered, sign-flipped block of rows in the leaf kernel,
-# in float64 elements (256 KiB): small enough that it is added to the
-# accumulator while still in cache.
+# Target size of a leaf kernel's small temporaries (a gathered, sign-flipped
+# block of rows; a block of SRHT's +-1 factor), in float64 elements
+# (256 KiB): small enough to be used while still in cache.
 _GATHER_ELEMENTS = 1 << 15
 
 
@@ -183,7 +184,7 @@ def _sign_hash(idx: np.ndarray, key: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Block tree of the hashed families
+# Block tree
 
 # Floor of the leaf height, so that small sketches still reduce rows in blocks.
 _MIN_LEAF_ROWS = 1024
@@ -191,23 +192,34 @@ _MIN_LEAF_ROWS = 1024
 
 def _leaf_rows(k: int) -> int:
     """Leaf height L of the block tree: the power of two at or above
-    max(k, 1024), so a leaf's k x d accumulator costs no more than its rows."""
+    max(k, 1024), so a leaf's k x d node costs no more than its rows."""
     return _next_pow2(max(k, _MIN_LEAF_ROWS))
 
 
-def _tree_state_elements(n: int, k: int, d: int, s: int) -> int:
-    """Float64 elements (an index entry counted as one) a hashed state holds at
-    its peak while consuming a contiguous row range: the canonical nodes held
-    (at most two per level below the root) plus two more k x d arrays (the
-    leaf kernel's accumulator and its bucket-ordered copy, or a combination's
-    inputs and sum), one gathered chunk, the kernel's index arrays, and a
-    partial-leaf row buffer at each end of the range."""
+def _tree_state_elements(spec: SketchSpec, n: int) -> int:
+    """Float64 elements (an index entry counted as one) a state over n rows
+    holds at its peak while consuming a contiguous row range: the canonical
+    nodes held (at most two per level below the root), two more k x d arrays
+    (a leaf kernel's result and its working copy, or a combination's inputs
+    and sum), a partial-leaf row buffer at each end of the range, and the
+    leaf kernel's working set. For CountSketch and OSNAP that is one gathered
+    chunk and the index arrays of the bucket sort; for SRHT, the m signs and
+    k sample indices, the block-transformed rows of a leaf and one chunk of
+    its sign-flipped rows, ``H_B``, one block of the +-1 factor with two
+    temporaries of its size, and k-long index arrays."""
+    k, d = sketch_rows(spec), spec.d
     leaf = _leaf_rows(k)
     n_leaves = -(-n // leaf)
     height = min(leaf, n)
-    nodes = (2 * (n_leaves - 1).bit_length() + 2) * k * d
-    kernel = max(d, _GATHER_ELEMENTS) + 10 * s * height + 4 * k
-    return nodes + kernel + min(2, n_leaves) * height * d
+    tree = (2 * (n_leaves - 1).bit_length() + 2) * k * d + min(2, n_leaves) * height * d
+    if spec.family == SRHT:
+        m = _next_pow2(n)
+        block = _srht_block_rows(k, m)
+        n_blocks = -(-height // block)
+        factor_rows = min(k, max(_GATHER_ELEMENTS // n_blocks, m // block))
+        flipped = max(block * d, _GATHER_ELEMENTS)
+        return tree + m + 6 * k + n_blocks * block * d + flipped + block * block + 3 * factor_rows * n_blocks
+    return tree + max(d, _GATHER_ELEMENTS) + 10 * spec.s * height + 4 * k
 
 
 class SketchState:
@@ -218,30 +230,6 @@ class SketchState:
     """
 
     def __init__(self, spec: SketchSpec, n_rows: int, mem_cap: int | None = None):
-        self._describe(spec, n_rows)
-        if spec.family == SRHT:
-            transform = _srht_transform_elements(n_rows, self.d, self.k, self._m, self._block)
-            ensure_capacity(
-                8 * (n_rows * self.d + self._m + self.k + transform) + n_rows,
-                "SRHT row buffer, signs, sample, held-row mask and transform",
-                mem_cap,
-            )
-            rng = np.random.Generator(
-                np.random.Philox(np.random.SeedSequence([_SRHT_SAMPLE_STREAM, spec.seed]))
-            )
-            self._signs = (2.0 * rng.integers(0, 2, self._m) - 1.0).astype(np.float64)
-            self._sample = np.sort(rng.choice(self._m, size=self.k, replace=False))
-            self._rows = np.zeros((n_rows, self.d))
-            self._held = np.zeros(n_rows, dtype=bool)
-        else:
-            ensure_capacity(
-                8 * _tree_state_elements(n_rows, self.k, self.d, spec.s), "sketch tree and leaf kernel", mem_cap
-            )
-
-    def _describe(self, spec: SketchSpec, n_rows: int) -> None:
-        """Everything derived from the spec and the row count, with no row
-        storage allocated: an empty hashed state, or an SRHT state without its
-        sign and sample draws, row buffer and held-row mask."""
         if n_rows < 1:
             raise ConfigurationError(f"n_rows must be at least 1, got {n_rows}")
         self.spec = spec
@@ -249,14 +237,25 @@ class SketchState:
         self.k = sketch_rows(spec)
         self.n_rows = n_rows
         self.rows_consumed = 0
+        self._leaf = _leaf_rows(self.k)
+        self._n_leaves = -(-n_rows // self._leaf)
+        self._top = (self._n_leaves - 1).bit_length()
+        self._nodes = {}  # (level, i) -> k x d sum of the rows under the node
+        self._pending = {}  # leaf -> (its rows, zero where absent; mask of rows present)
+        ensure_capacity(8 * _tree_state_elements(spec, n_rows), "sketch tree and leaf kernel", mem_cap)
         if spec.family == SRHT:
-            self._m = _next_pow2(n_rows)
-            if self.k > self._m:
-                raise ConfigurationError(
-                    f"SRHT needs k <= padded row count: k={self.k}, padded rows={self._m}"
-                )
-            self._block = _srht_block_rows(self.k, self._m)
-            self._signs = self._sample = self._rows = self._held = self._cache = None
+            m = _next_pow2(n_rows)
+            if self.k > m:
+                raise ConfigurationError(f"SRHT needs k <= padded row count: k={self.k}, padded rows={m}")
+            self._block = _srht_block_rows(self.k, m)
+            self._scale = 1.0 / math.sqrt(self.k)
+            rng = np.random.Generator(
+                np.random.Philox(np.random.SeedSequence([_SRHT_SAMPLE_STREAM, spec.seed]))
+            )
+            self._signs = (2.0 * rng.integers(0, 2, m) - 1.0).astype(np.float64)
+            sample = np.sort(rng.choice(m, size=self.k, replace=False))
+            # grouped by low index, so that each group is one contiguous GEMM output
+            self._sample = sample[np.argsort(sample & (self._block - 1), kind="stable")]
             return
         s = spec.s
         if self.k < s:
@@ -269,38 +268,20 @@ class SketchState:
         self._hash_b = [next(keys) for _ in range(s)]
         self._sign_keys = [next(keys) for _ in range(s)]
         self._scale = 1.0 / math.sqrt(s)
-        self._leaf = _leaf_rows(self.k)
-        self._n_leaves = -(-n_rows // self._leaf)
-        self._top = (self._n_leaves - 1).bit_length()
-        self._nodes = {}  # (level, i) -> k x d sum of the rows under the node
-        self._pending = {}  # leaf -> (its rows, zero where absent; mask of rows present)
-        self._loaded = None  # a deserialized k x d payload, added after the tree
 
     @property
     def message_bytes(self) -> int:
-        """Bytes this state ships to a coordinator as float64: its canonical
-        nodes and its rows of partly held leaves (the k x d product for SRHT
-        and for a deserialized payload)."""
-        if self.spec.family == SRHT:
-            return 8 * self.k * self.d
+        """Bytes this state ships to a coordinator as float64, and the data
+        bytes :func:`save_state` writes: its canonical nodes and its rows of
+        partly held leaves."""
         rows = sum(int(present.sum()) for _, present in self._pending.values())
-        terms = len(self._nodes) + (self._loaded is not None)
-        return 8 * (terms * self.k * self.d + rows * self.d)
+        return 8 * (len(self._nodes) * self.k * self.d + rows * self.d)
 
     @property
     def data(self) -> np.ndarray:
-        """The accumulated ``S @ A`` (k x d), materialized as float64. For the
-        hashed families it is read-only and may be the state's own node."""
-        if self.spec.family == SRHT:
-            if self._cache is None:
-                if self._rows is None:
-                    raise ConfigurationError("SRHT state was deserialized without its row buffer")
-                self._cache = _sampled_hadamard(self._rows, self._signs, self._sample, self._block)
-                self._cache /= math.sqrt(self.k)
-            return self._cache
+        """The accumulated ``S @ A`` (k x d), materialized as float64. It is
+        read-only and may be the state's own node."""
         total = self._fold()
-        if self._loaded is not None:
-            total = self._loaded if total is None else total + self._loaded
         if total is None:
             total = np.zeros((self.k, self.d))
         view = total.view()
@@ -311,10 +292,18 @@ class SketchState:
         lo = leaf * self._leaf
         return lo, min(lo + self._leaf, self.n_rows)
 
-    def _reduce(self, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """``S @ A`` over ``rows`` at the ascending global indices ``idx``, all
-        in one leaf: each bucket sums its signed rows in index order, then the
-        result is scaled by 1/sqrt(s).
+    def _reduce(self, leaf: int, rows: np.ndarray) -> np.ndarray:
+        """The k x d node of ``leaf`` from all its rows (zero where absent), by
+        the family's leaf kernel."""
+        if self.spec.family == SRHT:
+            lo = leaf * self._leaf
+            signs = self._signs[lo : lo + rows.shape[0]]
+            return _sampled_hadamard(rows, signs, self._sample, self._block, lo, self._scale)
+        return self._bucket_sums(leaf, rows)
+
+    def _bucket_sums(self, leaf: int, rows: np.ndarray) -> np.ndarray:
+        """CountSketch and OSNAP kernel: each bucket sums its signed rows in
+        index order, then the result is scaled by 1/sqrt(s).
 
         The s hash copies go through one stable sort by bucket, which gives
         every contribution its depth (its rank within its bucket). Buckets are
@@ -323,7 +312,9 @@ class SketchState:
         flipped block added to that prefix, in chunks of about
         ``_GATHER_ELEMENTS``.
         """
-        m, d, k = idx.size, self.d, self.k
+        m, d, k = rows.shape[0], self.d, self.k
+        lo = leaf * self._leaf
+        idx = np.arange(lo, lo + m, dtype=np.uint64)
         buckets = np.empty((self.spec.s, m), dtype=np.int64)
         signs = np.empty((self.spec.s, m))
         for j in range(self.spec.s):
@@ -367,14 +358,16 @@ class SketchState:
     def _insert(self, level: int, i: int, value: np.ndarray) -> None:
         """Add a complete node, combining it with its sibling for as long as
         the sibling is held; a sibling past the last leaf is absent, so the
-        node stands for its parent."""
+        node stands for its parent. The sums go into ``value`` in place, so
+        the caller hands over an array it owns (float addition commutes, so
+        left + right has the same bits either way)."""
         while level < self._top:
             sibling = i ^ 1
             if sibling << level < self._n_leaves:
                 other = self._nodes.pop((level, sibling), None)
                 if other is None:
                     break
-                value = other + value if sibling < i else value + other
+                value += other
             level, i = level + 1, i >> 1
         self._nodes[(level, i)] = value
 
@@ -400,11 +393,11 @@ class SketchState:
         held[window] |= present
         if held.all():
             del self._pending[leaf]
-            self._insert(0, leaf, self._reduce(np.arange(lo, hi, dtype=np.uint64), buffer))
+            self._insert(0, leaf, self._reduce(leaf, buffer))
 
     def _fold(self) -> np.ndarray | None:
-        """Tree sum of the held nodes and of each partly held leaf reduced over
-        the rows present; None if the state holds no rows."""
+        """Tree sum of the held nodes and of each partly held leaf reduced with
+        its absent rows as zeros; None if the state holds no rows."""
         if (self._top, 0) in self._nodes:
             return self._nodes[(self._top, 0)]
         occupied = set()
@@ -416,9 +409,7 @@ class SketchState:
             if (level, i) in self._nodes:
                 return self._nodes[(level, i)]
             if level == 0:
-                buffer, held = self._pending[i]
-                at = np.flatnonzero(held)
-                return self._reduce((self._leaf_span(i)[0] + at).astype(np.uint64), buffer[at])
+                return self._reduce(i, self._pending[i][0])
             parts = [value(level - 1, c) for c in (2 * i, 2 * i + 1) if (level - 1, c) in occupied]
             return parts[0] if len(parts) == 1 else parts[0] + parts[1]
 
@@ -441,26 +432,17 @@ def _consume(state: SketchState, rows: np.ndarray, start_index: int) -> SketchSt
     stop = start_index + n_block
     if start_index < 0 or stop > state.n_rows:
         raise DimensionMismatchError(f"rows [{start_index}, {stop}) outside [0, {state.n_rows})")
-    if state.spec.family == SRHT:
-        if state._rows is None:
-            raise ConfigurationError("deserialized SRHT states are read-only")
-        if state._held[start_index:stop].any():
-            raise IncompatibleSketchError(f"rows in [{start_index}, {stop}) are already held")
-        state._rows[start_index:stop] = rows
-        state._held[start_index:stop] = True
-        state._cache = None
-    else:
-        leaves = range(start_index // state._leaf, (stop - 1) // state._leaf + 1)
-        for leaf in leaves:  # all checks first, so a rejected block changes nothing
-            lo, hi = state._leaf_span(leaf)
-            state._claim_rows(leaf, slice(max(lo, start_index) - lo, min(hi, stop) - lo))
-        for leaf in leaves:
-            lo, hi = state._leaf_span(leaf)
-            part = rows[max(lo, start_index) - start_index : min(hi, stop) - start_index]
-            if part.shape[0] == hi - lo:
-                state._insert(0, leaf, state._reduce(np.arange(lo, hi, dtype=np.uint64), part))
-            else:
-                state._fill(leaf, max(lo, start_index) - lo, part)
+    leaves = range(start_index // state._leaf, (stop - 1) // state._leaf + 1)
+    for leaf in leaves:  # all checks first, so a rejected block changes nothing
+        lo, hi = state._leaf_span(leaf)
+        state._claim_rows(leaf, slice(max(lo, start_index) - lo, min(hi, stop) - lo))
+    for leaf in leaves:
+        lo, hi = state._leaf_span(leaf)
+        part = rows[max(lo, start_index) - start_index : min(hi, stop) - start_index]
+        if part.shape[0] == hi - lo:
+            state._insert(0, leaf, state._reduce(leaf, part))
+        else:
+            state._fill(leaf, max(lo, start_index) - lo, part)
     state.rows_consumed += n_block
     return state
 
@@ -476,12 +458,12 @@ def merge(s1: SketchState, s2: SketchState) -> SketchState:
     """Sum two states built from disjoint row sets of the same stream.
 
     Linearity of the sketch makes this the state that would have been produced
-    by consuming both row sets in one pass, bit for bit: the hashed families
-    hold the same tree nodes and partial leaves, SRHT the same row buffer.
-    A row held by both inputs raises IncompatibleSketchError. The result is a
-    copy of ``s1`` holding the union: it is not checked again against the
-    process-wide memory cap (the inputs passed their own check), and SRHT's
-    sign and sample draws are not repeated. Neither input is modified.
+    by consuming both row sets in one pass, bit for bit: it holds the same
+    tree nodes and partial leaves. A row held by both inputs raises
+    IncompatibleSketchError. The result is a copy of ``s1`` holding the union:
+    it is not checked again against the process-wide memory cap (the inputs
+    passed their own check), and SRHT's sign and sample draws are not
+    repeated. Neither input is modified.
     """
     if s1.spec != s2.spec or s1.n_rows != s2.n_rows:
         raise IncompatibleSketchError(
@@ -493,25 +475,13 @@ def merge(s1: SketchState, s2: SketchState) -> SketchState:
             "merged states would cover more rows than the stream holds; inputs must be disjoint"
         )
     out = copy.copy(s1)
-    if s1.spec.family == SRHT:
-        if s1._rows is None or s2._rows is None:
-            raise IncompatibleSketchError("deserialized SRHT states cannot be merged")
-        if (s1._held & s2._held).any():
-            raise IncompatibleSketchError("both SRHT states hold some of the same rows")
-        out._rows = s1._rows.copy()
-        np.copyto(out._rows, s2._rows, where=s2._held[:, None])
-        out._held = s1._held | s2._held
-        out._cache = None
-    else:
-        out._nodes = dict(s1._nodes)
-        out._pending = {leaf: (rows.copy(), held.copy()) for leaf, (rows, held) in s1._pending.items()}
-        for (level, i), value in s2._nodes.items():
-            out._claim(level, i)
-            out._insert(level, i, value)
-        for leaf, (rows, held) in s2._pending.items():
-            out._fill(leaf, 0, rows, held)
-        if s2._loaded is not None:
-            out._loaded = s2._loaded if s1._loaded is None else s1._loaded + s2._loaded
+    out._nodes = dict(s1._nodes)
+    out._pending = {leaf: (rows.copy(), held.copy()) for leaf, (rows, held) in s1._pending.items()}
+    for (level, i), value in s2._nodes.items():
+        out._claim(level, i)
+        out._insert(level, i, value.copy())
+    for leaf, (rows, held) in s2._pending.items():
+        out._fill(leaf, 0, rows, held)
     out.rows_consumed = s1.rows_consumed + s2.rows_consumed
     return out
 
@@ -535,45 +505,49 @@ def _srht_block_rows(k: int, m: int) -> int:
     return min(m, _next_pow2(math.ceil(math.sqrt(k))))
 
 
-def _srht_transform_elements(n: int, d: int, k: int, m: int, block: int) -> int:
-    """Float64 elements (an index entry counted as one) :func:`_sampled_hadamard`
-    holds at its peak: the block-transformed rows, one chunk of sign-flipped
-    rows, the k sampled rows, the +-1 factor (plus one temporary of its size)
-    of the largest possible group of samples sharing a low index, and the
-    k-long index arrays that group the samples."""
-    n_blocks = -(-n // block)
-    chunk = max(1, _CHUNK_ELEMENTS // (block * d)) * block * d
-    return n_blocks * block * d + chunk + k * d + 2 * min(k, m // block) * n_blocks + 5 * k
-
-
-def _sampled_hadamard(x: np.ndarray, signs: np.ndarray, sample: np.ndarray, block: int) -> np.ndarray:
-    """Rows ``sample`` of ``H_m @ diag(signs) @ x``, x implicitly zero-padded to
-    m rows, computed through ``H_m = H_{m/B} (x) H_B`` with B = ``block``."""
-    n, d = x.shape
-    n_blocks = -(-n // block)
+def _sampled_hadamard(
+    x: np.ndarray, signs: np.ndarray, sample: np.ndarray, block: int, start: int, scale: float
+) -> np.ndarray:
+    """``scale`` times rows ``sample`` of ``H_m @ diag(signs) @ X``, where X is
+    zero but for the rows ``x`` from row ``start`` on (a multiple of
+    B = ``block``) and ``signs`` are the signs of those rows: the SRHT leaf
+    kernel. Computed through ``H_m = H_{m/B} (x) H_B``, with one GEMM per run
+    of samples that share a low index."""
+    h, d = x.shape
+    n_blocks = -(-h // block)
     local = np.arange(block)
+    # Step 1: H_B times every B-row block of D x, a chunk of about
+    # _GATHER_ELEMENTS at a time, written block-transposed so that the rows
+    # at one low index p2 form one contiguous operand. Only the last, partial
+    # block is zero-filled.
     h_block = _hadamard(local, local)
-    # Step 1: H_B times every B-row block of D x, one batched GEMM per chunk of
-    # blocks. Only the last, partial block is zero-filled.
-    transformed = np.empty((n_blocks, block, d))
-    per_chunk = max(1, _CHUNK_ELEMENTS // (block * d))
+    transformed = np.empty((block, n_blocks, d))
+    per_chunk = max(1, _GATHER_ELEMENTS // (block * d))
     flipped = np.empty((per_chunk * block, d))
     for b0 in range(0, n_blocks, per_chunk):
         b1 = min(b0 + per_chunk, n_blocks)
-        r0, r1 = b0 * block, min(b1 * block, n)
-        height = (b1 - b0) * block
+        r0, r1 = b0 * block, min(b1 * block, h)
         np.multiply(signs[r0:r1, None], x[r0:r1], out=flipped[: r1 - r0])
-        flipped[r1 - r0 : height] = 0.0
-        np.matmul(h_block, flipped[:height].reshape(b1 - b0, block, d), out=transformed[b0:b1])
-    # Step 2: sampled row p = p1*B + p2 is H_{m/B}[p1, :n_blocks] times the
-    # transformed rows at low index p2, one GEMM per distinct p2.
+        flipped[r1 - r0 : (b1 - b0) * block] = 0.0
+        chunk = flipped[: (b1 - b0) * block].reshape(b1 - b0, block, d)
+        np.matmul(h_block, chunk, out=transformed[:, b0:b1].transpose(1, 0, 2))
+    # Step 2: sampled row p = p1*B + p2 is H_{m/B}[p1, blocks] times the
+    # transformed rows at p2. The scaled +-1 factor is built for a run of
+    # groups at a time, about _GATHER_ELEMENTS of it.
     low = sample & (block - 1)
     high = sample >> (block.bit_length() - 1)
+    blocks = np.arange(start // block, start // block + n_blocks)
+    cuts = [0, *(np.flatnonzero(np.diff(low)) + 1).tolist(), sample.size]
+    per_factor = max(1, _GATHER_ELEMENTS // n_blocks)
     out = np.empty((sample.size, d))
-    blocks = np.arange(n_blocks)
-    order = np.argsort(low, kind="stable")
-    for group in np.split(order, np.flatnonzero(np.diff(low[order])) + 1):
-        out[group] = _hadamard(high[group], blocks) @ transformed[:, low[group[0]]]
+    g = 0
+    while g < len(cuts) - 1:
+        end = max(g + 1, bisect.bisect_right(cuts, cuts[g] + per_factor) - 1)
+        factor = _hadamard(high[cuts[g] : cuts[end]], blocks)
+        factor *= scale
+        for r0, r1 in zip(cuts[g:end], cuts[g + 1 : end + 1]):
+            np.matmul(factor[r0 - cuts[g] : r1 - cuts[g]], transformed[low[r0]], out=out[r0:r1])
+        g = end
     return out
 
 
@@ -582,61 +556,81 @@ def _sampled_hadamard(x: np.ndarray, signs: np.ndarray, sample: np.ndarray, bloc
 
 
 def save_state(state: SketchState, data_path, meta_path=None) -> None:
-    """Write the materialized k x d product plus a JSON spec sidecar."""
+    """Write the state's message: a matrix binary payload of its canonical
+    nodes (k rows each, in key order) followed by its held rows of partly
+    held leaves (in row order), ``message_bytes`` bytes of data, plus a JSON
+    sidecar of the spec, the node keys ``[level, i]`` and the held row ranges
+    ``[lo, hi)``. A state holding no rows has no message to save."""
     data_path = Path(data_path)
     meta_path = Path(meta_path) if meta_path is not None else data_path.with_suffix(".json")
-    save_matrix(state.data, data_path, "binary")
-    meta = {
-        "family": state.spec.family,
-        "k": state.k,
-        "d": state.d,
-        "s": state.spec.s,
-        "seed": state.spec.seed,
-        "eps": state.spec.eps,
-        "rows_consumed": state.rows_consumed,
-        "n_rows": state.n_rows,
-        "rows_override": state.spec.rows_override,
-        "sizing_c": state.spec.sizing_c,
-        "osnap_s": state.spec.osnap_s,
-    }
+    keys = sorted(state._nodes)
+    parts, ranges = [state._nodes[key] for key in keys], []
+    for leaf in sorted(state._pending):
+        rows, held = state._pending[leaf]
+        edges = state._leaf_span(leaf)[0] + np.flatnonzero(np.diff(held, prepend=False, append=False))
+        ranges += edges.reshape(-1, 2).tolist()
+        parts.append(rows[held])
+    if not parts:
+        raise ConfigurationError("an empty sketch state has no message to save")
+    save_matrix(np.concatenate(parts), data_path, "binary")
+    meta = asdict(state.spec) | {"k": state.k, "s": state.spec.s, "n_rows": state.n_rows}
+    meta |= {"nodes": [list(key) for key in keys], "rows": ranges}
     with open(meta_path, "w") as f:
         json.dump(meta, f, indent=2, sort_keys=True)
         f.write("\n")
 
 
-def load_state(data_path, meta_path=None) -> SketchState:
-    """Reconstruct a state from :func:`save_state` output.
+def _integer_pairs(value, what: str) -> list[tuple[int, int]]:
+    if not isinstance(value, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(type(v) is int for v in p) for p in value
+    ):
+        raise FormatError(f"{what} must be a list of integer pairs")
+    return [tuple(p) for p in value]
 
-    The state is built from the spec without the constructor, so loading
-    allocates nothing but the payload and checks no memory cap. A hashed
-    payload is kept as one opaque term added after the tree sum: the loaded
-    state equals the saved one in value, keeps consuming and merging, but no
-    longer detects rows consumed twice. SRHT states lose their row buffer and
-    can no longer be updated or merged.
+
+def load_state(data_path, meta_path=None) -> SketchState:
+    """Rebuild a state from :func:`save_state` output.
+
+    The sidecar is checked as outside input: every node key lies inside the
+    tree, no two keys or row ranges overlap, every row range lies inside one
+    leaf, and the payload holds k rows per node plus the held rows; a
+    violation raises FormatError. The result is an ordinary state, built by
+    the constructor (and checked against the process-wide memory cap): it
+    consumes, merges and rejects rows it already holds like the saved one,
+    bit for bit.
     """
     data_path = Path(data_path)
     meta_path = Path(meta_path) if meta_path is not None else data_path.with_suffix(".json")
-    with open(meta_path) as f:
-        meta = json.load(f)
-    spec = SketchSpec(
-        family=meta["family"],
-        eps=meta["eps"],
-        d=meta["d"],
-        osnap_s=meta["osnap_s"],
-        seed=meta["seed"],
-        rows_override=meta["rows_override"],
-        sizing_c=meta["sizing_c"],
-    )
-    state = SketchState.__new__(SketchState)
-    state._describe(spec, meta["n_rows"])
+    try:
+        with open(meta_path) as f:
+            meta = json.load(f)
+        spec = SketchSpec(**{field.name: meta[field.name] for field in fields(SketchSpec)})
+        state = SketchState(spec, meta["n_rows"])
+        keys = _integer_pairs(meta["nodes"], f"{meta_path}: nodes")
+        ranges = _integer_pairs(meta["rows"], f"{meta_path}: rows")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{meta_path}: malformed sketch sidecar: {exc!r}") from None
+    n, leaf_rows = state.n_rows, state._leaf
+    for level, i in keys:
+        if not (0 <= level <= state._top and 0 <= i and i << level < state._n_leaves):
+            raise FormatError(f"{meta_path}: node ({level}, {i}) lies outside the tree")
+    for lo, hi in ranges:
+        if not (0 <= lo < hi <= n and lo // leaf_rows == (hi - 1) // leaf_rows):
+            raise FormatError(f"{meta_path}: row range [{lo}, {hi}) does not lie inside one leaf")
     data = load_matrix(data_path, "binary")
-    if data.shape != (state.k, state.d):
-        raise FormatError(
-            f"{data_path}: payload shape {data.shape} does not match spec-derived ({state.k}, {state.d})"
-        )
-    if spec.family == SRHT:
-        state._cache = data
-    else:
-        state._loaded = data
-    state.rows_consumed = meta["rows_consumed"]
+    expected = (len(keys) * state.k + sum(hi - lo for lo, hi in ranges), state.d)
+    if data.shape != expected:
+        raise FormatError(f"{data_path}: payload shape {data.shape} does not match the sidecar's {expected}")
+    try:
+        for j, (level, i) in enumerate(keys):
+            state._claim(level, i)
+            state._insert(level, i, data[j * state.k : (j + 1) * state.k])
+            state.rows_consumed += min(n, ((i + 1) << level) * leaf_rows) - (i << level) * leaf_rows
+        at = len(keys) * state.k
+        for lo, hi in ranges:
+            state._fill(lo // leaf_rows, lo % leaf_rows, data[at : at + hi - lo])
+            state.rows_consumed += hi - lo
+            at += hi - lo
+    except IncompatibleSketchError as exc:
+        raise FormatError(f"{meta_path}: overlapping nodes or row ranges: {exc}") from None
     return state

@@ -232,3 +232,26 @@ def test_deterministic_outputs_across_runs(tmp_path):
     run(lev + [str(tmp_path / "l1.csv")])
     run(lev + [str(tmp_path / "l2.csv")])
     assert (tmp_path / "l1.csv").read_bytes() == (tmp_path / "l2.csv").read_bytes()
+
+
+def test_leverage_mem_cap_covers_the_load_and_the_exact_method(tmp_path):
+    mat = tmp_path / "a.bin"
+    assert run(["gen", "--n", "2000", "--d", "16", "--out", str(mat)]) == 0
+    base = ["leverage", "--in", str(mat), "--method", "exact", "--out", str(tmp_path / "l.csv")]
+    # 1000 bytes cannot hold the 256000-byte input; 300000 holds it but not the thin SVD
+    assert run(base + ["--mem-cap", "1000"]) == 1
+    assert run(base + ["--mem-cap", "300000"]) == 1
+    assert not (tmp_path / "l.csv").exists()
+    assert run(base) == 0
+
+
+def test_config_sets_a_switch(tmp_path):
+    src = tmp_path / "a.csv"
+    src.write_text("x,y\n1,0\n0,1\n1,1\n")
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"in={src}\nheader=yes\nmethod=exact\n")
+    out = tmp_path / "l.csv"
+    assert run(["leverage", "--config", str(cfg), "--out", str(out)]) == 0
+    assert load_scores(out).shape == (3,)
+    meta = json.loads((tmp_path / "l.csv.json").read_text())
+    assert meta["flags"]["header"] is True

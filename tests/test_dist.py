@@ -6,14 +6,19 @@ import pytest
 import levsketch.leverage
 from levsketch import (
     SketchSpec,
+    SketchState,
     SyntheticSpec,
+    apply_sketch,
+    consume_rows,
     gen_synthetic,
     leverage_sketched,
     leverage_sketched_trunc,
+    load_matrix,
     partition_rows,
     run_distributed,
+    save_state,
 )
-from levsketch.errors import ConfigurationError, UnsupportedFamilyError
+from levsketch.errors import ConfigurationError
 from levsketch.leverage import _block_scores
 
 
@@ -48,7 +53,7 @@ def test_single_worker_identical_to_serial():
 
 
 @pytest.mark.parametrize("workers", [2, 3, 4, 8])
-@pytest.mark.parametrize("family", ["countsketch", "osnap"])
+@pytest.mark.parametrize("family", ["countsketch", "osnap", "srht"])
 def test_distributed_bit_equals_serial(workers, family):
     a = gen_synthetic(SyntheticSpec(n=1000, d=16, rank=16, seed=3))
     spec = SketchSpec(family, eps=0.5, d=16, seed=4)
@@ -78,7 +83,7 @@ def test_distributed_bit_equals_serial_at_odd_kept_rank(workers):
     assert np.array_equal(res.scores, serial.scores)
 
 
-@pytest.mark.parametrize("family", ["countsketch", "osnap"])
+@pytest.mark.parametrize("family", ["countsketch", "osnap", "srht"])
 def test_distributed_bit_equals_serial_on_adversarial_data(family):
     # entries whose bucket sums cancel across 32 orders of magnitude: 11 of
     # these 200 seeds gave different CountSketch scores with compensated sums
@@ -157,10 +162,15 @@ def test_default_pool_capped_at_cpu_count(monkeypatch):
     assert np.array_equal(default.scores, unknown.scores)
 
 
-def test_srht_not_mergeable():
-    a = gen_synthetic(SyntheticSpec(n=100, d=8, rank=8, seed=7))
-    with pytest.raises(UnsupportedFamilyError):
-        run_distributed(a, SketchSpec("srht", eps=0.5, d=8, seed=8), 2, 1e-3)
+@pytest.mark.parametrize("workers", [1, 2, 4, 8])
+def test_srht_distributed_bit_equals_serial(workers):
+    # k = 64 gives leaves of 1024 rows: five leaves, cut at ragged worker boundaries
+    a = gen_synthetic(SyntheticSpec(n=5000, d=8, rank=8, seed=7))
+    spec = SketchSpec("srht", eps=0.5, d=8, seed=8, rows_override=64)
+    serial = leverage_sketched_trunc(a, spec, 1e-3)
+    res, rep = run_distributed(a, spec, workers, 1e-3)
+    assert np.array_equal(res.scores, serial.scores)
+    assert np.array_equal(rep.merged.data, apply_sketch(a, spec).data)
 
 
 def test_more_workers_than_rows_rejected():
@@ -207,3 +217,15 @@ def test_thread_cap_does_not_change_result():
     free, _ = run_distributed(a, spec, 4, 1e-3)
     capped, _ = run_distributed(a, spec, 4, 1e-3, max_threads=1)
     assert np.array_equal(free.scores, capped.scores)
+
+
+@pytest.mark.parametrize("family", ["countsketch", "osnap", "srht"])
+def test_bytes_communicated_is_the_saved_payload(tmp_path, family):
+    a = gen_synthetic(SyntheticSpec(n=3000, d=4, rank=4, seed=12))
+    spec = SketchSpec(family, eps=0.5, d=4, seed=11, rows_override=None if family == "osnap" else 64)
+    _, rep = run_distributed(a, spec, 3, 1e-3)
+    saved = 0
+    for p, (lo, hi) in enumerate(partition_rows(3000, 3)):
+        save_state(consume_rows(SketchState(spec, 3000), a[lo:hi], lo), tmp_path / f"{p}.bin")
+        saved += load_matrix(tmp_path / f"{p}.bin").nbytes
+    assert rep.bytes_communicated == saved

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -162,3 +164,25 @@ def test_mem_cap_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("LVSK_MEM_CAP", "notanumber")
     with pytest.raises(ConfigurationError):
         gen_synthetic(SyntheticSpec(n=100, d=100, rank=5, seed=0))
+
+
+def test_binary_header_is_checked_against_the_cap_before_reading(tmp_path):
+    # a header claiming 2^40 x 2^10 values, with no payload behind it
+    path = tmp_path / "huge.bin"
+    path.write_bytes(struct.pack("<4sIQQ", b"LVSK", 1, 2**40, 2**10))
+    with pytest.raises(CapacityError):
+        load_matrix(path)
+    small = tmp_path / "a.bin"
+    save_matrix(np.ones((100, 4)), small)
+    with pytest.raises(CapacityError):
+        load_matrix(small, mem_cap=8 * 100 * 4 - 1)
+    assert load_matrix(small, mem_cap=8 * 100 * 4).shape == (100, 4)
+
+
+def test_csv_rows_are_counted_against_the_cap_while_parsing(tmp_path):
+    path = tmp_path / "a.csv"
+    save_matrix(np.ones((100, 4)), path, "csv")
+    per_row = 40 * 4 + 64  # a Python float, list slot and array entry per value; a list per row
+    with pytest.raises(CapacityError):
+        load_matrix(path, mem_cap=100 * per_row - 1)
+    assert load_matrix(path, mem_cap=100 * per_row).shape == (100, 4)

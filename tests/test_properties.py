@@ -1,0 +1,62 @@
+"""Property tests of the score invariants (Drineas, Magdon-Ismail, Mahoney &
+Woodruff, JMLR 2012): exact scores lie in [0, 1] and sum to the rank, permute
+with the rows, and do not change when the matrix is scaled; neither do the
+sketched, truncated scores, the sketch being linear."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from levsketch import SketchSpec, SyntheticSpec, gen_synthetic, leverage_exact, leverage_sketched_trunc
+
+
+@st.composite
+def low_rank(draw, min_rows=1, max_rows=60):
+    """A matrix of exact column rank r <= d, its columns scaled apart by up to
+    three orders of magnitude, and r."""
+    d = draw(st.integers(1, 6), label="d")
+    n = draw(st.integers(max(min_rows, d), max_rows), label="n")
+    rank = draw(st.integers(1, d), label="rank")
+    a = gen_synthetic(SyntheticSpec(n=n, d=d, rank=rank, seed=draw(st.integers(0, 2**16), label="seed")))
+    columns = draw(st.lists(st.floats(1e-3, 1e3), min_size=d, max_size=d), label="column scales")
+    return a * np.array(columns), rank
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=low_rank())
+def test_exact_scores_lie_in_the_unit_interval_and_sum_to_the_rank(case):
+    a, rank = case
+    res = leverage_exact(a)
+    assert res.effective_rank == rank
+    assert (res.scores >= 0).all() and (res.scores <= 1 + 1e-12).all()
+    assert abs(res.scores.sum() - rank) <= 1e-9 * rank
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=low_rank(), data=st.data())
+def test_exact_scores_permute_with_the_rows(case, data):
+    a, _ = case
+    perm = np.array(data.draw(st.permutations(range(a.shape[0])), label="perm"))
+    np.testing.assert_allclose(leverage_exact(a[perm]).scores, leverage_exact(a).scores[perm], rtol=1e-9, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=low_rank(), scale=st.floats(1e-6, 1e6))
+def test_exact_scores_are_scale_invariant(case, scale):
+    a, _ = case
+    np.testing.assert_allclose(leverage_exact(scale * a).scores, leverage_exact(a).scores, rtol=1e-9, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    case=low_rank(min_rows=130, max_rows=300),
+    family=st.sampled_from(["countsketch", "osnap", "srht"]),
+    scale=st.floats(1e-6, 1e6),
+)
+def test_sketched_truncated_scores_are_scale_invariant(case, family, scale):
+    a, rank = case
+    spec = SketchSpec(family, eps=0.5, d=a.shape[1], seed=7)
+    base = leverage_sketched_trunc(a, spec, 1e-3)
+    scaled = leverage_sketched_trunc(scale * a, spec, 1e-3)
+    assert scaled.effective_rank == base.effective_rank
+    np.testing.assert_allclose(scaled.scores, base.scores, rtol=1e-8, atol=1e-12)

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -14,9 +15,11 @@ from levsketch import (
     apply_sketch,
     consume_rows,
     gen_synthetic,
+    load_matrix,
     load_state,
     merge,
     partition_rows,
+    save_matrix,
     save_state,
     sketch_rows,
 )
@@ -24,6 +27,7 @@ from levsketch.errors import (
     CapacityError,
     ConfigurationError,
     DimensionMismatchError,
+    FormatError,
     IncompatibleSketchError,
     UnsupportedFamilyError,
 )
@@ -33,8 +37,6 @@ from levsketch.sketch import (
     _next_pow2,
     _sampled_hadamard,
     _sign_hash,
-    _srht_block_rows,
-    _srht_transform_elements,
     _tree_state_elements,
 )
 
@@ -297,14 +299,20 @@ def test_tree_matches_row_order_loop_per_leaf(spec):
     assert np.array_equal(apply_sketch(a, spec).data, leaves[0] + leaves[1])
 
 
-@pytest.mark.parametrize("family", ["countsketch", "osnap"])
+def small_k(family, n):
+    """A row count giving leaves of 1024 rows: k = 2 (CountSketch), 12 (OSNAP)
+    or 8 (SRHT, at most the padded row count)."""
+    return {"countsketch": 2, "osnap": None, "srht": min(8, _next_pow2(n))}[family]
+
+
+@pytest.mark.parametrize("family", ["countsketch", "osnap", "srht"])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_any_partition_and_merge_order_gives_the_same_bits(family, data):
-    # k = 2 or 12 gives leaves of 1024 rows, so up to three leaves and a tree
+    # leaves of 1024 rows, so up to three leaves and a tree
     n = data.draw(st.integers(1, 3000), label="n")
     a = adversarial_rows(data.draw(st.integers(0, 2**32 - 1), label="seed"), n)
-    spec = SketchSpec(family, eps=0.5, d=2, seed=0, rows_override=2 if family == "countsketch" else None)
+    spec = SketchSpec(family, eps=0.5, d=2, seed=0, rows_override=small_k(family, n))
     serial = apply_sketch(a, spec)
     cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=6), label="cuts")) if n > 1 else []
     parts = []
@@ -322,10 +330,10 @@ def test_any_partition_and_merge_order_gives_the_same_bits(family, data):
     assert parts[0].rows_consumed == n
 
 
-@pytest.mark.parametrize("family", ["countsketch", "osnap"])
+@pytest.mark.parametrize("family", ["countsketch", "osnap", "srht"])
 def test_merge_rejects_overlapping_rows(family):
     a = np.random.default_rng(24).standard_normal((10, 16))
-    spec = SketchSpec(family, eps=0.5, d=16, seed=3)
+    spec = SketchSpec(family, eps=0.5, d=16, seed=3, rows_override=64 if family == "srht" else None)
     s1 = consume_rows(SketchState(spec, 100), a, 0)
     s2 = consume_rows(SketchState(spec, 100), a, 0)
     with pytest.raises(IncompatibleSketchError):
@@ -380,7 +388,7 @@ def test_consume_rejects_rows_already_held():
 def test_tree_state_peak_within_its_capacity_check(family, override, d, n, lo, hi):
     spec = SketchSpec(family, eps=0.5, d=d, seed=5, rows_override=override)
     a = np.random.default_rng(n).standard_normal((n, d))
-    need = 8 * _tree_state_elements(n, sketch_rows(spec), d, spec.s)
+    need = 8 * _tree_state_elements(spec, n)
     with pytest.raises(CapacityError):
         SketchState(spec, n, mem_cap=need - 1)
     tracemalloc.start()
@@ -474,12 +482,18 @@ def test_srht_matches_explicit_matrix_oracle():
     ],
 )
 def test_sampled_hadamard_matches_butterfly_and_scipy(n, d, block, k):
+    # the leaf kernel on leaves of four blocks, summed over the leaves
     rng = np.random.default_rng(n + d + block + k)
     m = 1 << (n - 1).bit_length()
     x = rng.standard_normal((n, d))
     signs = 2.0 * rng.integers(0, 2, m) - 1.0
     sample = np.sort(rng.choice(m, size=k, replace=False))
-    got = _sampled_hadamard(x, signs, sample, block)
+    sample = sample[np.argsort(sample % block, kind="stable")]  # grouped by low index, as a state holds it
+    leaf = 4 * block
+    got = sum(
+        _sampled_hadamard(x[lo : lo + leaf], signs[lo : lo + leaf], sample, block, lo, 1.0)
+        for lo in range(0, n, leaf)
+    )
     padded = np.zeros((m, d))
     padded[:n] = x
     flipped = signs[:, None] * padded
@@ -504,16 +518,11 @@ def test_srht_state_matches_butterfly(n, d, k):
     spec = SketchSpec("srht", eps=0.5, d=d, seed=n + k, rows_override=k)
     state = apply_sketch(a, spec)
     assert state.data.shape == (k, d)
-    padded = np.zeros((state._m, d))
+    padded = np.zeros((_next_pow2(n), d))
     padded[:n] = a
     butterfly = fwht(state._signs[:, None] * padded)[state._sample] / math.sqrt(k)
     np.testing.assert_allclose(state.data, butterfly, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(state.data, sketch_matrix(spec, n) @ a, rtol=1e-12, atol=1e-12)
-
-
-def test_srht_row_buffer_is_unpadded():
-    state = SketchState(SketchSpec("srht", eps=0.5, d=4, seed=3, rows_override=16), 100)
-    assert state._rows.shape == (100, 4)
 
 
 def test_srht_update_after_read_recomputes():
@@ -604,9 +613,7 @@ def test_srht_merge_rejects_overlapping_rows():
 def test_srht_state_peak_within_its_capacity_check(n, d, k):
     spec = SketchSpec("srht", eps=0.5, d=d, seed=5, rows_override=k)
     a = np.random.default_rng(n).standard_normal((n, d))
-    m = _next_pow2(n)
-    # row buffer, signs, sample, transform, plus one byte per row of the held-row mask
-    need = 8 * (n * d + m + k + _srht_transform_elements(n, d, k, m, _srht_block_rows(k, m))) + n
+    need = 8 * _tree_state_elements(spec, n)
     with pytest.raises(CapacityError):
         SketchState(spec, n, mem_cap=need - 1)
     tracemalloc.start()
@@ -689,7 +696,7 @@ def test_loaded_countsketch_state_still_merges(tmp_path):
 
 
 def test_load_state_allocates_no_row_buffer(tmp_path, monkeypatch):
-    # the SRHT constructor would check and allocate 42 MB for 100000 x 8 rows
+    # a buffer of the 100000 x 8 rows would take 6.4 MB
     a = np.random.default_rng(27).standard_normal((100_000, 8))
     spec = SketchSpec("srht", eps=0.5, d=8, seed=5, rows_override=64)
     state = apply_sketch(a, spec)
@@ -698,3 +705,58 @@ def test_load_state_allocates_no_row_buffer(tmp_path, monkeypatch):
     back = load_state(tmp_path / "srht.bin")
     assert back.rows_consumed == 100_000
     assert np.array_equal(back.data, state.data)
+
+
+@pytest.mark.parametrize("family", ["countsketch", "osnap", "srht"])
+def test_saved_state_is_its_message_and_round_trips(tmp_path, family):
+    # leaves of 1024 rows: rows 300..2499 are part of leaf 0, leaf 1 and part of leaf 2
+    a = adversarial_rows(30, 3000, d=4)
+    spec = SketchSpec(family, eps=0.5, d=4, seed=5, rows_override=small_k(family, 3000))
+    bulk = apply_sketch(a, spec)
+    part = consume_rows(SketchState(spec, 3000), a[300:2500], 300)
+    save_state(part, tmp_path / "part.bin")
+    assert load_matrix(tmp_path / "part.bin").nbytes == part.message_bytes
+    back = load_state(tmp_path / "part.bin")
+    assert back.rows_consumed == 2200 and back.message_bytes == part.message_bytes
+    assert np.array_equal(back.data, part.data)
+    for lo, hi in ((299, 301), (1500, 1501), (2499, 2501)):
+        with pytest.raises(IncompatibleSketchError):
+            consume_rows(back, a[lo:hi], lo)
+    rest = consume_rows(consume_rows(SketchState(spec, 3000), a[:300], 0), a[2500:], 2500)
+    assert np.array_equal(merge(back, rest).data, bulk.data)
+    assert np.array_equal(merge(rest, back).data, bulk.data)
+    consume_rows(consume_rows(back, a[2500:], 2500), a[:300], 0)
+    assert np.array_equal(back.data, bulk.data)
+
+
+@pytest.mark.parametrize(
+    "nodes, rows, extra",
+    [
+        ([[1, 0], [0, 1]], [[2100, 2200]], 0),  # a leaf inside a node
+        ([[1, 0], [0, 5]], [[2100, 2200]], 0),  # a leaf past the last one
+        ([[1, 0], [4, 0]], [[2100, 2200]], 0),  # a level above the root
+        ([[1, 0]], [[2100, 3100]], 0),  # a row range across two leaves
+        ([[1, 0]], [[2200, 2100]], 0),  # an empty row range
+        ([[1, 0]], [[2000, 2048]], 0),  # rows under a node
+        ([[1, 0]], [[2100, 2200], [2150, 2160]], 0),  # overlapping row ranges
+        ([[1, 0]], [[2100, 2200]], -1),  # one payload row short
+        ([[1, 0]], [[2100, 2200]], 1),  # one payload row over
+        ([[1.0, 0]], [[2100, 2200]], 0),  # not an integer
+    ],
+)
+def test_load_state_rejects_a_malformed_sidecar(tmp_path, nodes, rows, extra):
+    # k = 64: five leaves of 1024 rows, a tree of height 3
+    a = np.random.default_rng(31).standard_normal((5000, 4))
+    spec = SketchSpec("countsketch", eps=0.5, d=4, seed=3, rows_override=64)
+    state = consume_rows(consume_rows(SketchState(spec, 5000), a[:2048], 0), a[2100:2200], 2100)
+    path, meta_path = tmp_path / "s.bin", tmp_path / "s.json"
+    save_state(state, path)
+    meta = json.loads(meta_path.read_text())
+    assert (meta["nodes"], meta["rows"]) == ([[1, 0]], [[2100, 2200]])
+    assert np.array_equal(load_state(path).data, state.data)
+    meta.update(nodes=nodes, rows=rows)
+    meta_path.write_text(json.dumps(meta))
+    held = sum(max(0, hi - lo) for lo, hi in rows)
+    save_matrix(np.ones((64 * len(nodes) + held + extra, 4)), path)
+    with pytest.raises(FormatError):
+        load_state(path)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from levsketch import SketchSpec, SyntheticSpec, apply_sketch, gen_synthetic, right_svd, thin_svd, truncate
-from levsketch.errors import ConfigurationError, DegenerateInputError, SingularInversionError
+from levsketch.errors import CapacityError, ConfigurationError, DegenerateInputError, SingularInversionError
 from levsketch.leverage import _approx_basis
 
 
@@ -158,3 +158,22 @@ def test_right_svd_of_zero_matrix_cannot_be_truncated():
     with pytest.raises(DegenerateInputError):
         truncate(res, 1e-3)
 
+
+
+def test_right_svd_checks_the_memory_cap_before_allocating(monkeypatch):
+    m, n = 2000, 16
+    a = gen_synthetic(SyntheticSpec(n=m, d=n, rank=n, seed=27))
+    need = 8 * (2 * m * n + 5 * n * n + 7 * n * n + n)  # two input copies, tau, R, thin SVD of R
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the QR ran despite the memory cap")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(np.linalg, "qr", refuse)
+        with pytest.raises(CapacityError):
+            right_svd(a, mem_cap=need - 1)
+        patched.setenv("LVSK_MEM_CAP", str(need - 1))
+        with pytest.raises(CapacityError):
+            right_svd(a)
+    assert right_svd(a).rank == n
+    assert right_svd(a, mem_cap=need).rank == n
