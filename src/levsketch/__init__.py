@@ -29,7 +29,6 @@ from .matrix import (
     as_matrix,
     gen_synthetic,
     load_matrix,
-    numerical_rank,
     save_matrix,
     singular_values,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "load_state",
     "make_plan",
     "merge",
-    "numerical_rank",
     "partition_rows",
     "right_svd",
     "run_distributed",

@@ -16,8 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .config import mem_cap
+from . import __version__, config
 from .errors import CapacityError, LevsketchError
 from .leverage import (
     leverage_exact,
@@ -201,7 +200,7 @@ def _sketch_spec(args, d: int) -> SketchSpec:
 def cmd_gen(args) -> int:
     rank = args.d if args.rank is None else args.rank
     spec = SyntheticSpec(n=args.n, d=args.d, rank=rank, noise_sigma=args.noise, seed=args.seed)
-    a = gen_synthetic(spec, mem_cap=args.mem_cap)
+    a = gen_synthetic(spec)
     fmt = args.format or detect_format(args.out)
     save_matrix(a, args.out, fmt)
     meta = _metadata(args, "gen")
@@ -211,18 +210,17 @@ def cmd_gen(args) -> int:
 
 
 def cmd_leverage(args) -> int:
-    a = load_matrix(args.infile, args.format, header=args.header, mem_cap=args.mem_cap)
+    a = load_matrix(args.infile, args.format, header=args.header)
     report = None
     t0 = time.perf_counter()
     if args.method == "exact":
-        result = leverage_exact(a, mem_cap_bytes=args.mem_cap)
+        result = leverage_exact(a)
     elif args.method == "oracle":
-        result = leverage_oracle(a, mem_cap_bytes=args.mem_cap)
+        result = leverage_oracle(a)
     else:
         sv_tol = args.sv_tol if args.method == "sketch-trunc" else None
         result, report = run_distributed(
-            a, _sketch_spec(args, a.shape[1]), args.workers, sv_tol,
-            max_threads=args.threads, mem_cap_bytes=args.mem_cap,
+            a, _sketch_spec(args, a.shape[1]), args.workers, sv_tol, max_threads=args.threads
         )
     result.wall_time_s = time.perf_counter() - t0
 
@@ -256,14 +254,14 @@ def cmd_order(args) -> int:
     return 0
 
 
-def _bench_cell(a, method: str, eps: float, sv_tol: float, sketch_c, seed: int, cap) -> float:
+def _bench_cell(a, method: str, eps: float, sv_tol: float, sketch_c, seed: int) -> float:
     """One timed score computation; data generation and I/O stay outside."""
     t0 = time.perf_counter()
     if method == "exact":
-        leverage_exact(a, mem_cap_bytes=cap)
+        leverage_exact(a)
     else:
         spec = SketchSpec(family=method, eps=eps, d=a.shape[1], seed=seed, sizing_c=sketch_c)
-        leverage_sketched_trunc(a, spec, sv_tol, mem_cap_bytes=cap)
+        leverage_sketched_trunc(a, spec, sv_tol)
     return time.perf_counter() - t0
 
 
@@ -287,10 +285,7 @@ def cmd_bench(args) -> int:
         n = 2**k_exp
         rank = args.rank if args.rank is not None else args.d
         try:
-            a = gen_synthetic(
-                SyntheticSpec(n=n, d=args.d, rank=rank, noise_sigma=args.noise, seed=args.seed),
-                mem_cap=args.mem_cap,
-            )
+            a = gen_synthetic(SyntheticSpec(n=n, d=args.d, rank=rank, noise_sigma=args.noise, seed=args.seed))
         except CapacityError:
             a = None
         for method in methods:
@@ -301,7 +296,7 @@ def cmd_bench(args) -> int:
                         rows.append((n, args.d, method, eps, c_label, rep, "", "skipped"))
                         continue
                     try:
-                        seconds = _bench_cell(a, method, eps, args.sv_tol, c, args.seed, args.mem_cap)
+                        seconds = _bench_cell(a, method, eps, args.sv_tol, c, args.seed)
                         rows.append((n, args.d, method, eps, c_label, rep, format_float(seconds), "ok"))
                     except CapacityError:
                         rows.append((n, args.d, method, eps, c_label, rep, "", "skipped"))
@@ -330,7 +325,7 @@ def cmd_figure(args) -> int:
     n = args.n or n_default
     d = args.d or d_default
     rank = max(1, rank_of_d(d))
-    a = gen_synthetic(SyntheticSpec(n=n, d=d, rank=rank, noise_sigma=noise, seed=args.seed), mem_cap=args.mem_cap)
+    a = gen_synthetic(SyntheticSpec(n=n, d=d, rank=rank, noise_sigma=noise, seed=args.seed))
     out = Path(args.out)
     meta = _metadata(args, "figure")
     meta["scenario"] = {"n": n, "d": d, "rank": rank, "noise_sigma": noise}
@@ -343,11 +338,11 @@ def cmd_figure(args) -> int:
         _write_json(Path(str(out) + ".json"), meta)
         return 0
     spec = _sketch_spec(args, d)
-    exact = leverage_exact(a, mem_cap_bytes=args.mem_cap)
+    exact = leverage_exact(a)
     if args.kind == "trunc-fix":
-        approx = leverage_sketched_trunc(a, spec, args.sv_tol, mem_cap_bytes=args.mem_cap)
+        approx = leverage_sketched_trunc(a, spec, args.sv_tol)
     else:
-        approx = leverage_sketched(a, spec, mem_cap_bytes=args.mem_cap)
+        approx = leverage_sketched(a, spec)
     with open(out, "w") as f:
         f.write("true_score,approx_score\n")
         for t, s in zip(exact.scores, approx.scores):
@@ -366,25 +361,31 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
+    """Run one command. Its --mem-cap is the process's memory cap for the
+    duration of the call (see :func:`levsketch.config.mem_cap`)."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser, subs = build_parser()
     command = argv[0] if argv and argv[0] in subs else None
+    outer_cap = config._command_cap
     try:
         cfg_path = _peek_config(argv)
-        config = _load_config(cfg_path) if cfg_path is not None and command is not None else []
+        preset = _load_config(cfg_path) if cfg_path is not None and command is not None else []
         # the config's flags go first, so that explicit flags after them win
-        args, extra = parser.parse_known_args(argv[:1] + config + argv[1:])
-        unknown = [token for token in extra if token in config]
+        args, extra = parser.parse_known_args(argv[:1] + preset + argv[1:])
+        unknown = [token for token in extra if token in preset]
         if unknown:
             raise LevsketchError(f"config keys do not match any flag: {unknown}")
         if extra:
             parser.error(f"unrecognized arguments: {' '.join(extra)}")
         if args.mem_cap is not None:
-            mem_cap(args.mem_cap)  # validate early
+            config._command_cap = args.mem_cap
+            config.mem_cap()  # validate early
         return _DISPATCH[args.command](args)
     except (LevsketchError, OSError) as exc:
         print(f"levsketch {command or '?'}: error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        config._command_cap = outer_cap
 
 
 if __name__ == "__main__":

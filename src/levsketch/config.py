@@ -7,13 +7,16 @@ from .errors import CapacityError, ConfigurationError
 DEFAULT_MEM_CAP_BYTES = 4 * 2**30
 MEM_CAP_ENV = "LVSK_MEM_CAP"
 
+# The running CLI command's --mem-cap; cli.main sets it for one call and then
+# restores it. A module value, not a contextvar, so that worker threads see it.
+_command_cap: int | None = None
 
-def mem_cap(override: int | None = None) -> int:
-    """Resolve the memory cap in bytes: explicit override, then the
-    LVSK_MEM_CAP environment variable, then the 4 GiB default."""
-    if override is not None:
-        cap = int(override)
-    else:
+
+def mem_cap() -> int:
+    """Resolve the memory cap in bytes: the running CLI command's --mem-cap,
+    then the LVSK_MEM_CAP environment variable, then the 4 GiB default."""
+    cap = _command_cap
+    if cap is None:
         env = os.environ.get(MEM_CAP_ENV)
         if env is None:
             return DEFAULT_MEM_CAP_BYTES
@@ -26,8 +29,8 @@ def mem_cap(override: int | None = None) -> int:
     return cap
 
 
-def ensure_capacity(nbytes: int, what: str, cap: int | None = None) -> None:
+def ensure_capacity(nbytes: int, what: str) -> None:
     """Raise CapacityError if an allocation of ``nbytes`` would exceed the cap."""
-    limit = mem_cap(cap)
+    limit = mem_cap()
     if nbytes > limit:
         raise CapacityError(f"{what} needs {nbytes} bytes, exceeding the memory cap of {limit} bytes")

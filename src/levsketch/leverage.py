@@ -69,10 +69,10 @@ class LeverageResult:
     wall_time_s: float | None = None
 
 
-def leverage_exact(a, mem_cap_bytes: int | None = None) -> LeverageResult:
+def leverage_exact(a) -> LeverageResult:
     """Exact scores: squared row norms of the thin-SVD left factor, restricted
     to components above the machine-relative rank floor."""
-    svd = thin_svd(a, mem_cap=mem_cap_bytes)
+    svd = thin_svd(a)
     if svd.sigma[0] <= 0:
         raise DegenerateInputError("leverage scores of an all-zero matrix are undefined")
     kept = truncate(svd, MACHINE_RANK_TOL)
@@ -80,7 +80,7 @@ def leverage_exact(a, mem_cap_bytes: int | None = None) -> LeverageResult:
     return LeverageResult(scores=scores, method="exact", effective_rank=kept.rank)
 
 
-def leverage_oracle(a, mem_cap_bytes: int | None = None) -> LeverageResult:
+def leverage_oracle(a) -> LeverageResult:
     """Brute-force scores from the projection matrix ``A (A^T A)^+ A^T``.
 
     Independent of the SVD-based path; quadratic memory in n, so capped at
@@ -90,7 +90,7 @@ def leverage_oracle(a, mem_cap_bytes: int | None = None) -> LeverageResult:
     n = a.shape[0]
     if n > ORACLE_MAX_ROWS:
         raise CapacityError(f"oracle forms an n x n projector; n={n} exceeds {ORACLE_MAX_ROWS}")
-    ensure_capacity(8 * n * n, "projection matrix", mem_cap_bytes)
+    ensure_capacity(8 * n * n, "projection matrix")
     if not a.any():
         raise DegenerateInputError("leverage scores of an all-zero matrix are undefined")
     h = a @ np.linalg.pinv(a.T @ a) @ a.T
@@ -188,12 +188,7 @@ def partition_rows(n: int, w: int) -> list[tuple[int, int]]:
 
 
 def run_distributed(
-    a,
-    spec: SketchSpec,
-    workers: int,
-    sv_tol: float | None,
-    max_threads: int | None = None,
-    mem_cap_bytes: int | None = None,
+    a, spec: SketchSpec, workers: int, sv_tol: float | None, max_threads: int | None = None
 ) -> tuple[LeverageResult, CoordinatorReport]:
     """Sketched leverage scores over ``workers`` row partitions: sketch, merge,
     SVD of the merged sketch's R factor (sigma and V^T only), basis, score.
@@ -204,8 +199,9 @@ def run_distributed(
     computation; more workers give the same scores bit for bit on any data
     and for every family, since the sketch is a fixed block-tree sum that the
     merged states reproduce exactly (see the sketch module) and scores are
-    computed on globally aligned row blocks. At most ``max_threads`` tasks run at once, by default one per CPU; the
-    thread count never changes the result.
+    computed on globally aligned row blocks. At most ``max_threads`` tasks
+    run at once, by default one per CPU; the thread count never changes the
+    result.
     """
     a = as_matrix(a)
     n = a.shape[0]
@@ -214,7 +210,7 @@ def run_distributed(
 
     def sketch_partition(lo: int, hi: int) -> tuple[SketchState, float]:
         t0 = time.perf_counter()
-        state = _consume(SketchState(spec, n, mem_cap=mem_cap_bytes), a[lo:hi], lo)
+        state = _consume(SketchState(spec, n), a[lo:hi], lo)
         return state, time.perf_counter() - t0
 
     if max_threads is None:
@@ -231,7 +227,7 @@ def run_distributed(
         merge_time = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        svd = right_svd(merged.data, mem_cap=mem_cap_bytes)
+        svd = right_svd(merged.data)
         if sv_tol is not None:
             svd = truncate(svd, sv_tol)
         svd_time = time.perf_counter() - t0
@@ -265,22 +261,20 @@ def run_distributed(
     return result, report
 
 
-def leverage_sketched(a, spec: SketchSpec, mem_cap_bytes: int | None = None) -> LeverageResult:
+def leverage_sketched(a, spec: SketchSpec) -> LeverageResult:
     """Uncorrected sketched scores (no truncation), computed serially.
 
     Assumes full column rank; on rank-deficient or noisy inputs the inverted
     near-zero singular values corrupt the result, which is the documented
     failure mode this method exists to demonstrate.
     """
-    return run_distributed(a, spec, 1, None, mem_cap_bytes=mem_cap_bytes)[0]
+    return run_distributed(a, spec, 1, None)[0]
 
 
-def leverage_sketched_trunc(
-    a, spec: SketchSpec, sv_tol: float, mem_cap_bytes: int | None = None
-) -> LeverageResult:
+def leverage_sketched_trunc(a, spec: SketchSpec, sv_tol: float) -> LeverageResult:
     """Sketched scores with singular components below ``sv_tol`` (relative to
     the largest) dropped before the basis inversion, computed serially."""
-    return run_distributed(a, spec, 1, sv_tol, mem_cap_bytes=mem_cap_bytes)[0]
+    return run_distributed(a, spec, 1, sv_tol)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ensure_capacity, mem_cap as resolve_mem_cap
+from .config import ensure_capacity, mem_cap
 from .errors import ConfigurationError, FormatError, ParseError
 
 MAGIC = b"LVSK"
@@ -60,9 +60,9 @@ class SyntheticSpec:
             raise ConfigurationError(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
 
 
-def gen_synthetic(spec: SyntheticSpec, mem_cap: int | None = None) -> np.ndarray:
+def gen_synthetic(spec: SyntheticSpec) -> np.ndarray:
     """Generate the dataset described by ``spec``; deterministic given its seed."""
-    ensure_capacity(8 * spec.n * spec.d, f"synthetic {spec.n}x{spec.d} matrix", mem_cap)
+    ensure_capacity(8 * spec.n * spec.d, f"synthetic {spec.n}x{spec.d} matrix")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([_SYNTH_STREAM, spec.seed])))
     g1 = rng.standard_normal((spec.n, spec.rank))
     g2 = rng.standard_normal((spec.rank, spec.d))
@@ -98,29 +98,30 @@ def format_float(v: float) -> str:
     return "%.17g" % v
 
 
-def load_matrix(path, format: str | None = None, header: bool = False, mem_cap: int | None = None) -> np.ndarray:
+def load_matrix(path, format: str | None = None, header: bool = False) -> np.ndarray:
     """Read a matrix written by :func:`save_matrix` (or any conforming file).
+
+    The memory cap is checked against the header's n x d before a binary
+    payload is read, and against the rows parsed so far while a CSV file is
+    read.
 
     Parameters
     ----------
     path : file path
     format : "csv", "binary", or None to infer from the extension
     header : for CSV, skip one leading header line
-    mem_cap : memory cap in bytes (default: ``LVSK_MEM_CAP``, then 4 GiB),
-        checked against the header's n x d before a binary payload is read,
-        and against the rows parsed so far while a CSV file is read
     """
     path = Path(path)
     if format is None:
         format = detect_format(path)
     if format == "binary":
-        return _load_binary(path, mem_cap)
+        return _load_binary(path)
     if format == "csv":
-        return _load_csv(path, header, mem_cap)
+        return _load_csv(path, header)
     raise ConfigurationError(f"unknown matrix format {format!r}")
 
 
-def _load_binary(path: Path, mem_cap: int | None) -> np.ndarray:
+def _load_binary(path: Path) -> np.ndarray:
     with open(path, "rb") as f:
         head = f.read(_HEADER.size)
         if len(head) != _HEADER.size:
@@ -130,15 +131,15 @@ def _load_binary(path: Path, mem_cap: int | None) -> np.ndarray:
             raise FormatError(f"{path}: bad magic {magic!r}")
         if version != BINARY_VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
-        ensure_capacity(8 * n * d, f"{path}: {n}x{d} matrix", mem_cap)
+        ensure_capacity(8 * n * d, f"{path}: {n}x{d} matrix")
         data = np.fromfile(f, dtype="<f8", count=n * d)
     if data.size != n * d:
         raise FormatError(f"{path}: expected {n * d} values, found {data.size}")
     return as_matrix(data.reshape(n, d), str(path))
 
 
-def _load_csv(path: Path, header: bool, mem_cap: int | None) -> np.ndarray:
-    limit = resolve_mem_cap(mem_cap)
+def _load_csv(path: Path, header: bool) -> np.ndarray:
+    limit = mem_cap()  # read once, not per row
     rows = []
     width = None
     with open(path) as f:
@@ -157,7 +158,9 @@ def _load_csv(path: Path, header: bool, mem_cap: int | None) -> np.ndarray:
                 )
             # per value a Python float, its list slot and its place in the
             # final float64 array; per row a list header and its slot
-            ensure_capacity((len(rows) + 1) * (40 * width + 64), f"{path}: CSV rows parsed", limit)
+            need = (len(rows) + 1) * (40 * width + 64)
+            if need > limit:
+                ensure_capacity(need, f"{path}: CSV rows parsed")
             try:
                 rows.append([float(v) for v in fields])
             except ValueError:
@@ -175,13 +178,5 @@ def _load_csv(path: Path, header: bool, mem_cap: int | None) -> np.ndarray:
 
 
 def singular_values(a: np.ndarray) -> np.ndarray:
-    """Convenience wrapper used by rank checks and the spectrum figure."""
+    """All singular values, descending: the spectrum figure's data."""
     return np.linalg.svd(as_matrix(a), compute_uv=False)
-
-
-def numerical_rank(a: np.ndarray, rel_tol: float = 1e-8) -> int:
-    """Number of singular values above ``rel_tol`` times the largest."""
-    sv = singular_values(a)
-    if sv[0] == 0:
-        return 0
-    return int(np.count_nonzero(sv > rel_tol * sv[0]))

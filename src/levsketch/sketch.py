@@ -229,20 +229,19 @@ class SketchState:
     :func:`merge`, never concurrent updates to one state.
     """
 
-    def __init__(self, spec: SketchSpec, n_rows: int, mem_cap: int | None = None):
+    def __init__(self, spec: SketchSpec, n_rows: int):
         if n_rows < 1:
             raise ConfigurationError(f"n_rows must be at least 1, got {n_rows}")
         self.spec = spec
         self.d = spec.d
         self.k = sketch_rows(spec)
         self.n_rows = n_rows
-        self.rows_consumed = 0
         self._leaf = _leaf_rows(self.k)
         self._n_leaves = -(-n_rows // self._leaf)
         self._top = (self._n_leaves - 1).bit_length()
         self._nodes = {}  # (level, i) -> k x d sum of the rows under the node
         self._pending = {}  # leaf -> (its rows, zero where absent; mask of rows present)
-        ensure_capacity(8 * _tree_state_elements(spec, n_rows), "sketch tree and leaf kernel", mem_cap)
+        ensure_capacity(8 * _tree_state_elements(spec, n_rows), "sketch tree and leaf kernel")
         if spec.family == SRHT:
             m = _next_pow2(n_rows)
             if self.k > m:
@@ -270,12 +269,24 @@ class SketchState:
         self._scale = 1.0 / math.sqrt(s)
 
     @property
+    def _partial_rows(self) -> int:
+        """Rows held of partly held leaves."""
+        return sum(int(held.sum()) for _, held in self._pending.values())
+
+    @property
+    def rows_consumed(self) -> int:
+        """Rows this state holds: those under its complete nodes plus its rows
+        of partly held leaves."""
+        n, leaf = self.n_rows, self._leaf
+        spans = sum(min(n, ((i + 1) << level) * leaf) - (i << level) * leaf for level, i in self._nodes)
+        return spans + self._partial_rows
+
+    @property
     def message_bytes(self) -> int:
         """Bytes this state ships to a coordinator as float64, and the data
         bytes :func:`save_state` writes: its canonical nodes and its rows of
         partly held leaves."""
-        rows = sum(int(present.sum()) for _, present in self._pending.values())
-        return 8 * (len(self._nodes) * self.k * self.d + rows * self.d)
+        return 8 * (len(self._nodes) * self.k + self._partial_rows) * self.d
 
     @property
     def data(self) -> np.ndarray:
@@ -428,8 +439,7 @@ def _consume(state: SketchState, rows: np.ndarray, start_index: int) -> SketchSt
     """:func:`consume_rows` on rows already validated by ``as_matrix``."""
     if rows.shape[1] != state.d:
         raise DimensionMismatchError(f"row block has {rows.shape[1]} columns, expected {state.d}")
-    n_block = rows.shape[0]
-    stop = start_index + n_block
+    stop = start_index + rows.shape[0]
     if start_index < 0 or stop > state.n_rows:
         raise DimensionMismatchError(f"rows [{start_index}, {stop}) outside [0, {state.n_rows})")
     leaves = range(start_index // state._leaf, (stop - 1) // state._leaf + 1)
@@ -443,15 +453,13 @@ def _consume(state: SketchState, rows: np.ndarray, start_index: int) -> SketchSt
             state._insert(0, leaf, state._reduce(leaf, part))
         else:
             state._fill(leaf, max(lo, start_index) - lo, part)
-    state.rows_consumed += n_block
     return state
 
 
-def apply_sketch(a, spec: SketchSpec, mem_cap: int | None = None) -> SketchState:
+def apply_sketch(a, spec: SketchSpec) -> SketchState:
     """Sketch an entire matrix: fresh state, all rows consumed in order."""
     a = as_matrix(a)
-    state = SketchState(spec, a.shape[0], mem_cap=mem_cap)
-    return _consume(state, a, 0)
+    return _consume(SketchState(spec, a.shape[0]), a, 0)
 
 
 def merge(s1: SketchState, s2: SketchState) -> SketchState:
@@ -461,9 +469,8 @@ def merge(s1: SketchState, s2: SketchState) -> SketchState:
     by consuming both row sets in one pass, bit for bit: it holds the same
     tree nodes and partial leaves. A row held by both inputs raises
     IncompatibleSketchError. The result is a copy of ``s1`` holding the union:
-    it is not checked again against the process-wide memory cap (the inputs
-    passed their own check), and SRHT's sign and sample draws are not
-    repeated. Neither input is modified.
+    it runs no memory-cap check (the inputs passed theirs), and SRHT's sign
+    and sample draws are not repeated. Neither input is modified.
     """
     if s1.spec != s2.spec or s1.n_rows != s2.n_rows:
         raise IncompatibleSketchError(
@@ -482,7 +489,6 @@ def merge(s1: SketchState, s2: SketchState) -> SketchState:
         out._insert(level, i, value.copy())
     for leaf, (rows, held) in s2._pending.items():
         out._fill(leaf, 0, rows, held)
-    out.rows_consumed = s1.rows_consumed + s2.rows_consumed
     return out
 
 
@@ -595,9 +601,8 @@ def load_state(data_path, meta_path=None) -> SketchState:
     tree, no two keys or row ranges overlap, every row range lies inside one
     leaf, and the payload holds k rows per node plus the held rows; a
     violation raises FormatError. The result is an ordinary state, built by
-    the constructor (and checked against the process-wide memory cap): it
-    consumes, merges and rejects rows it already holds like the saved one,
-    bit for bit.
+    the constructor (and checked against the memory cap): it consumes, merges
+    and rejects rows it already holds like the saved one, bit for bit.
     """
     data_path = Path(data_path)
     meta_path = Path(meta_path) if meta_path is not None else data_path.with_suffix(".json")
@@ -625,11 +630,9 @@ def load_state(data_path, meta_path=None) -> SketchState:
         for j, (level, i) in enumerate(keys):
             state._claim(level, i)
             state._insert(level, i, data[j * state.k : (j + 1) * state.k])
-            state.rows_consumed += min(n, ((i + 1) << level) * leaf_rows) - (i << level) * leaf_rows
         at = len(keys) * state.k
         for lo, hi in ranges:
             state._fill(lo // leaf_rows, lo % leaf_rows, data[at : at + hi - lo])
-            state.rows_consumed += hi - lo
             at += hi - lo
     except IncompatibleSketchError as exc:
         raise FormatError(f"{meta_path}: overlapping nodes or row ranges: {exc}") from None

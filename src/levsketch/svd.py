@@ -39,42 +39,40 @@ class SvdResult:
         return self.sigma.shape[0]
 
 
-def thin_svd(a: np.ndarray, mem_cap: int | None = None) -> SvdResult:
+def thin_svd(a: np.ndarray) -> SvdResult:
     """Thin SVD of a dense matrix, left factor included.
 
-    Checked against the memory cap first (``mem_cap``, by default the
-    process-wide one): LAPACK works on a
-    Fortran-order copy of the input and numpy holds U and V^T both in LAPACK's
-    buffers and in the returned arrays, so an m x n input with r = min(m, n)
-    is counted as ``4*m*n + 7*r*r`` float64 elements (numpy 2.4 with OpenBLAS
-    peaks at about ``3.3*m*n`` on tall and ``3.7*m*n`` on wide inputs).
+    Checked against the memory cap first: LAPACK works on a Fortran-order copy
+    of the input and numpy holds U and V^T both in LAPACK's buffers and in the
+    returned arrays, so an m x n input with r = min(m, n) is counted as
+    ``4*m*n + 7*r*r`` float64 elements (numpy 2.4 with OpenBLAS peaks at about
+    ``3.3*m*n`` on tall and ``3.7*m*n`` on wide inputs).
     Backend non-convergence (rare) surfaces as numpy.linalg.LinAlgError.
     """
     a = as_matrix(a)
     m, n = a.shape
     r = min(m, n)
-    ensure_capacity(8 * (4 * m * n + 7 * r * r), f"thin SVD of a {m}x{n} matrix", mem_cap)
+    ensure_capacity(8 * (4 * m * n + 7 * r * r), f"thin SVD of a {m}x{n} matrix")
     u, sigma, vt = np.linalg.svd(a, full_matrices=False)
     return SvdResult(u=u, sigma=sigma, vt=vt)
 
 
-def right_svd(a: np.ndarray, mem_cap: int | None = None) -> SvdResult:
+def right_svd(a: np.ndarray) -> SvdResult:
     """Singular values and right singular vectors of a dense matrix, from the
     thin SVD of its R factor; ``u`` is None.
 
     For an m x n input with m > n, only the QR touches all m rows; the SVD runs
     on the n x n factor, and no m x n left factor is accumulated. Checked
-    against the memory cap first (``mem_cap``, by default the process-wide
-    one): numpy's copy of the input and LAPACK's, tau, R, and the thin SVD of
-    R as counted by :func:`thin_svd`, ``2*m*n + 5*r*n + 7*r*r + r`` float64
-    elements with r = min(m, n) (numpy 2.4 with OpenBLAS peaks at about
-    ``2.02*m*n`` on tall, ``5.7*m*n`` on wide and ``9.5*n*n`` on square
-    inputs).
+    against the memory cap first: numpy's copy of the input and LAPACK's, tau,
+    R, and the thin SVD of R as counted by :func:`thin_svd`,
+    ``2*m*n + 5*r*n + 7*r*r + r`` float64 elements with r = min(m, n) (numpy
+    2.4 with OpenBLAS peaks at about ``2.02*m*n`` on tall, ``5.7*m*n`` on
+    wide and ``9.5*n*n`` on square inputs).
     """
     a = as_matrix(a)
     m, n = a.shape
     r = min(m, n)
-    ensure_capacity(8 * (2 * m * n + 5 * r * n + 7 * r * r + r), f"R-factor SVD of a {m}x{n} matrix", mem_cap)
+    ensure_capacity(8 * (2 * m * n + 5 * r * n + 7 * r * r + r), f"R-factor SVD of a {m}x{n} matrix")
     _, sigma, vt = np.linalg.svd(np.linalg.qr(a, mode="r"), full_matrices=False)
     return SvdResult(u=None, sigma=sigma, vt=vt)
 

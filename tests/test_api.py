@@ -1,10 +1,11 @@
 import importlib
+import inspect
 
 import pytest
 
 import levsketch
 
-REMOVED = ("Partition", "sketch_matrix", "srht_apply", "stream_update")
+REMOVED = ("Partition", "numerical_rank", "sketch_matrix", "srht_apply", "stream_update")
 
 
 def test_every_exported_name_resolves():
@@ -25,3 +26,15 @@ def test_removed_name_is_absent(name):
 def test_dist_module_is_gone():
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("levsketch.dist")
+
+
+def test_no_exported_name_takes_a_memory_cap():
+    # one cap per process (LVSK_MEM_CAP, or a CLI command's --mem-cap), never per call
+    capped = [
+        f"{name}({param})"
+        for name in levsketch.__all__
+        if callable(obj := getattr(levsketch, name))
+        for param in inspect.signature(obj).parameters
+        if "mem" in param or "cap" in param
+    ]
+    assert capped == []

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from levsketch import load_matrix, load_scores
+from levsketch import config, load_matrix, load_scores
 from levsketch.cli import main
 
 
@@ -243,6 +243,34 @@ def test_leverage_mem_cap_covers_the_load_and_the_exact_method(tmp_path):
     assert run(base + ["--mem-cap", "300000"]) == 1
     assert not (tmp_path / "l.csv").exists()
     assert run(base) == 0
+
+
+def test_leverage_mem_cap_reaches_the_worker_threads(tmp_path, capsys):
+    mat = tmp_path / "a.bin"
+    assert run(["gen", "--n", "20000", "--d", "64", "--out", str(mat)]) == 0
+    argv = ["leverage", "--in", str(mat), "--method", "sketch-trunc", "--workers", "2",
+            "--mem-cap", "12000000", "--out", str(tmp_path / "l.csv")]
+    # the 10240000-byte input fits; each worker's sketch state does not
+    assert run(argv) == 1
+    assert "sketch tree and leaf kernel needs 52428800 bytes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("env", [None, "123456789"])
+@pytest.mark.parametrize("n, code", [(10, 0), (1000, 1)])
+def test_main_restores_the_memory_cap(tmp_path, monkeypatch, env, n, code):
+    if env is None:
+        monkeypatch.delenv("LVSK_MEM_CAP", raising=False)
+    else:
+        monkeypatch.setenv("LVSK_MEM_CAP", env)
+    before = config.mem_cap()
+    cfg = tmp_path / "cfg"
+    cfg.write_text("mem-cap=5000\n")
+    gen = ["gen", "--n", str(n), "--d", "10", "--out", str(tmp_path / "a.bin")]
+    # 10 x 10 doubles fit in 5000 bytes; 1000 x 10 do not
+    assert run(gen + ["--mem-cap", "5000"]) == code
+    assert config.mem_cap() == before
+    assert run(gen + ["--config", str(cfg)]) == code
+    assert config.mem_cap() == before
 
 
 def test_config_sets_a_switch(tmp_path):

@@ -14,6 +14,7 @@ from levsketch import (
     leverage_sketched,
     leverage_sketched_trunc,
     load_matrix,
+    merge,
     partition_rows,
     run_distributed,
     save_state,
@@ -131,14 +132,16 @@ def test_uncorrected_run_equals_leverage_sketched(workers):
     assert np.array_equal(res.scores, serial.scores)
 
 
-def test_merge_keeps_the_callers_memory_cap(monkeypatch):
-    # the process-wide cap is below the accumulator size; the call's own cap is not
-    monkeypatch.setenv("LVSK_MEM_CAP", "1000")
+def test_merge_runs_no_capacity_check(monkeypatch):
+    # both states pass the cap they were built under; merging them under a cap
+    # below the accumulator size must still succeed
     a = np.random.default_rng(21).standard_normal((200, 4))
     spec = SketchSpec("countsketch", eps=0.5, d=4, seed=0, rows_override=64)
-    serial = leverage_sketched_trunc(a, spec, 1e-3, mem_cap_bytes=10**9)
-    res, _ = run_distributed(a, spec, 2, 1e-3, mem_cap_bytes=10**9)
-    assert np.array_equal(res.scores, serial.scores)
+    bulk = apply_sketch(a, spec).data
+    head = consume_rows(SketchState(spec, 200), a[:120], 0)
+    tail = consume_rows(SketchState(spec, 200), a[120:], 120)
+    monkeypatch.setenv("LVSK_MEM_CAP", "1000")
+    assert np.array_equal(merge(head, tail).data, bulk)
 
 
 def test_default_pool_capped_at_cpu_count(monkeypatch):

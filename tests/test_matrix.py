@@ -8,11 +8,18 @@ from levsketch import (
     as_matrix,
     gen_synthetic,
     load_matrix,
-    numerical_rank,
     save_matrix,
     singular_values,
 )
 from levsketch.errors import CapacityError, ConfigurationError, FormatError, ParseError
+
+
+def numerical_rank(a: np.ndarray, rel_tol: float = 1e-8) -> int:
+    """Number of singular values above ``rel_tol`` times the largest."""
+    sv = singular_values(a)
+    if sv[0] == 0:
+        return 0
+    return int(np.count_nonzero(sv > rel_tol * sv[0]))
 
 
 def test_csv_identity_contents(tmp_path):
@@ -152,9 +159,10 @@ def test_synthetic_deterministic():
     assert not np.array_equal(gen_synthetic(spec), other)
 
 
-def test_synthetic_memory_cap():
+def test_synthetic_memory_cap(monkeypatch):
+    monkeypatch.setenv("LVSK_MEM_CAP", "1000000")
     with pytest.raises(CapacityError):
-        gen_synthetic(SyntheticSpec(n=10_000, d=10_000, rank=5, seed=0), mem_cap=1_000_000)
+        gen_synthetic(SyntheticSpec(n=10_000, d=10_000, rank=5, seed=0))
 
 
 def test_mem_cap_env_override(tmp_path, monkeypatch):
@@ -166,7 +174,7 @@ def test_mem_cap_env_override(tmp_path, monkeypatch):
         gen_synthetic(SyntheticSpec(n=100, d=100, rank=5, seed=0))
 
 
-def test_binary_header_is_checked_against_the_cap_before_reading(tmp_path):
+def test_binary_header_is_checked_against_the_cap_before_reading(tmp_path, monkeypatch):
     # a header claiming 2^40 x 2^10 values, with no payload behind it
     path = tmp_path / "huge.bin"
     path.write_bytes(struct.pack("<4sIQQ", b"LVSK", 1, 2**40, 2**10))
@@ -174,15 +182,19 @@ def test_binary_header_is_checked_against_the_cap_before_reading(tmp_path):
         load_matrix(path)
     small = tmp_path / "a.bin"
     save_matrix(np.ones((100, 4)), small)
+    monkeypatch.setenv("LVSK_MEM_CAP", str(8 * 100 * 4 - 1))
     with pytest.raises(CapacityError):
-        load_matrix(small, mem_cap=8 * 100 * 4 - 1)
-    assert load_matrix(small, mem_cap=8 * 100 * 4).shape == (100, 4)
+        load_matrix(small)
+    monkeypatch.setenv("LVSK_MEM_CAP", str(8 * 100 * 4))
+    assert load_matrix(small).shape == (100, 4)
 
 
-def test_csv_rows_are_counted_against_the_cap_while_parsing(tmp_path):
+def test_csv_rows_are_counted_against_the_cap_while_parsing(tmp_path, monkeypatch):
     path = tmp_path / "a.csv"
     save_matrix(np.ones((100, 4)), path, "csv")
     per_row = 40 * 4 + 64  # a Python float, list slot and array entry per value; a list per row
+    monkeypatch.setenv("LVSK_MEM_CAP", str(100 * per_row - 1))
     with pytest.raises(CapacityError):
-        load_matrix(path, mem_cap=100 * per_row - 1)
-    assert load_matrix(path, mem_cap=100 * per_row).shape == (100, 4)
+        load_matrix(path)
+    monkeypatch.setenv("LVSK_MEM_CAP", str(100 * per_row))
+    assert load_matrix(path).shape == (100, 4)

@@ -385,15 +385,17 @@ def test_consume_rejects_rows_already_held():
         ("osnap", None, 16, 3000, 700, 2100),  # a range inside few leaves
     ],
 )
-def test_tree_state_peak_within_its_capacity_check(family, override, d, n, lo, hi):
+def test_tree_state_peak_within_its_capacity_check(family, override, d, n, lo, hi, monkeypatch):
     spec = SketchSpec(family, eps=0.5, d=d, seed=5, rows_override=override)
     a = np.random.default_rng(n).standard_normal((n, d))
     need = 8 * _tree_state_elements(spec, n)
+    monkeypatch.setenv("LVSK_MEM_CAP", str(need - 1))
     with pytest.raises(CapacityError):
-        SketchState(spec, n, mem_cap=need - 1)
+        SketchState(spec, n)
+    monkeypatch.setenv("LVSK_MEM_CAP", str(need))
     tracemalloc.start()
     try:
-        consume_rows(SketchState(spec, n, mem_cap=need), a[lo:hi], lo)
+        consume_rows(SketchState(spec, n), a[lo:hi], lo)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -610,15 +612,17 @@ def test_srht_merge_rejects_overlapping_rows():
 
 
 @pytest.mark.parametrize("n, d, k", [(3000, 16, 256), (5000, 4, 1024), (1 << 14, 8, 1 << 14)])
-def test_srht_state_peak_within_its_capacity_check(n, d, k):
+def test_srht_state_peak_within_its_capacity_check(n, d, k, monkeypatch):
     spec = SketchSpec("srht", eps=0.5, d=d, seed=5, rows_override=k)
     a = np.random.default_rng(n).standard_normal((n, d))
     need = 8 * _tree_state_elements(spec, n)
+    monkeypatch.setenv("LVSK_MEM_CAP", str(need - 1))
     with pytest.raises(CapacityError):
-        SketchState(spec, n, mem_cap=need - 1)
+        SketchState(spec, n)
+    monkeypatch.setenv("LVSK_MEM_CAP", str(need))
     tracemalloc.start()
     try:
-        consume_rows(SketchState(spec, n, mem_cap=need), a, 0).data
+        consume_rows(SketchState(spec, n), a, 0).data
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -630,9 +634,10 @@ def test_srht_k_must_fit_padded_rows():
         SketchState(SketchSpec("srht", eps=0.5, d=8, rows_override=64), 10)
 
 
-def test_srht_transform_buffer_respects_memory_cap():
+def test_srht_transform_buffer_respects_memory_cap(monkeypatch):
+    monkeypatch.setenv("LVSK_MEM_CAP", "1000000")
     with pytest.raises(CapacityError):
-        SketchState(SketchSpec("srht", eps=0.5, d=64, rows_override=16), 100_000, mem_cap=1_000_000)
+        SketchState(SketchSpec("srht", eps=0.5, d=64, rows_override=16), 100_000)
 
 
 # ---------------------------------------------------------------------------
