@@ -1,6 +1,7 @@
 """Leverage scores for large dense matrices via randomized sketching.
 
-Exact scores come from a thin SVD; approximate scores come from the SVD of a
+Exact scores come from the SVD of the R factor of the matrix, made
+orthonormal by one Cholesky QR pass; approximate scores come from the SVD of a
 much smaller sketched product built in a streaming row model (CountSketch,
 OSNAP, or SRHT), optionally with small singular components truncated before
 basis inversion so rank-deficient and noise-corrupted data stay accurate.
@@ -30,7 +31,6 @@ from .matrix import (
     gen_synthetic,
     load_matrix,
     save_matrix,
-    singular_values,
 )
 from .order import (
     OrderingPlan,
@@ -49,7 +49,7 @@ from .sketch import (
     save_state,
     sketch_rows,
 )
-from .svd import SvdResult, right_svd, thin_svd, truncate
+from .svd import SvdResult, right_svd, singular_values, thin_svd, truncate
 
 __all__ = [
     "CoordinatorReport",

@@ -35,10 +35,10 @@ from .matrix import (
     gen_synthetic,
     load_matrix,
     save_matrix,
-    singular_values,
 )
 from .order import OrderingPolicy, emit_batches, make_plan, save_manifest, save_plan, scores_to_distribution
 from .sketch import FAMILIES, SketchSpec
+from .svd import singular_values
 
 _FIGURE_DEFAULTS = {
     # kind: (n, d, rank as a function of d, noise)
@@ -381,7 +381,7 @@ def main(argv=None) -> int:
             config._command_cap = args.mem_cap
             config.mem_cap()  # validate early
         return _DISPATCH[args.command](args)
-    except (LevsketchError, OSError) as exc:
+    except (LevsketchError, OSError, np.linalg.LinAlgError) as exc:
         print(f"levsketch {command or '?'}: error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -61,14 +61,20 @@ class SyntheticSpec:
 
 
 def gen_synthetic(spec: SyntheticSpec) -> np.ndarray:
-    """Generate the dataset described by ``spec``; deterministic given its seed."""
-    ensure_capacity(8 * spec.n * spec.d, f"synthetic {spec.n}x{spec.d} matrix")
+    """Generate the dataset described by ``spec``; deterministic given its seed.
+
+    Checked against the memory cap before the first draw, counting G1, G2, A,
+    the noise draw and the finiteness mask of the check on the result as if
+    all were held at once: ``8*((n + d)*rank + 2*n*d) + n*d`` bytes.
+    """
+    n, d, rank = spec.n, spec.d, spec.rank
+    ensure_capacity(8 * ((n + d) * rank + 2 * n * d) + n * d, f"synthetic {n}x{d} matrix")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([_SYNTH_STREAM, spec.seed])))
-    g1 = rng.standard_normal((spec.n, spec.rank))
-    g2 = rng.standard_normal((spec.rank, spec.d))
-    a = g1 @ g2
+    a = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, d))  # G1 drawn first
     if spec.noise_sigma > 0:
-        a += spec.noise_sigma * rng.standard_normal((spec.n, spec.d))
+        noise = rng.standard_normal((n, d))
+        noise *= spec.noise_sigma  # in place: no scaled copy of the draw
+        a += noise
     return as_matrix(a, "synthetic matrix")
 
 
@@ -175,8 +181,3 @@ def _load_csv(path: Path, header: bool) -> np.ndarray:
     if not rows:
         raise FormatError(f"{path}: no data rows")
     return as_matrix(np.array(rows, dtype=np.float64), str(path))
-
-
-def singular_values(a: np.ndarray) -> np.ndarray:
-    """All singular values, descending: the spectrum figure's data."""
-    return np.linalg.svd(as_matrix(a), compute_uv=False)

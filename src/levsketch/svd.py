@@ -2,15 +2,16 @@
 
 Two entry points, both on numpy's LAPACK routines:
 
-- :func:`thin_svd` returns all three factors. The exact method needs it,
-  since its scores are the squared row norms of the left factor U.
 - :func:`right_svd` returns only sigma and V^T, from a Householder QR of the
-  input (R factor only) followed by the SVD of that small R. The sketched
-  pipeline needs no more: its basis is ``A V diag(1/sigma)``, so the k x d
-  left factor of ``S A`` would be built only to be thrown away. ``A = Q R``
-  with Q orthonormal gives A and R the same sigma and V, and the route is
-  backward stable like the full SVD (LAPACK's divide-and-conquer SVD itself
-  starts with a QR on tall inputs); nothing is inverted or squared.
+  input (R factor only) followed by the SVD of that small R. Every scoring
+  path needs no more: the basis is ``A V diag(1/sigma)`` (with A its own
+  sketch for the exact method), so a left factor would be built only to be
+  thrown away. ``A = Q R`` with Q orthonormal gives A and R the same sigma
+  and V, and the route is backward stable like the full SVD (LAPACK's
+  divide-and-conquer SVD itself starts with a QR on tall inputs); nothing is
+  inverted or squared.
+- :func:`thin_svd` returns all three factors; no scoring path uses it, it is
+  the reference that tests and benchmarks compare against.
 
 The truncation threshold is always RELATIVE to the largest singular value,
 which keeps it scale-invariant (exposed on the CLI as ``--sv-tol``).
@@ -63,18 +64,30 @@ def right_svd(a: np.ndarray) -> SvdResult:
 
     For an m x n input with m > n, only the QR touches all m rows; the SVD runs
     on the n x n factor, and no m x n left factor is accumulated. Checked
-    against the memory cap first: numpy's copy of the input and LAPACK's, tau,
-    R, and the thin SVD of R as counted by :func:`thin_svd`,
-    ``2*m*n + 5*r*n + 7*r*r + r`` float64 elements with r = min(m, n) (numpy
-    2.4 with OpenBLAS peaks at about ``2.02*m*n`` on tall, ``5.7*m*n`` on
-    wide and ``9.5*n*n`` on square inputs).
+    against the memory cap first: a Fortran-order copy of the input, numpy's
+    copy of that and LAPACK's, tau, R, and the thin SVD of R as counted by
+    :func:`thin_svd`, ``3*m*n + 5*r*n + 7*r*r + r`` float64 elements with
+    r = min(m, n).
     """
-    a = as_matrix(a)
+    return _right_svd(as_matrix(a))
+
+
+def _right_svd(a: np.ndarray) -> SvdResult:
+    """:func:`right_svd` of a matrix already validated by ``as_matrix``."""
     m, n = a.shape
     r = min(m, n)
-    ensure_capacity(8 * (2 * m * n + 5 * r * n + 7 * r * r + r), f"R-factor SVD of a {m}x{n} matrix")
-    _, sigma, vt = np.linalg.svd(np.linalg.qr(a, mode="r"), full_matrices=False)
+    ensure_capacity(8 * (3 * m * n + 5 * r * n + 7 * r * r + r), f"R-factor SVD of a {m}x{n} matrix")
+    # LAPACK works in column-major order: numpy's qr copies a Fortran-order
+    # input into its buffer and back as is, a C-order one by transposing it
+    # both ways, which costs more than this copy. R is the same bit for bit.
+    _, sigma, vt = np.linalg.svd(np.linalg.qr(np.asfortranarray(a), mode="r"), full_matrices=False)
     return SvdResult(u=None, sigma=sigma, vt=vt)
+
+
+def singular_values(a: np.ndarray) -> np.ndarray:
+    """All singular values, descending: the spectrum figure's data, from
+    :func:`right_svd` and under its memory-cap figure."""
+    return right_svd(a).sigma
 
 
 def truncate(svd: SvdResult, threshold: float) -> SvdResult:

@@ -121,6 +121,20 @@ def test_runtime_error_exits_1(tmp_path):
     assert code == 1
 
 
+def test_linear_algebra_failure_exits_1(tmp_path, monkeypatch, capsys):
+    mat = tmp_path / "a.bin"
+    assert run(["gen", "--n", "40", "--d", "5", "--out", str(mat)]) == 0
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", fail)
+    out = tmp_path / "l.csv"
+    assert run(["leverage", "--in", str(mat), "--method", "exact", "--out", str(out)]) == 1
+    assert "levsketch leverage: error: Matrix is not positive definite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_smoke_single_cell(tmp_path):
     import time
 
@@ -156,9 +170,11 @@ def test_bench_sweeps_sizing_constant(tmp_path):
 
 def test_bench_capacity_cells_skipped(tmp_path):
     out = tmp_path / "bench.csv"
+    # exact at 16 x 64 needs 286848 bytes (most of it two 1024-row score
+    # blocks); the 65536 x 64 input alone needs more than 33 MB
     code = run([
         "bench", "--log2-n", "4,16", "--d", "64", "--methods", "exact",
-        "--repeats", "1", "--mem-cap", "200000", "--out", str(out),
+        "--repeats", "1", "--mem-cap", "300000", "--out", str(out),
     ])
     assert code == 0
     lines = out.read_text().strip().split("\n")[1:]
@@ -180,6 +196,15 @@ def test_figure_kinds(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "component,sigma"
     assert len(lines) == 1 + 64
+
+
+def test_figure_spectrum_is_under_the_memory_cap(tmp_path, capsys):
+    # 128 x 64 at rank 16: generating it needs 163840 bytes, its R-factor
+    # SVD 590336
+    argv = ["figure", "--kind", "spectrum", "--n", "128", "--d", "64", "--out", str(tmp_path / "s.csv")]
+    assert run(argv + ["--mem-cap", "300000"]) == 1
+    assert "R-factor SVD of a 128x64 matrix needs 590336 bytes" in capsys.readouterr().err
+    assert run(argv + ["--mem-cap", "590336"]) == 0
 
 
 def _figure_band_fractions(path, band=1.0, floor=1e-6):
@@ -238,7 +263,7 @@ def test_leverage_mem_cap_covers_the_load_and_the_exact_method(tmp_path):
     mat = tmp_path / "a.bin"
     assert run(["gen", "--n", "2000", "--d", "16", "--out", str(mat)]) == 0
     base = ["leverage", "--in", str(mat), "--method", "exact", "--out", str(tmp_path / "l.csv")]
-    # 1000 bytes cannot hold the 256000-byte input; 300000 holds it but not the thin SVD
+    # 1000 bytes cannot hold the 256000-byte input; 300000 holds it but not the R-factor SVD
     assert run(base + ["--mem-cap", "1000"]) == 1
     assert run(base + ["--mem-cap", "300000"]) == 1
     assert not (tmp_path / "l.csv").exists()

@@ -20,7 +20,7 @@ from levsketch import (
     truncate,
 )
 from levsketch.errors import CapacityError, DegenerateInputError, FormatError, SingularInversionError
-from levsketch.leverage import _approx_basis
+from levsketch.leverage import SCORE_BLOCK_ROWS, _approx_basis
 from levsketch.svd import SvdResult
 
 
@@ -201,21 +201,94 @@ def test_every_entry_point_rejects_a_non_finite_row(bad):
             call()
 
 
+def exact_basis_bytes(n, d, r):
+    """The memory-cap figure of the exact method's basis and score step."""
+    return 8 * (n * r + n + d * r + 3 * r * r + SCORE_BLOCK_ROWS * (2 * r + 1))
+
+
 def test_exact_svd_checks_the_memory_cap_before_allocating(monkeypatch):
     n, d = 2000, 16
     a = gen_synthetic(SyntheticSpec(n=n, d=d, rank=d, seed=26))
-    need = 8 * (4 * n * d + 7 * d * d)  # input copy, U and V^T twice, workspace
+    # here the R-factor SVD (three input copies, tau, R, thin SVD of R) needs
+    # more than the basis and score step, so it sets the exact route's figure
+    need = 8 * (3 * n * d + 5 * d * d + 7 * d * d + d)
+    assert need > exact_basis_bytes(n, d, d)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the SVD ran despite the memory cap")
+        raise AssertionError("the QR ran despite the memory cap")
 
     with monkeypatch.context() as patched:
         patched.setenv("LVSK_MEM_CAP", str(need - 1))
-        patched.setattr(np.linalg, "svd", refuse)
-        with pytest.raises(CapacityError):
+        patched.setattr(np.linalg, "qr", refuse)
+        with pytest.raises(CapacityError, match="R-factor SVD"):
             leverage_exact(a)
-    monkeypatch.delenv("LVSK_MEM_CAP", raising=False)
+    monkeypatch.setenv("LVSK_MEM_CAP", str(need))
     assert leverage_exact(a).effective_rank == d
+
+
+def test_exact_basis_checks_the_memory_cap_before_its_gemm(monkeypatch):
+    n, d = 300, 16
+    a = gen_synthetic(SyntheticSpec(n=n, d=d, rank=d, seed=28))
+    # Y, the scores, the basis, Gram / C / C^-1 and the score blocks; at this
+    # n they need more than the R-factor SVD
+    need = exact_basis_bytes(n, d, d)
+    assert need > 8 * (3 * n * d + 5 * d * d + 7 * d * d + d)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Cholesky QR ran despite the memory cap")
+
+    with monkeypatch.context() as patched:
+        patched.setenv("LVSK_MEM_CAP", str(need - 1))
+        patched.setattr(np.linalg, "cholesky", refuse)
+        with pytest.raises(CapacityError, match="orthonormal basis"):
+            leverage_exact(a)
+    monkeypatch.setenv("LVSK_MEM_CAP", str(need))
+    assert leverage_exact(a).effective_rank == d
+
+
+def with_spectrum(n, sigma, seed):
+    """An n x len(sigma) matrix with singular values ``sigma``, random
+    orthonormal singular vectors, and its exact leverage scores."""
+    rng = np.random.default_rng(seed)
+    d = sigma.shape[0]
+    q1 = np.linalg.qr(rng.standard_normal((n, d)))[0]
+    q2 = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    return (q1 * sigma) @ q2.T, np.einsum("ij,ij->i", q1, q1)
+
+
+# Max error against the true projector's diagonal; each bound is the error of
+# the thin-SVD left factor (LAPACK gesdd, numpy 2.4, OpenBLAS 0.3.31) on the
+# same input, rounded down. The Cholesky QR route measured 3.53e-8, 2.69e-11
+# and 8.78e-7. At kappa 1e11 both are set by the rounding in forming A.
+@pytest.mark.parametrize(
+    "sigma, bound",
+    [
+        pytest.param(np.logspace(0, -11, 20), 3.56e-8, id="kappa-1e11"),
+        pytest.param(np.logspace(0, -8, 20), 5.7e-11, id="kappa-1e8"),
+        pytest.param(np.r_[np.ones(10), np.full(10, 2e-12)], 6.2e-6, id="ten-sigma-at-2e-12"),
+    ],
+)
+def test_exact_scores_of_ill_conditioned_inputs(sigma, bound):
+    a, truth = with_spectrum(3000, sigma, 0)
+    res = leverage_exact(a)
+    assert res.effective_rank == 20  # every component is above the 1e-12 floor
+    assert np.abs(res.scores - truth).max() <= bound
+
+
+def test_exact_scores_stay_in_the_unit_interval_over_a_sweep():
+    # 3000 low-rank inputs, columns scaled apart by up to 10^6. Largest
+    # l - 1: 4.4e-16 here, 8.9e-16 from the thin-SVD left factor, and 3.0e-9
+    # from the basis V/sigma applied to A without the Cholesky QR pass.
+    rng = np.random.default_rng(0)
+    for seed in range(3000):
+        d = int(rng.integers(1, 7))
+        n = int(rng.integers(d, 61))
+        rank = int(rng.integers(1, d + 1))
+        a = gen_synthetic(SyntheticSpec(n=n, d=d, rank=rank, seed=seed)) * 10.0 ** rng.uniform(-3, 3, d)
+        res = leverage_exact(a)
+        assert res.effective_rank == rank
+        assert (res.scores >= 0).all() and (res.scores <= 1 + 1e-12).all()
+        assert abs(res.scores.sum() - rank) <= 1e-9 * rank
 
 
 def test_sketched_scale_consistency():

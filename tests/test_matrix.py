@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from levsketch import (
     singular_values,
 )
 from levsketch.errors import CapacityError, ConfigurationError, FormatError, ParseError
+from levsketch.matrix import _SYNTH_STREAM
 
 
 def numerical_rank(a: np.ndarray, rel_tol: float = 1e-8) -> int:
@@ -157,6 +159,31 @@ def test_synthetic_deterministic():
     assert np.array_equal(gen_synthetic(spec), gen_synthetic(spec))
     other = gen_synthetic(SyntheticSpec(n=50, d=8, rank=4, noise_sigma=0.3, seed=124))
     assert not np.array_equal(gen_synthetic(spec), other)
+
+
+def test_synthetic_memory_cap_covers_what_generation_allocates(monkeypatch):
+    spec = SyntheticSpec(n=4096, d=256, rank=128, noise_sigma=0.1, seed=3)
+    # G1, G2, A and the noise draw as doubles, plus the finiteness mask
+    need = 8 * ((4096 + 256) * 128 + 2 * 4096 * 256) + 4096 * 256
+    tracemalloc.start()
+    try:
+        a = gen_synthetic(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= need
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([_SYNTH_STREAM, 3])))
+    g1 = rng.standard_normal((4096, 128))
+    g2 = rng.standard_normal((128, 256))
+    assert np.array_equal(a, g1 @ g2 + 0.1 * rng.standard_normal((4096, 256)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a draw ran despite the memory cap")
+
+    monkeypatch.setattr(np.random, "Philox", refuse)
+    monkeypatch.setenv("LVSK_MEM_CAP", str(need - 1))
+    with pytest.raises(CapacityError):
+        gen_synthetic(spec)
 
 
 def test_synthetic_memory_cap(monkeypatch):

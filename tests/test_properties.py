@@ -32,8 +32,9 @@ def low_rank(draw, min_rows=1, max_rows=60):
 
 @settings(max_examples=40, deadline=None)
 @given(case=low_rank())
-# kappa about 1.8e8 with every score 1: the thin-SVD left factor gives
-# l - 1 = 8.9e-16, the basis V/sigma applied to A gives 3.1e-10
+# kappa about 1.8e8 with every score 1: the Cholesky QR route gives
+# l - 1 = 2.2e-16, the thin-SVD left factor 8.9e-16, and the basis V/sigma
+# applied to A without the Cholesky QR pass 3.1e-10
 @example(case=(gen_synthetic(SyntheticSpec(n=4, d=4, rank=4, seed=61208)) * [0.1, 0.1, 1000, 0.001], 4))
 def test_exact_scores_lie_in_the_unit_interval_and_sum_to_the_rank(case):
     a, rank = case

@@ -159,11 +159,10 @@ def test_right_svd_of_zero_matrix_cannot_be_truncated():
         truncate(res, 1e-3)
 
 
-
 def test_right_svd_checks_the_memory_cap_before_allocating(monkeypatch):
     m, n = 2000, 16
     a = gen_synthetic(SyntheticSpec(n=m, d=n, rank=n, seed=27))
-    need = 8 * (2 * m * n + 5 * n * n + 7 * n * n + n)  # two input copies, tau, R, thin SVD of R
+    need = 8 * (3 * m * n + 5 * n * n + 7 * n * n + n)  # three input copies, tau, R, thin SVD of R
 
     def refuse(*args, **kwargs):
         raise AssertionError("the QR ran despite the memory cap")
