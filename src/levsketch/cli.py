@@ -78,7 +78,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--eps", type=float, default=0.5, help="sketch distortion target")
     p.add_argument("--sv-tol", type=float, default=1e-3, help="relative singular-value cutoff (sketch-trunc)")
     p.add_argument("--osnap-s", type=int, default=None, help="OSNAP nonzeros per column")
-    p.add_argument("--sketch-c", type=float, default=None, help="sizing constant in front of the row-count rule")
     p.add_argument("--rows-override", type=int, default=None, help="pin the sketch row count")
     p.add_argument("--workers", type=int, default=1, help="row partitions for the coordinator model")
     p.add_argument("--threads", type=int, default=None, help="cap on concurrent worker tasks")
@@ -102,7 +101,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--methods", type=str, default="exact,countsketch,osnap", help="comma-separated")
     p.add_argument("--eps", type=str, default="0.5", help="comma-separated distortion targets")
     p.add_argument("--sv-tol", type=float, default=1e-3)
-    p.add_argument("--sketch-c", type=str, default=None, help="comma-separated sizing constants to sweep")
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--out", type=str, required=True, help="raw timings CSV; medians in *_summary.csv")
 
@@ -189,7 +187,6 @@ def _sketch_spec(args, d: int) -> SketchSpec:
         osnap_s=getattr(args, "osnap_s", None),
         seed=args.seed,
         rows_override=getattr(args, "rows_override", None),
-        sizing_c=getattr(args, "sketch_c", None),
     )
 
 
@@ -225,7 +222,7 @@ def cmd_leverage(args) -> int:
     result.wall_time_s = time.perf_counter() - t0
 
     extra = _metadata(args, "leverage")
-    if report is not None and args.workers > 1:
+    if report is not None:
         report_path = Path(str(args.out) + ".report.json")
         _write_json(report_path, report.to_json_dict())
         extra["report_file"] = str(report_path)
@@ -254,13 +251,13 @@ def cmd_order(args) -> int:
     return 0
 
 
-def _bench_cell(a, method: str, eps: float, sv_tol: float, sketch_c, seed: int) -> float:
+def _bench_cell(a, method: str, eps: float, sv_tol: float, seed: int) -> float:
     """One timed score computation; data generation and I/O stay outside."""
     t0 = time.perf_counter()
     if method == "exact":
         leverage_exact(a)
     else:
-        spec = SketchSpec(family=method, eps=eps, d=a.shape[1], seed=seed, sizing_c=sketch_c)
+        spec = SketchSpec(family=method, eps=eps, d=a.shape[1], seed=seed)
         leverage_sketched_trunc(a, spec, sv_tol)
     return time.perf_counter() - t0
 
@@ -269,16 +266,20 @@ def cmd_bench(args) -> int:
     exponents = [int(v) for v in args.log2_n.split(",") if v]
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     eps_grid = [float(v) for v in args.eps.split(",") if v]
-    c_grid = [float(v) for v in args.sketch_c.split(",") if v] if args.sketch_c else [None]
     for m in methods:
         if m != "exact" and m not in FAMILIES:
             raise LevsketchError(f"unknown bench method {m!r}")
 
-    def cells(method):
-        # exact has no sketch knobs; one cell per eps keeps the schema uniform
-        return [(eps, None) for eps in eps_grid] if method == "exact" else [
-            (eps, c) for eps in eps_grid for c in c_grid
-        ]
+    def timings(a, method: str, eps: float) -> list[float] | None:
+        """The cell's timed repeats, after one untimed run that keeps first-call
+        costs out of them; None if the cell does not fit under the memory cap."""
+        if a is None:
+            return None
+        try:
+            _bench_cell(a, method, eps, args.sv_tol, args.seed)
+            return [_bench_cell(a, method, eps, args.sv_tol, args.seed) for _ in range(args.repeats)]
+        except CapacityError:
+            return None
 
     rows = []
     for k_exp in exponents:
@@ -288,32 +289,29 @@ def cmd_bench(args) -> int:
             a = gen_synthetic(SyntheticSpec(n=n, d=args.d, rank=rank, noise_sigma=args.noise, seed=args.seed))
         except CapacityError:
             a = None
+        # exact has no sketch knobs; one cell per eps keeps the schema uniform
         for method in methods:
-            for eps, c in cells(method):
-                c_label = "" if c is None else format_float(c)
+            for eps in eps_grid:
+                seconds = timings(a, method, eps)
                 for rep in range(args.repeats):
-                    if a is None:
-                        rows.append((n, args.d, method, eps, c_label, rep, "", "skipped"))
-                        continue
-                    try:
-                        seconds = _bench_cell(a, method, eps, args.sv_tol, c, args.seed)
-                        rows.append((n, args.d, method, eps, c_label, rep, format_float(seconds), "ok"))
-                    except CapacityError:
-                        rows.append((n, args.d, method, eps, c_label, rep, "", "skipped"))
+                    if seconds is None:
+                        rows.append((n, args.d, method, eps, rep, "", "skipped"))
+                    else:
+                        rows.append((n, args.d, method, eps, rep, format_float(seconds[rep]), "ok"))
     out = Path(args.out)
     with open(out, "w") as f:
-        f.write("n,d,method,eps,sketch_c,repeat,seconds,status\n")
+        f.write("n,d,method,eps,repeat,seconds,status\n")
         for row in rows:
             f.write(",".join(str(v) for v in row) + "\n")
     summary = {}
-    for n, d, method, eps, c_label, _rep, seconds, status in rows:
+    for n, d, method, eps, _rep, seconds, status in rows:
         if status == "ok":
-            summary.setdefault((n, d, method, eps, c_label), []).append(float(seconds))
+            summary.setdefault((n, d, method, eps), []).append(float(seconds))
     summary_path = out.with_name(out.stem + "_summary" + out.suffix)
     with open(summary_path, "w") as f:
-        f.write("n,d,method,eps,sketch_c,median_seconds\n")
-        for (n, d, method, eps, c_label), xs in sorted(summary.items()):
-            f.write(f"{n},{d},{method},{eps},{c_label},{format_float(statistics.median(xs))}\n")
+        f.write("n,d,method,eps,median_seconds\n")
+        for (n, d, method, eps), xs in sorted(summary.items()):
+            f.write(f"{n},{d},{method},{eps},{format_float(statistics.median(xs))}\n")
     meta = _metadata(args, "bench")
     meta["summary_file"] = str(summary_path)
     _write_json(Path(str(out) + ".json"), meta)

@@ -33,7 +33,7 @@ import os
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +65,6 @@ class LeverageResult:
     scores: np.ndarray
     method: str
     effective_rank: int
-    eps: float = 0.0
     spec: SketchSpec | None = None
     sv_tol: float | None = None
     wall_time_s: float | None = None
@@ -97,12 +96,12 @@ def leverage_exact(a) -> LeverageResult:
     # Y, the scores, the basis, Gram / C / C^-1, and per score block its
     # zero-padded copy, its product and its row norms
     ensure_capacity(
-        8 * (n * r + n + d * r + 3 * r * r + SCORE_BLOCK_ROWS * (2 * r + 1)),
+        8 * (n * r + n + d * r + 3 * r * r + min(n, SCORE_BLOCK_ROWS) * (2 * r + 1)),
         f"orthonormal basis of a {n}x{d} matrix",
     )
     y = a @ _approx_basis(kept)
     c = np.linalg.cholesky(y.T @ y, upper=True)
-    scores = _block_scores(y, np.linalg.inv(c))
+    scores = _block_scores(y, np.linalg.inv(c), 0, n)
     return LeverageResult(scores=scores, method="exact", effective_rank=r)
 
 
@@ -138,26 +137,28 @@ def _approx_basis(svd: SvdResult) -> np.ndarray:
     return svd.vt.T / svd.sigma
 
 
-def _block_scores(rows: np.ndarray, basis: np.ndarray, start: int = 0) -> np.ndarray:
-    """Scores for the rows at global indices ``start, start + 1, ...``: squared
-    row norms of ``rows @ basis``.
+def _block_scores(rows: np.ndarray, basis: np.ndarray, start: int, n: int) -> np.ndarray:
+    """Scores for the rows at global indices ``start, start + 1, ...`` of an
+    n-row matrix: squared row norms of ``rows @ basis``.
 
     BLAS does not promise a row the same bits at every GEMM height, so each row
-    is scored in the globally aligned block of ``SCORE_BLOCK_ROWS`` rows that
-    holds it, by a GEMM of exactly that height, partial edge blocks
-    zero-padded. A row's result then does not depend on how the rows were
-    partitioned.
+    is scored in the globally aligned block that holds it, rows
+    ``[b, b + min(SCORE_BLOCK_ROWS, n - b))`` for b a multiple of
+    ``SCORE_BLOCK_ROWS``, by a GEMM of exactly that height; the rows of the
+    block that ``rows`` does not hold are zero-padded. A row's result then
+    does not depend on how the rows were partitioned.
     """
-    n, d = rows.shape
-    scores = np.empty(n)
+    m, d = rows.shape
+    scores = np.empty(m)
     lo = 0
-    while lo < n:
+    while lo < m:
         offset = (start + lo) % SCORE_BLOCK_ROWS
-        hi = min(n, lo + SCORE_BLOCK_ROWS - offset)
-        if hi - lo == SCORE_BLOCK_ROWS:
+        height = min(SCORE_BLOCK_ROWS, n - (start + lo - offset))
+        hi = min(m, lo + height - offset)
+        if hi - lo == height:
             block = rows[lo:hi]
         else:
-            block = np.zeros((SCORE_BLOCK_ROWS, d))
+            block = np.zeros((height, d))
             block[offset : offset + hi - lo] = rows[lo:hi]
         u = block @ basis
         scores[lo:hi] = np.einsum("ij,ij->i", u, u)[offset : offset + hi - lo]
@@ -168,15 +169,13 @@ def _block_scores(rows: np.ndarray, basis: np.ndarray, start: int = 0) -> np.nda
 @dataclass
 class CoordinatorReport:
     merged: SketchState
-    basis_sigma: np.ndarray
-    basis_vt: np.ndarray
     workers: int
     per_worker_times: list[float]
     merge_time: float
     svd_time: float
     score_time: float
     bytes_communicated: int
-    per_worker_rows: list[int] = field(default_factory=list)
+    per_worker_rows: list[int]
 
     def to_json_dict(self) -> dict:
         return {
@@ -260,7 +259,7 @@ def run_distributed(
 
         t0 = time.perf_counter()
         basis = _approx_basis(svd)
-        blocks = pool.map(lambda lo, hi: _block_scores(a[lo:hi], basis, lo), los, his)
+        blocks = pool.map(lambda lo, hi: _block_scores(a[lo:hi], basis, lo, n), los, his)
         scores = np.concatenate(list(blocks))
         score_time = time.perf_counter() - t0
 
@@ -268,14 +267,11 @@ def run_distributed(
         scores=scores,
         method="sketch" if sv_tol is None else "sketch_trunc",
         effective_rank=svd.rank,
-        eps=spec.eps,
         spec=spec,
         sv_tol=sv_tol,
     )
     report = CoordinatorReport(
         merged=merged,
-        basis_sigma=svd.sigma,
-        basis_vt=svd.vt,
         workers=workers,
         per_worker_times=[t for _, t in sketched],
         merge_time=merge_time,
@@ -315,7 +311,7 @@ def save_scores(result: LeverageResult, csv_path, meta_path=None, extra_meta: di
             f.write(f"{i},{format_float(v)}\n")
     meta = {
         "method": result.method,
-        "eps": result.eps,
+        "eps": result.spec.eps if result.spec is not None else None,
         "sv_tol": result.sv_tol,
         "effective_rank": result.effective_rank,
         "seed": result.spec.seed if result.spec is not None else None,
@@ -328,7 +324,6 @@ def save_scores(result: LeverageResult, csv_path, meta_path=None, extra_meta: di
             "k": sketch_rows(result.spec),
             "osnap_s": result.spec.osnap_s,
             "rows_override": result.spec.rows_override,
-            "sizing_c": result.spec.sizing_c,
         }
     if extra_meta:
         meta.update(extra_meta)

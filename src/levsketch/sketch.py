@@ -62,13 +62,14 @@ OSNAP = "osnap"
 SRHT = "srht"
 FAMILIES = (COUNTSKETCH, OSNAP, SRHT)
 
-# Sizing constants in front of the theoretical row counts. The OSNAP constant
-# is 2: at 1 the row count is too small to hold the target distortion on the
-# reference test regime (4096 x 10, eps = 0.5).
+# Sizing constants in front of the theoretical row counts, fixed per family;
+# eps is the one accuracy input. The OSNAP constant is 2: at 1 the row count
+# is too small to hold the target distortion on the reference test regime
+# (4096 x 10, eps = 0.5).
 DEFAULT_SIZING = {COUNTSKETCH: 1.0, OSNAP: 2.0, SRHT: 1.0}
 
 _M64 = (1 << 64) - 1
-_HASH_STREAM = {COUNTSKETCH: 0x6353, OSNAP: 0x6F53, SRHT: 0x7253}
+_HASH_STREAM = {COUNTSKETCH: 0x6353, OSNAP: 0x6F53}
 _SRHT_SAMPLE_STREAM = 0x5348
 
 # Target size of a leaf kernel's small temporaries (a gathered, sign-flipped
@@ -82,8 +83,8 @@ class SketchSpec:
     """Sketch family, distortion target and seed; the row count is derived.
 
     ``osnap_s`` is the nonzeros-per-column for OSNAP (default
-    ``ceil(log2 d)``); ``sizing_c`` scales the derived row count (family
-    default if None); ``rows_override`` pins the row count outright.
+    ``ceil(log2 d)``), and is refused for the other families;
+    ``rows_override`` pins the row count outright.
     """
 
     family: str
@@ -92,7 +93,6 @@ class SketchSpec:
     osnap_s: int | None = None
     seed: int = 0
     rows_override: int | None = None
-    sizing_c: float | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -101,18 +101,14 @@ class SketchSpec:
             raise ConfigurationError(f"eps must be in (0, 1), got {self.eps}")
         if self.d < 1:
             raise ConfigurationError(f"d must be at least 1, got {self.d}")
+        if self.osnap_s is not None and self.family != OSNAP:
+            raise ConfigurationError(f"osnap_s applies to OSNAP only, not {self.family}")
         if self.osnap_s is not None and self.osnap_s < 1:
             raise ConfigurationError(f"osnap_s must be at least 1, got {self.osnap_s}")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
         if self.rows_override is not None and self.rows_override < 1:
             raise ConfigurationError(f"rows_override must be at least 1, got {self.rows_override}")
-        if self.sizing_c is not None and self.sizing_c <= 0:
-            raise ConfigurationError(f"sizing_c must be positive, got {self.sizing_c}")
-
-    @property
-    def c(self) -> float:
-        return DEFAULT_SIZING[self.family] if self.sizing_c is None else self.sizing_c
 
     @property
     def s(self) -> int:
@@ -132,7 +128,8 @@ def _next_pow2(v: int) -> int:
 
 
 def sketch_rows(spec: SketchSpec) -> int:
-    """Sketch row count k from the family's theoretical sizing rule.
+    """Sketch row count k from the family's theoretical sizing rule, with c
+    the family's constant in ``DEFAULT_SIZING``.
 
     CountSketch: ``ceil(c * (d/eps)^2)``. OSNAP: ``ceil(c * d/eps^2 * ln d)``.
     SRHT: the smallest power of two at least ``c * d/eps^2 * ln d``.
@@ -140,9 +137,10 @@ def sketch_rows(spec: SketchSpec) -> int:
     """
     if spec.rows_override is not None:
         return spec.rows_override
+    c = DEFAULT_SIZING[spec.family]
     if spec.family == COUNTSKETCH:
-        return max(1, math.ceil(spec.c * (spec.d / spec.eps) ** 2))
-    target = spec.c * (spec.d / spec.eps**2) * math.log(spec.d)
+        return max(1, math.ceil(c * (spec.d / spec.eps) ** 2))
+    target = c * (spec.d / spec.eps**2) * math.log(spec.d)
     if spec.family == OSNAP:
         return max(spec.s, math.ceil(target))
     return _next_pow2(max(1, math.ceil(target)))

@@ -254,7 +254,7 @@ def test_criterion_9_timing_trend(tmp_path):
     medians = {}
     summary = (tmp_path / "bench_summary.csv").read_text().strip().split("\n")[1:]
     for line in summary:
-        n, d, method, eps, _c, med = line.split(",")
+        n, d, method, eps, med = line.split(",")
         medians[(int(n), method)] = float(med)
     ratio_14 = medians[(2**14, "osnap")] / medians[(2**14, "exact")]
     ratio_18 = medians[(2**18, "osnap")] / medians[(2**18, "exact")]

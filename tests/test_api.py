@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import inspect
 
@@ -38,3 +39,9 @@ def test_no_exported_name_takes_a_memory_cap():
         if "mem" in param or "cap" in param
     ]
     assert capped == []
+
+
+def test_sketch_spec_fields():
+    # eps is the one accuracy input; rows_override pins k outright
+    names = [f.name for f in dataclasses.fields(levsketch.SketchSpec)]
+    assert names == ["family", "eps", "d", "osnap_s", "seed", "rows_override"]

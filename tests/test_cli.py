@@ -33,6 +33,7 @@ def test_leverage_exact_pipeline(tmp_path):
     assert scores.shape == (40,)
     meta = json.loads((tmp_path / "l.csv.json").read_text())
     assert meta["method"] == "exact"
+    assert meta["eps"] is None  # exact has no distortion target
     assert meta["effective_rank"] == 5
     assert meta["wall_time_s"] is not None
 
@@ -68,9 +69,9 @@ def test_leverage_sketch_workers_match_serial_bytes(tmp_path):
         ])
         assert code == 0
     assert (tmp_path / "w3.csv").read_bytes() == (tmp_path / "w1.csv").read_bytes()
-    assert not (tmp_path / "w1.csv.report.json").exists()
-    report = json.loads((tmp_path / "w3.csv.report.json").read_text())
-    assert report["workers"] == 3
+    for w in (1, 3):
+        report = json.loads((tmp_path / f"w{w}.csv.report.json").read_text())
+        assert report["workers"] == w
     meta = json.loads((tmp_path / "w3.csv.json").read_text())
     assert meta["method"] == "sketch"
     assert meta["sv_tol"] is None
@@ -148,33 +149,47 @@ def test_bench_smoke_single_cell(tmp_path):
     assert code == 0
     assert elapsed < 5.0
     lines = out.read_text().strip().split("\n")
-    assert lines[0] == "n,d,method,eps,sketch_c,repeat,seconds,status"
+    assert lines[0] == "n,d,method,eps,repeat,seconds,status"
     assert len(lines) == 1 + 2 * 3  # two methods x three repeats
     assert all(line.endswith("ok") for line in lines[1:])
     summary = (tmp_path / "bench_summary.csv").read_text().strip().split("\n")
-    assert summary[0] == "n,d,method,eps,sketch_c,median_seconds"
+    assert summary[0] == "n,d,method,eps,median_seconds"
     assert len(summary) == 3
 
 
-def test_bench_sweeps_sizing_constant(tmp_path):
+def test_bench_sweeps_eps(tmp_path):
     out = tmp_path / "bench.csv"
     code = run([
-        "bench", "--log2-n", "8", "--d", "8", "--methods", "countsketch",
-        "--eps", "0.5", "--sketch-c", "1,2", "--repeats", "1", "--out", str(out),
+        "bench", "--log2-n", "8", "--d", "8", "--methods", "exact,countsketch",
+        "--eps", "0.5,0.9", "--repeats", "1", "--out", str(out),
     ])
     assert code == 0
     lines = out.read_text().strip().split("\n")[1:]
-    c_values = sorted(line.split(",")[4] for line in lines)
-    assert c_values == ["1", "2"]
+    cells = sorted(tuple(line.split(",")[2:4]) for line in lines)
+    assert cells == [("countsketch", "0.5"), ("countsketch", "0.9"), ("exact", "0.5"), ("exact", "0.9")]
+
+
+def test_bench_runs_each_cell_once_untimed(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr("levsketch.cli._bench_cell", lambda a, method, *rest: calls.append(method) or 1.0)
+    out = tmp_path / "bench.csv"
+    code = run([
+        "bench", "--log2-n", "6", "--d", "4", "--methods", "exact,osnap",
+        "--repeats", "2", "--out", str(out),
+    ])
+    assert code == 0
+    assert calls == ["exact"] * 3 + ["osnap"] * 3
+    assert len(out.read_text().strip().split("\n")) == 1 + 2 * 2
 
 
 def test_bench_capacity_cells_skipped(tmp_path):
     out = tmp_path / "bench.csv"
-    # exact at 16 x 64 needs 286848 bytes (most of it two 1024-row score
-    # blocks); the 65536 x 64 input alone needs more than 33 MB
+    # exact at 16 x 64 (rank 16) needs 80000 bytes for the R-factor SVD and
+    # 20736 for the basis and one 16-row score block; the 65536 x 64 input
+    # alone needs more than 33 MB
     code = run([
         "bench", "--log2-n", "4,16", "--d", "64", "--methods", "exact",
-        "--repeats", "1", "--mem-cap", "300000", "--out", str(out),
+        "--repeats", "1", "--mem-cap", "200000", "--out", str(out),
     ])
     assert code == 0
     lines = out.read_text().strip().split("\n")[1:]
@@ -245,6 +260,35 @@ def test_config_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "cfg"
     cfg.write_text("frobnicate=1\n")
     assert run(["gen", "--config", str(cfg), "--n", "4", "--d", "2", "--out", str(tmp_path / "x.bin")]) == 1
+
+
+def test_sizing_constant_is_not_an_input(tmp_path):
+    mat = tmp_path / "a.bin"
+    assert run(["gen", "--n", "40", "--d", "4", "--out", str(mat)]) == 0
+    base = ["leverage", "--in", str(mat), "--method", "sketch-trunc", "--out", str(tmp_path / "l.csv")]
+    with pytest.raises(SystemExit) as exc:
+        run(base + ["--sketch-c", "2"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg"
+    cfg.write_text("sketch_c=2\n")
+    assert run(base + ["--config", str(cfg)]) == 1
+    assert not (tmp_path / "l.csv").exists()
+    assert run(base) == 0
+    meta = json.loads((tmp_path / "l.csv.json").read_text())
+    assert meta["eps"] == 0.5
+    assert "sizing_c" not in meta["sketch"]
+
+
+def test_osnap_s_on_another_family_exits_1(tmp_path, capsys):
+    mat = tmp_path / "a.bin"
+    assert run(["gen", "--n", "40", "--d", "4", "--out", str(mat)]) == 0
+    code = run([
+        "leverage", "--in", str(mat), "--method", "sketch-trunc", "--sketch", "countsketch",
+        "--osnap-s", "4", "--out", str(tmp_path / "l.csv"),
+    ])
+    assert code == 1
+    assert "osnap_s applies to OSNAP only" in capsys.readouterr().err
+    assert not (tmp_path / "l.csv").exists()
 
 
 def test_deterministic_outputs_across_runs(tmp_path):

@@ -2,6 +2,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import levsketch.leverage
 from levsketch import (
@@ -102,11 +104,26 @@ def test_block_scores_independent_of_split():
     rng = np.random.default_rng(23)
     rows = rng.standard_normal((3000, 256))
     basis = rng.standard_normal((256, 255))  # a width where GEMM height changes the bits
-    whole = _block_scores(rows, basis)
+    whole = _block_scores(rows, basis, 0, 3000)
     u = rows @ basis
     assert np.allclose(whole, np.einsum("ij,ij->i", u, u), rtol=1e-13)
-    cuts = [0, 1, 1023, 1024, 1500, 2049, 2999, 3000]
-    pieces = [_block_scores(rows[lo:hi], basis, lo) for lo, hi in zip(cuts, cuts[1:])]
+    # the last block, rows 2048..2999, is 952 rows high and cut three times
+    cuts = [0, 1, 1023, 1024, 1500, 2049, 2500, 2999, 3000]
+    pieces = [_block_scores(rows[lo:hi], basis, lo, 3000) for lo, hi in zip(cuts, cuts[1:])]
+    assert np.array_equal(np.concatenate(pieces), whole)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_block_scores_of_any_split_equal_the_unsplit_call(data):
+    n = data.draw(st.integers(1, 3500).filter(lambda v: v % 1024), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    rows = rng.standard_normal((n, 256))
+    basis = rng.standard_normal((256, 255))
+    whole = _block_scores(rows, basis, 0, n)
+    cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=6), label="cuts")) if n > 1 else []
+    bounds = [0, *cuts, n]
+    pieces = [_block_scores(rows[lo:hi], basis, lo, n) for lo, hi in zip(bounds, bounds[1:])]
     assert np.array_equal(np.concatenate(pieces), whole)
 
 

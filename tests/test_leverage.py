@@ -203,7 +203,7 @@ def test_every_entry_point_rejects_a_non_finite_row(bad):
 
 def exact_basis_bytes(n, d, r):
     """The memory-cap figure of the exact method's basis and score step."""
-    return 8 * (n * r + n + d * r + 3 * r * r + SCORE_BLOCK_ROWS * (2 * r + 1))
+    return 8 * (n * r + n + d * r + 3 * r * r + min(n, SCORE_BLOCK_ROWS) * (2 * r + 1))
 
 
 def test_exact_svd_checks_the_memory_cap_before_allocating(monkeypatch):
@@ -227,10 +227,10 @@ def test_exact_svd_checks_the_memory_cap_before_allocating(monkeypatch):
 
 
 def test_exact_basis_checks_the_memory_cap_before_its_gemm(monkeypatch):
-    n, d = 300, 16
+    n, d = 300, 4
     a = gen_synthetic(SyntheticSpec(n=n, d=d, rank=d, seed=28))
-    # Y, the scores, the basis, Gram / C / C^-1 and the score blocks; at this
-    # n they need more than the R-factor SVD
+    # Y, the scores, the basis, Gram / C / C^-1 and the score block; at this
+    # n and d they need more than the R-factor SVD
     need = exact_basis_bytes(n, d, d)
     assert need > 8 * (3 * n * d + 5 * d * d + 7 * d * d + d)
 

@@ -52,28 +52,56 @@ def cs_spec(**kw):
 
 
 def test_rows_countsketch_example():
-    assert sketch_rows(SketchSpec("countsketch", eps=0.5, d=16, sizing_c=1.0)) == 1024
+    # ceil(1 * (16 / 0.5)^2) = 1024
+    assert sketch_rows(SketchSpec("countsketch", eps=0.5, d=16)) == 1024
 
 
 def test_rows_osnap_example():
-    # ceil(16 / 0.25 * ln 16) = ceil(177.445...) = 178
-    assert sketch_rows(SketchSpec("osnap", eps=0.5, d=16, sizing_c=1.0)) == 178
+    # ceil(2 * 16 / 0.25 * ln 16) = ceil(354.89...) = 355
+    assert sketch_rows(SketchSpec("osnap", eps=0.5, d=16)) == 355
 
 
 def test_rows_srht_power_of_two():
-    k = sketch_rows(SketchSpec("srht", eps=0.5, d=16, sizing_c=1.0))
+    # the power of two at or above 1 * 16 / 0.25 * ln 16 = 177.4...
+    k = sketch_rows(SketchSpec("srht", eps=0.5, d=16))
     assert k == 256
     assert k & (k - 1) == 0
+
+
+EPS_GRID = (0.1, 0.3, 0.5, 0.9)
+
+# k at the default sizing constants for eps in EPS_GRID, by family and d
+DEFAULT_ROWS = {
+    "countsketch": {
+        2: [400, 45, 16, 5],
+        10: [10000, 1112, 400, 124],
+        64: [409600, 45512, 16384, 5057],
+        256: [6553600, 728178, 262144, 80909],
+    },
+    "osnap": {
+        2: [278, 31, 12, 4],
+        10: [4606, 512, 185, 57],
+        64: [53234, 5915, 2130, 658],
+        256: [283914, 31546, 11357, 3506],
+    },
+    "srht": {
+        2: [256, 16, 8, 2],
+        10: [4096, 256, 128, 32],
+        64: [32768, 4096, 2048, 512],
+        256: [262144, 16384, 8192, 2048],
+    },
+}
+
+
+@pytest.mark.parametrize("family", sorted(DEFAULT_ROWS))
+@pytest.mark.parametrize("d", [2, 10, 64, 256])
+def test_default_rows_table(family, d):
+    assert [sketch_rows(SketchSpec(family, eps=eps, d=d)) for eps in EPS_GRID] == DEFAULT_ROWS[family][d]
 
 
 def test_rows_override_wins():
     for fam in ("countsketch", "osnap", "srht"):
         assert sketch_rows(SketchSpec(fam, eps=0.5, d=16, rows_override=64)) == 64
-
-
-def test_rows_scale_with_constant():
-    base = sketch_rows(SketchSpec("countsketch", eps=0.5, d=16, sizing_c=1.0))
-    assert sketch_rows(SketchSpec("countsketch", eps=0.5, d=16, sizing_c=2.0)) == 2 * base
 
 
 def test_spec_validation():
@@ -85,6 +113,9 @@ def test_spec_validation():
         SketchSpec("countsketch", eps=0.5, d=0)
     with pytest.raises(ConfigurationError):
         SketchSpec("osnap", eps=0.5, d=4, osnap_s=0)
+    for family in ("countsketch", "srht"):
+        with pytest.raises(ConfigurationError, match="OSNAP only"):
+            SketchSpec(family, eps=0.5, d=4, osnap_s=4)
 
 
 # ---------------------------------------------------------------------------
