@@ -7,7 +7,6 @@ flag's default; explicit flags win.
 """
 
 import argparse
-import json
 import platform
 import statistics
 import sys
@@ -17,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, config
-from .errors import CapacityError, LevsketchError
+from .errors import CapacityError, ConfigurationError, LevsketchError
 from .leverage import (
     leverage_exact,
     leverage_oracle,
@@ -35,6 +34,7 @@ from .matrix import (
     gen_synthetic,
     load_matrix,
     save_matrix,
+    write_json,
 )
 from .order import OrderingPolicy, emit_batches, make_plan, save_manifest, save_plan, scores_to_distribution
 from .sketch import FAMILIES, SketchSpec
@@ -121,7 +121,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 # Config file support
 
 
-# Flags that take no value: a config value of 1, true, yes or on sets them.
+# Flags that take no value: a config value of 1, true, yes or on sets them,
+# one of 0, false, no or off leaves them unset.
 _SWITCHES = {"header"}
 
 
@@ -142,6 +143,8 @@ def _load_config(path: str) -> list[str]:
                 tokens.append(f"--{key}={value}")
             elif value.lower() in ("1", "true", "yes", "on"):
                 tokens.append(f"--{key}")
+            elif value.lower() not in ("0", "false", "no", "off"):
+                raise LevsketchError(f"{path}: line {lineno}: {key}={value} is neither true nor false")
     return tokens
 
 
@@ -173,12 +176,6 @@ def _metadata(args, command: str) -> dict:
     }
 
 
-def _write_json(path, payload: dict) -> None:
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
 def _sketch_spec(args, d: int) -> SketchSpec:
     return SketchSpec(
         family=args.sketch,
@@ -202,7 +199,7 @@ def cmd_gen(args) -> int:
     save_matrix(a, args.out, fmt)
     meta = _metadata(args, "gen")
     meta["matrix"] = {"n": spec.n, "d": spec.d, "rank": spec.rank, "noise_sigma": spec.noise_sigma, "format": fmt}
-    _write_json(Path(str(args.out) + ".json"), meta)
+    write_json(Path(str(args.out) + ".json"), meta)
     return 0
 
 
@@ -224,30 +221,27 @@ def cmd_leverage(args) -> int:
     extra = _metadata(args, "leverage")
     if report is not None:
         report_path = Path(str(args.out) + ".report.json")
-        _write_json(report_path, report.to_json_dict())
+        write_json(report_path, report.to_json_dict())
         extra["report_file"] = str(report_path)
     save_scores(result, args.out, extra_meta=extra)
     return 0
 
 
 def cmd_order(args) -> int:
+    if args.epochs < 1:
+        raise ConfigurationError(f"--epochs must be at least 1, got {args.epochs}")
     scores = load_scores(args.scores)
     p = scores_to_distribution(scores)
     policy = OrderingPolicy(kind=args.policy.replace("-", "_"), seed=args.seed)
+    plans = [make_plan(p, policy, epoch) for epoch in range(args.epochs)]
+    extra = _metadata(args, "order")
+    extra["batches_per_epoch"] = len(emit_batches(plans[0], args.batch))  # checks --batch before any write
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    plans, files = [], []
-    for epoch in range(args.epochs):
-        plan = make_plan(p, policy, epoch)
-        path = out_dir / f"{args.prefix}epoch_{epoch:04d}.txt"
-        save_plan(plan, path)
-        plans.append(plan)
-        files.append(path.name)
-    extra = _metadata(args, "order")
-    if plans:
-        extra["batches_per_epoch"] = len(emit_batches(plans[0], args.batch))
-    manifest = out_dir / f"{args.prefix}manifest.json"
-    save_manifest(plans, files, args.batch, manifest, extra=extra)
+    files = [f"{args.prefix}epoch_{plan.epoch:04d}.txt" for plan in plans]
+    for plan, name in zip(plans, files):
+        save_plan(plan, out_dir / name)
+    save_manifest(plans, files, args.batch, out_dir / f"{args.prefix}manifest.json", extra=extra)
     return 0
 
 
@@ -263,6 +257,8 @@ def _bench_cell(a, method: str, eps: float, sv_tol: float, seed: int) -> float:
 
 
 def cmd_bench(args) -> int:
+    if args.repeats < 1:
+        raise ConfigurationError(f"--repeats must be at least 1, got {args.repeats}")
     exponents = [int(v) for v in args.log2_n.split(",") if v]
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     eps_grid = [float(v) for v in args.eps.split(",") if v]
@@ -314,14 +310,14 @@ def cmd_bench(args) -> int:
             f.write(f"{n},{d},{method},{eps},{format_float(statistics.median(xs))}\n")
     meta = _metadata(args, "bench")
     meta["summary_file"] = str(summary_path)
-    _write_json(Path(str(out) + ".json"), meta)
+    write_json(Path(str(out) + ".json"), meta)
     return 0
 
 
 def cmd_figure(args) -> int:
     n_default, d_default, rank_of_d, noise = _FIGURE_DEFAULTS[args.kind]
-    n = args.n or n_default
-    d = args.d or d_default
+    n = n_default if args.n is None else args.n
+    d = d_default if args.d is None else args.d
     rank = max(1, rank_of_d(d))
     a = gen_synthetic(SyntheticSpec(n=n, d=d, rank=rank, noise_sigma=noise, seed=args.seed))
     out = Path(args.out)
@@ -333,7 +329,7 @@ def cmd_figure(args) -> int:
             f.write("component,sigma\n")
             for j, v in enumerate(sv):
                 f.write(f"{j},{format_float(v)}\n")
-        _write_json(Path(str(out) + ".json"), meta)
+        write_json(Path(str(out) + ".json"), meta)
         return 0
     spec = _sketch_spec(args, d)
     exact = leverage_exact(a)
@@ -345,7 +341,7 @@ def cmd_figure(args) -> int:
         f.write("true_score,approx_score\n")
         for t, s in zip(exact.scores, approx.scores):
             f.write(f"{format_float(t)},{format_float(s)}\n")
-    _write_json(Path(str(out) + ".json"), meta)
+    write_json(Path(str(out) + ".json"), meta)
     return 0
 
 

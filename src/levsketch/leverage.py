@@ -28,7 +28,6 @@ most two leaves it holds only in part, O(k*d*log(n/L) + L*d) bytes per worker,
 for every sketch family.
 """
 
-import json
 import os
 import time
 import warnings
@@ -46,7 +45,7 @@ from .errors import (
     FormatError,
     SingularInversionError,
 )
-from .matrix import as_matrix, format_float
+from .matrix import as_matrix, format_float, write_json
 from .sketch import SketchSpec, SketchState, _consume, merge, sketch_rows
 from .svd import SvdResult, _right_svd, right_svd, truncate
 
@@ -225,8 +224,8 @@ def run_distributed(
     and for every family, since the sketch is a fixed block-tree sum that the
     merged states reproduce exactly (see the sketch module) and scores are
     computed on globally aligned row blocks. At most ``max_threads`` tasks
-    run at once, by default one per CPU; the thread count never changes the
-    result.
+    (at least 1) run at once, by default one per CPU; the thread count never
+    changes the result.
     """
     a = as_matrix(a)
     n = a.shape[0]
@@ -238,10 +237,9 @@ def run_distributed(
         state = _consume(SketchState(spec, n), a[lo:hi], lo)
         return state, time.perf_counter() - t0
 
-    if max_threads is None:
-        pool_size = min(workers, os.cpu_count() or 1)
-    else:
-        pool_size = max(1, min(workers, max_threads))
+    if max_threads is not None and max_threads < 1:
+        raise ConfigurationError(f"max_threads must be at least 1, got {max_threads}")
+    pool_size = min(workers, max_threads or os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=pool_size) as pool:
         sketched = list(pool.map(sketch_partition, los, his))
 
@@ -327,9 +325,7 @@ def save_scores(result: LeverageResult, csv_path, meta_path=None, extra_meta: di
         }
     if extra_meta:
         meta.update(extra_meta)
-    with open(meta_path, "w") as f:
-        json.dump(meta, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(meta_path, meta)
 
 
 def load_scores(path) -> np.ndarray:

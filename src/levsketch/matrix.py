@@ -8,6 +8,7 @@ d u64}`` followed by ``n*d`` IEEE-754 doubles, row-major. CSV: one row per
 line, comma-separated, no header by default.
 """
 
+import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -102,6 +103,13 @@ def save_matrix(m: np.ndarray, path, format: str = "binary") -> None:
 
 def format_float(v: float) -> str:
     return "%.17g" % v
+
+
+def write_json(path, payload: dict) -> None:
+    """Write a JSON sidecar: keys sorted, two-space indent, final newline."""
+    with open(path, "w") as f:
+        json.dump(payload, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 def load_matrix(path, format: str | None = None, header: bool = False) -> np.ndarray:

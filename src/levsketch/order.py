@@ -12,13 +12,13 @@ Exp(1)/p_i, sort ascending), which matches the successive-renormalization law
 in one O(n log n) pass.
 """
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateInputError
+from .matrix import write_json
 
 SHUFFLE = "shuffle"
 DEC = "dec"
@@ -117,15 +117,13 @@ def save_plan(plan: OrderingPlan, path) -> None:
 
 def save_manifest(plans: list[OrderingPlan], files: list[str], batch_size: int, path, extra: dict | None = None) -> None:
     manifest = {
-        "policy": plans[0].policy.kind if plans else None,
-        "seed": plans[0].policy.seed if plans else None,
+        "policy": plans[0].policy.kind,
+        "seed": plans[0].policy.seed,
         "epochs": len(plans),
-        "n": int(plans[0].indices.size) if plans else 0,
+        "n": int(plans[0].indices.size),
         "batch_size": batch_size,
         "epoch_files": files,
     }
     if extra:
         manifest.update(extra)
-    with open(Path(path), "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(path, manifest)

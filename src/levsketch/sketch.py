@@ -55,7 +55,7 @@ from .errors import (
     IncompatibleSketchError,
     UnsupportedFamilyError,
 )
-from .matrix import as_matrix, load_matrix, save_matrix
+from .matrix import as_matrix, load_matrix, save_matrix, write_json
 
 COUNTSKETCH = "countsketch"
 OSNAP = "osnap"
@@ -380,49 +380,66 @@ class SketchState:
             level, i = level + 1, i >> 1
         self._nodes[(level, i)] = value
 
-    def _claim_rows(self, leaf: int, window: slice, present=True) -> None:
-        """Raise if a row of ``leaf`` in ``window`` (of those flagged in
-        ``present``) is already held."""
+    def _claim_rows(self, leaf: int, window: slice) -> None:
+        """Raise if a row of ``leaf`` in ``window`` is already held."""
         if leaf not in self._pending:
             self._claim(0, leaf)
-        elif (self._pending[leaf][1][window] & present).any():
+        elif self._pending[leaf][1][window].any():
             raise IncompatibleSketchError(f"rows of leaf {leaf} are already held")
 
-    def _fill(self, leaf: int, offset: int, rows: np.ndarray, present: np.ndarray | None = None) -> None:
-        """Place rows of a leaf at row ``offset`` within it (only the rows
-        flagged in ``present``, if given); reduce the leaf once it is whole."""
+    def _fill(self, leaf: int, offset: int, rows: np.ndarray) -> None:
+        """Place rows of a leaf at row ``offset`` within it; reduce the leaf
+        once it is whole."""
         window = slice(offset, offset + rows.shape[0])
-        present = np.ones(rows.shape[0], dtype=bool) if present is None else present
-        self._claim_rows(leaf, window, present)
-        lo, hi = self._leaf_span(leaf)
+        self._claim_rows(leaf, window)
         if leaf not in self._pending:
+            lo, hi = self._leaf_span(leaf)
             self._pending[leaf] = (np.zeros((hi - lo, self.d)), np.zeros(hi - lo, dtype=bool))
         buffer, held = self._pending[leaf]
-        buffer[window][present] = rows[present]
-        held[window] |= present
+        buffer[window] = rows
+        held[window] = True
         if held.all():
             del self._pending[leaf]
             self._insert(0, leaf, self._reduce(leaf, buffer))
 
     def _fold(self) -> np.ndarray | None:
         """Tree sum of the held nodes and of each partly held leaf reduced with
-        its absent rows as zeros; None if the state holds no rows."""
-        if (self._top, 0) in self._nodes:
-            return self._nodes[(self._top, 0)]
-        occupied = set()
-        for level, i in [*self._nodes, *((0, leaf) for leaf in self._pending)]:
-            for up in range(level, self._top + 1):
-                occupied.add((up, i >> (up - level)))
+        its absent rows as zeros, paired as :meth:`_insert` pairs; None if empty."""
+        nodes = dict(self._nodes)
+        for leaf, (rows, _) in self._pending.items():
+            nodes[(0, leaf)] = self._reduce(leaf, rows)
+        for level in range(self._top):
+            for i in [i for lv, i in nodes if lv == level]:
+                if (level, i) in nodes:  # else already added to its sibling
+                    value, other = nodes.pop((level, i)), nodes.pop((level, i ^ 1), None)
+                    nodes[(level + 1, i >> 1)] = value if other is None else value + other
+        return nodes.get((self._top, 0))
 
-        def value(level, i):
-            if (level, i) in self._nodes:
-                return self._nodes[(level, i)]
-            if level == 0:
-                return self._reduce(i, self._pending[i][0])
-            parts = [value(level - 1, c) for c in (2 * i, 2 * i + 1) if (level - 1, c) in occupied]
-            return parts[0] if len(parts) == 1 else parts[0] + parts[1]
+    def _message(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]], np.ndarray]:
+        """What this state ships: its node keys ``(level, i)`` in key order,
+        the ``[lo, hi)`` ranges of its held rows of partly held leaves in row
+        order, and a fresh payload of the nodes (k rows each) followed by
+        those rows."""
+        keys = sorted(self._nodes)
+        parts, ranges = [self._nodes[key] for key in keys], []
+        for leaf in sorted(self._pending):
+            rows, held = self._pending[leaf]
+            edges = np.flatnonzero(np.diff(held, prepend=False, append=False)).reshape(-1, 2).tolist()
+            ranges += [(leaf * self._leaf + a, leaf * self._leaf + b) for a, b in edges]
+            parts += [rows[a:b] for a, b in edges]
+        return keys, ranges, np.concatenate(parts) if parts else np.empty((0, self.d))
 
-        return value(self._top, 0) if occupied else None
+    def _absorb(self, keys, ranges, payload: np.ndarray) -> None:
+        """Add a message (see :meth:`_message`): claim and insert each node,
+        then fill each row range. The payload is taken over, so its nodes are
+        stored as views of it without a copy."""
+        for j, (level, i) in enumerate(keys):
+            self._claim(level, i)
+            self._insert(level, i, payload[j * self.k : (j + 1) * self.k])
+        at = len(keys) * self.k
+        for lo, hi in ranges:
+            self._fill(lo // self._leaf, lo % self._leaf, payload[at : at + hi - lo])
+            at += hi - lo
 
 
 def consume_rows(state: SketchState, rows, start_index: int) -> SketchState:
@@ -463,12 +480,13 @@ def apply_sketch(a, spec: SketchSpec) -> SketchState:
 def merge(s1: SketchState, s2: SketchState) -> SketchState:
     """Sum two states built from disjoint row sets of the same stream.
 
-    Linearity of the sketch makes this the state that would have been produced
-    by consuming both row sets in one pass, bit for bit: it holds the same
-    tree nodes and partial leaves. A row held by both inputs raises
-    IncompatibleSketchError. The result is a copy of ``s1`` holding the union:
-    it runs no memory-cap check (the inputs passed theirs), and SRHT's sign
-    and sample draws are not repeated. Neither input is modified.
+    The result is a copy of ``s1`` that absorbs the message of ``s2`` (the
+    nodes and held row ranges :func:`save_state` writes) as :func:`load_state`
+    does. Linearity of the sketch makes it the state that would have been
+    produced by consuming both row sets in one pass, bit for bit. A row held
+    by both inputs raises IncompatibleSketchError. It runs no memory-cap check
+    (the inputs passed theirs), and SRHT's sign and sample draws are not
+    repeated. Neither input is modified.
     """
     if s1.spec != s2.spec or s1.n_rows != s2.n_rows:
         raise IncompatibleSketchError(
@@ -482,11 +500,7 @@ def merge(s1: SketchState, s2: SketchState) -> SketchState:
     out = copy.copy(s1)
     out._nodes = dict(s1._nodes)
     out._pending = {leaf: (rows.copy(), held.copy()) for leaf, (rows, held) in s1._pending.items()}
-    for (level, i), value in s2._nodes.items():
-        out._claim(level, i)
-        out._insert(level, i, value.copy())
-    for leaf, (rows, held) in s2._pending.items():
-        out._fill(leaf, 0, rows, held)
+    out._absorb(*s2._message())
     return out
 
 
@@ -567,21 +581,12 @@ def save_state(state: SketchState, data_path, meta_path=None) -> None:
     ``[lo, hi)``. A state holding no rows has no message to save."""
     data_path = Path(data_path)
     meta_path = Path(meta_path) if meta_path is not None else data_path.with_suffix(".json")
-    keys = sorted(state._nodes)
-    parts, ranges = [state._nodes[key] for key in keys], []
-    for leaf in sorted(state._pending):
-        rows, held = state._pending[leaf]
-        edges = state._leaf_span(leaf)[0] + np.flatnonzero(np.diff(held, prepend=False, append=False))
-        ranges += edges.reshape(-1, 2).tolist()
-        parts.append(rows[held])
-    if not parts:
+    keys, ranges, payload = state._message()
+    if not keys and not ranges:
         raise ConfigurationError("an empty sketch state has no message to save")
-    save_matrix(np.concatenate(parts), data_path, "binary")
+    save_matrix(payload, data_path, "binary")
     meta = asdict(state.spec) | {"k": state.k, "s": state.spec.s, "n_rows": state.n_rows}
-    meta |= {"nodes": [list(key) for key in keys], "rows": ranges}
-    with open(meta_path, "w") as f:
-        json.dump(meta, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(meta_path, meta | {"nodes": keys, "rows": ranges})
 
 
 def _integer_pairs(value, what: str) -> list[tuple[int, int]]:
@@ -625,13 +630,7 @@ def load_state(data_path, meta_path=None) -> SketchState:
     if data.shape != expected:
         raise FormatError(f"{data_path}: payload shape {data.shape} does not match the sidecar's {expected}")
     try:
-        for j, (level, i) in enumerate(keys):
-            state._claim(level, i)
-            state._insert(level, i, data[j * state.k : (j + 1) * state.k])
-        at = len(keys) * state.k
-        for lo, hi in ranges:
-            state._fill(lo // leaf_rows, lo % leaf_rows, data[at : at + hi - lo])
-            at += hi - lo
+        state._absorb(keys, ranges, data)
     except IncompatibleSketchError as exc:
         raise FormatError(f"{meta_path}: overlapping nodes or row ranges: {exc}") from None
     return state

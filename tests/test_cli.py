@@ -352,3 +352,25 @@ def test_config_sets_a_switch(tmp_path):
     assert load_scores(out).shape == (3,)
     meta = json.loads((tmp_path / "l.csv.json").read_text())
     assert meta["flags"]["header"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["leverage", "--in", "{mat}", "--method", "sketch", "--workers", "2", "--threads", "0", "--out", "{out}"],
+        ["leverage", "--in", "{mat}", "--method", "sketch", "--workers", "2", "--threads", "-3", "--out", "{out}"],
+        ["leverage", "--in", "{mat}", "--config", "{cfg}", "--out", "{out}"],  # header=maybe
+        ["figure", "--kind", "rank-full", "--n", "0", "--out", "{out}"],
+        ["figure", "--kind", "rank-full", "--d", "0", "--out", "{out}"],
+        ["bench", "--repeats", "0", "--out", "{out}"],
+        ["order", "--scores", "{scores}", "--policy", "dec", "--epochs", "0", "--out-dir", "{out}"],
+        ["order", "--scores", "{scores}", "--policy", "dec", "--batch", "0", "--out-dir", "{out}"],
+    ],
+)
+def test_out_of_range_counts_exit_1(tmp_path, argv):
+    paths = {name: tmp_path / name for name in ("mat", "scores", "cfg", "out")}
+    assert run(["gen", "--n", "40", "--d", "4", "--out", str(paths["mat"])]) == 0
+    assert run(["leverage", "--in", str(paths["mat"]), "--out", str(paths["scores"])]) == 0
+    paths["cfg"].write_text("header=maybe\n")
+    assert run([token.format(**paths) for token in argv]) == 1
+    assert not paths["out"].exists()

@@ -362,6 +362,26 @@ def test_any_partition_and_merge_order_gives_the_same_bits(family, data):
 
 
 @pytest.mark.parametrize("family", ["countsketch", "osnap", "srht"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_state_of_any_row_subset_is_the_sketch_with_the_other_rows_zeroed(family, data):
+    # an oracle for the fold of partly held leaves and of nodes without
+    # their sibling: the full tree over the matrix with absent rows zeroed
+    n = data.draw(st.integers(1, 3000), label="n")
+    a = adversarial_rows(data.draw(st.integers(0, 2**32 - 1), label="seed"), n)
+    spec = SketchSpec(family, eps=0.5, d=2, seed=0, rows_override=small_k(family, n))
+    cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=8), label="cuts")) if n > 1 else []
+    held = data.draw(st.booleans(), label="first range held")
+    state, zeroed = SketchState(spec, n), np.zeros_like(a)
+    for lo, hi in zip([0, *cuts], [*cuts, n]):
+        if held:
+            consume_rows(state, a[lo:hi], lo)
+            zeroed[lo:hi] = a[lo:hi]
+        held = not held
+    assert np.array_equal(state.data, apply_sketch(zeroed, spec).data)
+
+
+@pytest.mark.parametrize("family", ["countsketch", "osnap", "srht"])
 def test_merge_rejects_overlapping_rows(family):
     a = np.random.default_rng(24).standard_normal((10, 16))
     spec = SketchSpec(family, eps=0.5, d=16, seed=3, rows_override=64 if family == "srht" else None)
@@ -718,17 +738,23 @@ def test_state_roundtrip(tmp_path):
         assert np.array_equal(back.data, state.data)
 
 
-def test_loaded_countsketch_state_still_merges(tmp_path):
-    rng = np.random.default_rng(18)
-    a = rng.standard_normal((60, 16))
-    spec = cs_spec(seed=53)
-    serial = apply_sketch(a, spec)
-    s1 = consume_rows(SketchState(spec, 60), a[:30], 0)
-    save_state(s1, tmp_path / "s1.bin")
-    s1_loaded = load_state(tmp_path / "s1.bin")
-    s2 = consume_rows(SketchState(spec, 60), a[30:], 30)
-    merged = merge(s1_loaded, s2)
-    assert np.allclose(merged.data, serial.data, atol=1e-12)
+@pytest.mark.parametrize("family", ["countsketch", "osnap", "srht"])
+def test_loaded_state_merges_like_the_saved_one(tmp_path, family):
+    # leaves of 1024 rows; s1 holds part of leaves 0 and 1, s2 the rest of
+    # leaf 0, two row ranges of leaf 1 and part of leaf 2
+    a = adversarial_rows(18, 3000, d=4)
+    spec = SketchSpec(family, eps=0.5, d=4, seed=53, rows_override=small_k(family, 3000))
+    s1 = consume_rows(consume_rows(SketchState(spec, 3000), a[:300], 0), a[1500:1700], 1500)
+    s2 = consume_rows(consume_rows(SketchState(spec, 3000), a[300:1500], 300), a[1700:2600], 1700)
+    save_state(s2, tmp_path / "s2.bin")
+    ranges = json.loads((tmp_path / "s2.json").read_text())["rows"]
+    assert ranges == [[300, 1024], [1024, 1500], [1700, 2048], [2048, 2600]]
+    merged, loaded = merge(s1, s2), merge(s1, load_state(tmp_path / "s2.bin"))
+    assert loaded.rows_consumed == merged.rows_consumed == 2600
+    assert np.array_equal(loaded.data, merged.data)
+    zeroed = a.copy()
+    zeroed[2600:] = 0.0
+    assert np.array_equal(merged.data, apply_sketch(zeroed, spec).data)
 
 
 def test_load_state_allocates_no_row_buffer(tmp_path, monkeypatch):
