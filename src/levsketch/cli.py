@@ -29,11 +29,11 @@ from .leverage import (
 from .matrix import (
     GENERATOR_NAME,
     SyntheticSpec,
-    detect_format,
     format_float,
     gen_synthetic,
     load_matrix,
     save_matrix,
+    text_lines,
     write_json,
 )
 from .order import OrderingPolicy, emit_batches, make_plan, save_manifest, save_plan, scores_to_distribution
@@ -70,8 +70,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = subs["leverage"] = sub.add_parser("leverage", help="compute leverage scores")
     common(p)
-    p.add_argument("--in", dest="infile", type=str, required=True)
-    p.add_argument("--format", choices=["binary", "csv"], default=None)
+    p.add_argument("--in", dest="infile", type=str, required=True, help="matrix file, binary or CSV")
     p.add_argument("--header", action="store_true", help="CSV input has one header line")
     p.add_argument("--method", choices=["exact", "oracle", "sketch", "sketch-trunc"], default="exact")
     p.add_argument("--sketch", choices=list(FAMILIES), default="countsketch")
@@ -130,21 +129,20 @@ def _load_config(path: str) -> list[str]:
     """The flags a key=value config file stands for, as command-line tokens:
     ``--key=value``, or ``--key`` for a switch set by a true value."""
     tokens = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise LevsketchError(f"{path}: line {lineno} is not key=value")
-            key, _, value = line.partition("=")
-            key, value = key.strip().replace("_", "-"), value.strip().strip("\"'")
-            if key not in _SWITCHES:
-                tokens.append(f"--{key}={value}")
-            elif value.lower() in ("1", "true", "yes", "on"):
-                tokens.append(f"--{key}")
-            elif value.lower() not in ("0", "false", "no", "off"):
-                raise LevsketchError(f"{path}: line {lineno}: {key}={value} is neither true nor false")
+    for lineno, line in enumerate(text_lines(path), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise LevsketchError(f"{path}: line {lineno} is not key=value")
+        key, _, value = line.partition("=")
+        key, value = key.strip().replace("_", "-"), value.strip().strip("\"'")
+        if key not in _SWITCHES:
+            tokens.append(f"--{key}={value}")
+        elif value.lower() in ("1", "true", "yes", "on"):
+            tokens.append(f"--{key}")
+        elif value.lower() not in ("0", "false", "no", "off"):
+            raise LevsketchError(f"{path}: line {lineno}: {key}={value} is neither true nor false")
     return tokens
 
 
@@ -195,7 +193,7 @@ def cmd_gen(args) -> int:
     rank = args.d if args.rank is None else args.rank
     spec = SyntheticSpec(n=args.n, d=args.d, rank=rank, noise_sigma=args.noise, seed=args.seed)
     a = gen_synthetic(spec)
-    fmt = args.format or detect_format(args.out)
+    fmt = args.format or ("csv" if Path(args.out).suffix.lower() == ".csv" else "binary")
     save_matrix(a, args.out, fmt)
     meta = _metadata(args, "gen")
     meta["matrix"] = {"n": spec.n, "d": spec.d, "rank": spec.rank, "noise_sigma": spec.noise_sigma, "format": fmt}
@@ -204,7 +202,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_leverage(args) -> int:
-    a = load_matrix(args.infile, args.format, header=args.header)
+    a = load_matrix(args.infile, header=args.header)
     report = None
     t0 = time.perf_counter()
     if args.method == "exact":
@@ -262,6 +260,9 @@ def cmd_bench(args) -> int:
     exponents = [int(v) for v in args.log2_n.split(",") if v]
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     eps_grid = [float(v) for v in args.eps.split(",") if v]
+    for flag, grid in (("--log2-n", exponents), ("--methods", methods), ("--eps", eps_grid)):
+        if not grid:
+            raise ConfigurationError(f"{flag} names no value, so the grid is empty")
     for m in methods:
         if m != "exact" and m not in FAMILIES:
             raise LevsketchError(f"unknown bench method {m!r}")

@@ -46,7 +46,7 @@ from .errors import (
     SingularInversionError,
 )
 from .matrix import as_matrix, format_float, write_json
-from .sketch import SketchSpec, SketchState, _consume, merge, sketch_rows
+from .sketch import SketchSpec, SketchState, _consume, merge
 from .svd import SvdResult, _right_svd, right_svd, truncate
 
 # Relative floor under which singular components are treated as numerically
@@ -185,13 +185,7 @@ class CoordinatorReport:
             "score_time_s": self.score_time,
             "bytes_communicated": self.bytes_communicated,
             "per_worker_rows": self.per_worker_rows,
-            "sketch": {
-                "family": self.merged.spec.family,
-                "k": self.merged.k,
-                "d": self.merged.d,
-                "eps": self.merged.spec.eps,
-                "seed": self.merged.spec.seed,
-            },
+            "sketch": self.merged.spec.to_json_dict(),
         }
 
 
@@ -309,20 +303,12 @@ def save_scores(result: LeverageResult, csv_path, meta_path=None, extra_meta: di
             f.write(f"{i},{format_float(v)}\n")
     meta = {
         "method": result.method,
-        "eps": result.spec.eps if result.spec is not None else None,
+        "sketch": result.spec.to_json_dict() if result.spec is not None else None,
         "sv_tol": result.sv_tol,
         "effective_rank": result.effective_rank,
-        "seed": result.spec.seed if result.spec is not None else None,
         "wall_time_s": result.wall_time_s,
         "n": int(result.scores.shape[0]),
     }
-    if result.spec is not None:
-        meta["sketch"] = {
-            "family": result.spec.family,
-            "k": sketch_rows(result.spec),
-            "osnap_s": result.spec.osnap_s,
-            "rows_override": result.spec.rows_override,
-        }
     if extra_meta:
         meta.update(extra_meta)
     write_json(meta_path, meta)

@@ -79,10 +79,6 @@ def gen_synthetic(spec: SyntheticSpec) -> np.ndarray:
     return as_matrix(a, "synthetic matrix")
 
 
-def detect_format(path) -> str:
-    return "csv" if Path(path).suffix.lower() == ".csv" else "binary"
-
-
 def save_matrix(m: np.ndarray, path, format: str = "binary") -> None:
     """Write a matrix. Binary round-trips bit-exactly; CSV uses %.17g which
     also round-trips float64 exactly."""
@@ -105,6 +101,16 @@ def format_float(v: float) -> str:
     return "%.17g" % v
 
 
+def text_lines(path):
+    """The lines of a UTF-8 text file, read one at a time; FormatError if the
+    file is not UTF-8."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            yield from f
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def write_json(path, payload: dict) -> None:
     """Write a JSON sidecar: keys sorted, two-space indent, final newline."""
     with open(path, "w") as f:
@@ -122,12 +128,13 @@ def load_matrix(path, format: str | None = None, header: bool = False) -> np.nda
     Parameters
     ----------
     path : file path
-    format : "csv", "binary", or None to infer from the extension
+    format : "csv", "binary", or None: binary if the file starts with the magic, else CSV
     header : for CSV, skip one leading header line
     """
     path = Path(path)
     if format is None:
-        format = detect_format(path)
+        with open(path, "rb") as f:
+            format = "binary" if f.read(len(MAGIC)) == MAGIC else "csv"
     if format == "binary":
         return _load_binary(path)
     if format == "csv":
@@ -156,36 +163,35 @@ def _load_csv(path: Path, header: bool) -> np.ndarray:
     limit = mem_cap()  # read once, not per row
     rows = []
     width = None
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            if header and lineno == 1:
-                continue
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if width is None:
-                width = len(fields)
-            elif len(fields) != width:
-                raise FormatError(
-                    f"{path}: ragged row at line {lineno}: expected {width} fields, got {len(fields)}"
-                )
-            # per value a Python float, its list slot and its place in the
-            # final float64 array; per row a list header and its slot
-            need = (len(rows) + 1) * (40 * width + 64)
-            if need > limit:
-                ensure_capacity(need, f"{path}: CSV rows parsed")
-            try:
-                rows.append([float(v) for v in fields])
-            except ValueError:
-                for col, v in enumerate(fields):
-                    try:
-                        float(v)
-                    except ValueError:
-                        raise ParseError(
-                            f"{path}: non-numeric field {v!r} at line {lineno}, column {col + 1}"
-                        ) from None
-                raise
+    for lineno, line in enumerate(text_lines(path), start=1):
+        if header and lineno == 1:
+            continue
+        line = line.strip()
+        if not line:
+            continue
+        fields = line.split(",")
+        if width is None:
+            width = len(fields)
+        elif len(fields) != width:
+            raise FormatError(
+                f"{path}: ragged row at line {lineno}: expected {width} fields, got {len(fields)}"
+            )
+        # per value a Python float, its list slot and its place in the
+        # final float64 array; per row a list header and its slot
+        need = (len(rows) + 1) * (40 * width + 64)
+        if need > limit:
+            ensure_capacity(need, f"{path}: CSV rows parsed")
+        try:
+            rows.append([float(v) for v in fields])
+        except ValueError:
+            for col, v in enumerate(fields):
+                try:
+                    float(v)
+                except ValueError:
+                    raise ParseError(
+                        f"{path}: non-numeric field {v!r} at line {lineno}, column {col + 1}"
+                    ) from None
+            raise
     if not rows:
         raise FormatError(f"{path}: no data rows")
     return as_matrix(np.array(rows, dtype=np.float64), str(path))

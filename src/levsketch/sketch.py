@@ -69,6 +69,7 @@ FAMILIES = (COUNTSKETCH, OSNAP, SRHT)
 DEFAULT_SIZING = {COUNTSKETCH: 1.0, OSNAP: 2.0, SRHT: 1.0}
 
 _M64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15  # splitmix64's increment
 _HASH_STREAM = {COUNTSKETCH: 0x6353, OSNAP: 0x6F53}
 _SRHT_SAMPLE_STREAM = 0x5348
 
@@ -119,6 +120,11 @@ class SketchSpec:
             return self.osnap_s
         return max(1, math.ceil(math.log2(self.d)))
 
+    def to_json_dict(self) -> dict:
+        """The sketch as every sidecar records it: the spec's fields plus the
+        derived row count ``k`` and nonzeros per column ``s``."""
+        return asdict(self) | {"k": sketch_rows(self), "s": self.s}
+
 
 def _next_pow2(v: int) -> int:
     p = 1
@@ -148,16 +154,6 @@ def sketch_rows(spec: SketchSpec) -> int:
 
 # ---------------------------------------------------------------------------
 # Hashing
-
-
-def _splitmix_stream(seed: int, tag: int):
-    state = (seed ^ (tag * 0x9E3779B97F4A7C15)) & _M64
-    while True:
-        state = (state + 0x9E3779B97F4A7C15) & _M64
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-        yield (z ^ (z >> 31)) & _M64
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -260,10 +256,11 @@ class SketchState:
         base, rem = divmod(self.k, s)
         self._block_sizes = [base + (1 if j < rem else 0) for j in range(s)]
         self._block_offsets = np.concatenate([[0], np.cumsum(self._block_sizes[:-1])]).astype(np.int64)
-        keys = _splitmix_stream(spec.seed, _HASH_STREAM[spec.family])
-        self._hash_a = [next(keys) | 1 for _ in range(s)]
-        self._hash_b = [next(keys) for _ in range(s)]
-        self._sign_keys = [next(keys) for _ in range(s)]
+        # splitmix64 from state x = seed ^ tag*G: key i (i = 1..3s) is _mix64(x + i*G)
+        x = np.uint64((spec.seed ^ _HASH_STREAM[spec.family] * _GOLDEN) & _M64)
+        keys = _mix64(x + np.arange(1, 3 * s + 1, dtype=np.uint64) * np.uint64(_GOLDEN)).tolist()
+        self._hash_a = [key | 1 for key in keys[:s]]
+        self._hash_b, self._sign_keys = keys[s : 2 * s], keys[2 * s :]
         self._scale = 1.0 / math.sqrt(s)
 
     @property
@@ -431,11 +428,12 @@ class SketchState:
 
     def _absorb(self, keys, ranges, payload: np.ndarray) -> None:
         """Add a message (see :meth:`_message`): claim and insert each node,
-        then fill each row range. The payload is taken over, so its nodes are
-        stored as views of it without a copy."""
+        then fill each row range. The payload is taken over: its nodes stay
+        views of it unless it also carries rows, which no node may keep alive."""
         for j, (level, i) in enumerate(keys):
             self._claim(level, i)
-            self._insert(level, i, payload[j * self.k : (j + 1) * self.k])
+            node = payload[j * self.k : (j + 1) * self.k]
+            self._insert(level, i, node.copy() if ranges else node)
         at = len(keys) * self.k
         for lo, hi in ranges:
             self._fill(lo // self._leaf, lo % self._leaf, payload[at : at + hi - lo])
@@ -577,16 +575,16 @@ def save_state(state: SketchState, data_path, meta_path=None) -> None:
     """Write the state's message: a matrix binary payload of its canonical
     nodes (k rows each, in key order) followed by its held rows of partly
     held leaves (in row order), ``message_bytes`` bytes of data, plus a JSON
-    sidecar of the spec, the node keys ``[level, i]`` and the held row ranges
-    ``[lo, hi)``. A state holding no rows has no message to save."""
+    sidecar of the sketch record (:meth:`SketchSpec.to_json_dict`), the row
+    count, the node keys ``[level, i]`` and the held row ranges ``[lo, hi)``.
+    A state holding no rows has no message to save."""
     data_path = Path(data_path)
     meta_path = Path(meta_path) if meta_path is not None else data_path.with_suffix(".json")
     keys, ranges, payload = state._message()
     if not keys and not ranges:
         raise ConfigurationError("an empty sketch state has no message to save")
     save_matrix(payload, data_path, "binary")
-    meta = asdict(state.spec) | {"k": state.k, "s": state.spec.s, "n_rows": state.n_rows}
-    write_json(meta_path, meta | {"nodes": keys, "rows": ranges})
+    write_json(meta_path, state.spec.to_json_dict() | {"n_rows": state.n_rows, "nodes": keys, "rows": ranges})
 
 
 def _integer_pairs(value, what: str) -> list[tuple[int, int]]:
@@ -600,12 +598,13 @@ def _integer_pairs(value, what: str) -> list[tuple[int, int]]:
 def load_state(data_path, meta_path=None) -> SketchState:
     """Rebuild a state from :func:`save_state` output.
 
-    The sidecar is checked as outside input: every node key lies inside the
-    tree, no two keys or row ranges overlap, every row range lies inside one
-    leaf, and the payload holds k rows per node plus the held rows; a
-    violation raises FormatError. The result is an ordinary state, built by
-    the constructor (and checked against the memory cap): it consumes, merges
-    and rejects rows it already holds like the saved one, bit for bit.
+    The sidecar is checked as outside input: its ``k`` and ``s`` are the
+    spec's, every node key lies inside the tree, no two keys or row ranges
+    overlap, every range lies inside one leaf, and the payload holds k rows
+    per node plus the held rows; a violation raises FormatError. The result
+    is an ordinary state, built by the constructor (and checked against the
+    memory cap): it consumes, merges and rejects rows it already holds like
+    the saved one, bit for bit.
     """
     data_path = Path(data_path)
     meta_path = Path(meta_path) if meta_path is not None else data_path.with_suffix(".json")
@@ -613,6 +612,9 @@ def load_state(data_path, meta_path=None) -> SketchState:
         with open(meta_path) as f:
             meta = json.load(f)
         spec = SketchSpec(**{field.name: meta[field.name] for field in fields(SketchSpec)})
+        k, s = sketch_rows(spec), spec.s
+        if (meta["k"], meta["s"]) != (k, s):
+            raise FormatError(f"{meta_path}: k={meta['k']}, s={meta['s']}, but its spec gives k={k}, s={s}")
         state = SketchState(spec, meta["n_rows"])
         keys = _integer_pairs(meta["nodes"], f"{meta_path}: nodes")
         ranges = _integer_pairs(meta["rows"], f"{meta_path}: rows")

@@ -1,10 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from levsketch import config, load_matrix, load_scores
+from levsketch import SketchSpec, config, load_matrix, load_scores
 from levsketch.cli import main
+from levsketch.sketch import FAMILIES
 
 
 def run(argv):
@@ -33,7 +35,7 @@ def test_leverage_exact_pipeline(tmp_path):
     assert scores.shape == (40,)
     meta = json.loads((tmp_path / "l.csv.json").read_text())
     assert meta["method"] == "exact"
-    assert meta["eps"] is None  # exact has no distortion target
+    assert meta["sketch"] is None  # exact has no sketch
     assert meta["effective_rank"] == 5
     assert meta["wall_time_s"] is not None
 
@@ -83,6 +85,44 @@ def test_leverage_csv_input_with_header(tmp_path):
     out = tmp_path / "l.csv"
     assert run(["leverage", "--in", str(src), "--header", "--method", "oracle", "--out", str(out)]) == 0
     assert load_scores(out).shape == (3,)
+
+
+def test_leverage_reads_the_format_from_the_file(tmp_path):
+    mat = tmp_path / "a.csv"  # a binary matrix named *.csv
+    assert run(["gen", "--n", "40", "--d", "4", "--format", "binary", "--out", str(mat)]) == 0
+    assert run(["leverage", "--in", str(mat), "--method", "exact", "--out", str(tmp_path / "l.csv")]) == 0
+    with pytest.raises(SystemExit) as exc:
+        run(["leverage", "--in", str(mat), "--format", "binary", "--out", str(tmp_path / "m.csv")])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag", ["--in", "--config"])
+def test_a_file_that_is_not_utf8_exits_1(tmp_path, capsys, flag):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"1,2\n\xff\xfe,3\n")
+    out = tmp_path / "l.csv"
+    argv = ["leverage", "--in", str(bad), "--method", "exact", "--out", str(out)]
+    if flag == "--config":
+        mat = tmp_path / "a.bin"
+        assert run(["gen", "--n", "40", "--d", "4", "--out", str(mat)]) == 0
+        argv[2] = str(mat)
+        argv += ["--config", str(bad)]
+    assert run(argv) == 1
+    assert "levsketch leverage: error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sidecars_record_the_sketch_as_its_spec_does(tmp_path):
+    mat = tmp_path / "a.bin"
+    assert run(["gen", "--n", "300", "--d", "8", "--seed", "2", "--out", str(mat)]) == 0
+    for family in FAMILIES:
+        out = tmp_path / f"{family}.csv"
+        argv = ["leverage", "--in", str(mat), "--method", "sketch-trunc", "--sketch", family,
+                "--workers", "2", "--seed", "5", "--out", str(out)]
+        assert run(argv) == 0
+        record = SketchSpec(family, eps=0.5, d=8, seed=5).to_json_dict()
+        assert json.loads(Path(f"{out}.json").read_text())["sketch"] == record
+        assert json.loads(Path(f"{out}.report.json").read_text())["sketch"] == record
 
 
 def test_order_pipeline(tmp_path):
@@ -275,7 +315,7 @@ def test_sizing_constant_is_not_an_input(tmp_path):
     assert not (tmp_path / "l.csv").exists()
     assert run(base) == 0
     meta = json.loads((tmp_path / "l.csv.json").read_text())
-    assert meta["eps"] == 0.5
+    assert meta["sketch"]["eps"] == 0.5
     assert "sizing_c" not in meta["sketch"]
 
 
@@ -365,6 +405,9 @@ def test_config_sets_a_switch(tmp_path):
         ["bench", "--repeats", "0", "--out", "{out}"],
         ["order", "--scores", "{scores}", "--policy", "dec", "--epochs", "0", "--out-dir", "{out}"],
         ["order", "--scores", "{scores}", "--policy", "dec", "--batch", "0", "--out-dir", "{out}"],
+        ["bench", "--methods", ",", "--out", "{out}"],
+        ["bench", "--log2-n", "", "--out", "{out}"],
+        ["bench", "--eps", "", "--out", "{out}"],
     ],
 )
 def test_out_of_range_counts_exit_1(tmp_path, argv):

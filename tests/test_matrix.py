@@ -103,6 +103,21 @@ def test_binary_rejects_bad_magic(tmp_path):
         load_matrix(path, "binary")
 
 
+def test_load_reads_the_format_from_the_file(tmp_path):
+    m = as_matrix(np.arange(12.0).reshape(4, 3) / 7)
+    save_matrix(m, tmp_path / "x.csv")  # binary, the default
+    save_matrix(m, tmp_path / "y.bin", "csv")
+    assert np.array_equal(load_matrix(tmp_path / "x.csv"), m)
+    assert np.array_equal(load_matrix(tmp_path / "y.bin"), m)
+
+
+def test_csv_that_is_not_utf8_is_a_format_error(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"1,2\n3,\xe9\n")
+    with pytest.raises(FormatError, match="not UTF-8"):
+        load_matrix(path)
+
+
 def test_binary_rejects_truncation(tmp_path):
     m = as_matrix(np.ones((4, 4)))
     path = tmp_path / "m.bin"

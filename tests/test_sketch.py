@@ -791,6 +791,54 @@ def test_saved_state_is_its_message_and_round_trips(tmp_path, family):
     assert np.array_equal(back.data, bulk.data)
 
 
+@pytest.mark.parametrize("family", ["countsketch", "osnap", "srht"])
+@pytest.mark.parametrize("key", ["k", "s"])
+def test_load_state_rejects_a_sidecar_whose_k_or_s_was_edited(tmp_path, family, key):
+    a = np.random.default_rng(37).standard_normal((300, 8))
+    spec = SketchSpec(family, eps=0.5, d=8, seed=9, rows_override=64 if family == "srht" else None)
+    path, meta_path = tmp_path / "s.bin", tmp_path / "s.json"
+    save_state(apply_sketch(a, spec), path)
+    meta = json.loads(meta_path.read_text())
+    message = {name: meta.pop(name) for name in ("n_rows", "nodes", "rows")}
+    assert meta == spec.to_json_dict()
+    meta_path.write_text(json.dumps(meta | message | {key: meta[key] + 1}))
+    with pytest.raises(FormatError, match="but its spec gives"):
+        load_state(path)
+
+
+def test_absorbed_nodes_do_not_keep_the_message_rows_alive():
+    # leaves of 1024 rows: s2's message is the node of leaf 1 plus rows 2048..2500
+    a = np.random.default_rng(41).standard_normal((4096, 4))
+    spec = cs_spec(d=4, rows_override=64)
+    s1 = consume_rows(SketchState(spec, 4096), a[:1024], 0)
+    s2 = consume_rows(SketchState(spec, 4096), a[1024:2500], 1024)
+    both = merge(s1, s2)
+    assert list(both._nodes) == [(1, 0)] and list(both._pending) == [2]
+    assert both._nodes[(1, 0)].base is None
+    assert np.array_equal(both.data, apply_sketch(np.where(np.arange(4096)[:, None] < 2500, a, 0.0), spec).data)
+    # a message of nodes only is absorbed without a copy
+    s3 = consume_rows(SketchState(spec, 4096), a[1024:2048], 1024)
+    assert merge(s1, s3)._nodes[(1, 0)].base is not None
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**63 + 5])
+@pytest.mark.parametrize("family, s", [("countsketch", None), ("osnap", 1), ("osnap", 8)])
+def test_hash_keys_are_splitmix64(seed, family, s):
+    # splitmix64 with Python ints, from state seed ^ tag * G
+    m64, golden = (1 << 64) - 1, 0x9E3779B97F4A7C15
+    state = (seed ^ {"countsketch": 0x6353, "osnap": 0x6F53}[family] * golden) & m64
+    keys = []
+    for _ in range(3 * (s or 1)):
+        state = (state + golden) & m64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & m64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & m64
+        keys.append(z ^ (z >> 31))
+    st_ = SketchState(SketchSpec(family, eps=0.5, d=16, osnap_s=s, seed=seed), 100)
+    n = len(keys) // 3
+    assert st_._hash_a == [key | 1 for key in keys[:n]]
+    assert (st_._hash_b, st_._sign_keys) == (keys[n : 2 * n], keys[2 * n :])
+
+
 @pytest.mark.parametrize(
     "nodes, rows, extra",
     [
