@@ -86,10 +86,7 @@ def leverage_exact(a) -> LeverageResult:
     multiplying A again would bring back the O(kappa u) error.
     """
     a = as_matrix(a)
-    svd = _right_svd(a)
-    if svd.sigma[0] <= 0:
-        raise DegenerateInputError("leverage scores of an all-zero matrix are undefined")
-    kept = truncate(svd, MACHINE_RANK_TOL)
+    kept = truncate(_right_svd(a), MACHINE_RANK_TOL)
     n, d = a.shape
     r = kept.rank
     # Y, the scores, the basis, Gram / C / C^-1, and per score block its

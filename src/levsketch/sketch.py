@@ -33,9 +33,10 @@ partition, merge order or chunking of the stream gives the same bits,
 whatever the data. A saved state is exactly that message: its nodes and its
 rows of partly held leaves.
 
-Hashing is seed-keyed multiply-shift for bucket choice and the low bit of a
-keyed splitmix64-style mix for signs; both are cheap pairwise-independent
-families, and everything derives deterministically from ``SketchSpec.seed``.
+Every draw derives from ``SketchSpec.seed``, and none is kept per row.
+CountSketch and OSNAP hash the row index: keyed multiply-shift picks the
+bucket, a keyed splitmix64 bit the sign. SRHT's sign of row r is draw r of one
+Philox stream, drawn when r's leaf is reduced; the sample follows the m signs.
 """
 
 import bisect
@@ -100,16 +101,11 @@ class SketchSpec:
             raise UnsupportedFamilyError(f"unknown sketch family {self.family!r}; expected one of {FAMILIES}")
         if not 0 < self.eps < 1:
             raise ConfigurationError(f"eps must be in (0, 1), got {self.eps}")
-        if self.d < 1:
-            raise ConfigurationError(f"d must be at least 1, got {self.d}")
         if self.osnap_s is not None and self.family != OSNAP:
             raise ConfigurationError(f"osnap_s applies to OSNAP only, not {self.family}")
-        if self.osnap_s is not None and self.osnap_s < 1:
-            raise ConfigurationError(f"osnap_s must be at least 1, got {self.osnap_s}")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
-        if self.rows_override is not None and self.rows_override < 1:
-            raise ConfigurationError(f"rows_override must be at least 1, got {self.rows_override}")
+        for name, least in (("d", 1), ("osnap_s", 1), ("seed", 0), ("rows_override", 1)):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _integer(getattr(self, name), name, least))
 
     @property
     def s(self) -> int:
@@ -124,6 +120,13 @@ class SketchSpec:
         """The sketch as every sidecar records it: the spec's fields plus the
         derived row count ``k`` and nonzeros per column ``s``."""
         return asdict(self) | {"k": sketch_rows(self), "s": self.s}
+
+
+def _integer(value, name: str, least: int) -> int:
+    """``value`` as an int, if it is an integer (not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ConfigurationError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return int(value)
 
 
 def _next_pow2(v: int) -> int:
@@ -197,10 +200,11 @@ def _tree_state_elements(spec: SketchSpec, n: int) -> int:
     (a leaf kernel's result and its working copy, or a combination's inputs
     and sum), a partial-leaf row buffer at each end of the range, and the
     leaf kernel's working set. For CountSketch and OSNAP that is one gathered
-    chunk and the index arrays of the bucket sort; for SRHT, the m signs and
-    k sample indices, the block-transformed rows of a leaf and one chunk of
-    its sign-flipped rows, ``H_B``, one block of the +-1 factor with two
-    temporaries of its size, and k-long index arrays."""
+    chunk and the index arrays of the bucket sort; for SRHT, the sample draw
+    (``choice`` shuffles all m indices once k passes about m/50), a leaf's signs,
+    its block-transformed rows and one chunk of its sign-flipped rows, ``H_B``,
+    one block of the +-1 factor with two temporaries of its size, and k-long
+    index arrays."""
     k, d = sketch_rows(spec), spec.d
     leaf = _leaf_rows(k)
     n_leaves = -(-n // leaf)
@@ -208,11 +212,12 @@ def _tree_state_elements(spec: SketchSpec, n: int) -> int:
     tree = (2 * (n_leaves - 1).bit_length() + 2) * k * d + min(2, n_leaves) * height * d
     if spec.family == SRHT:
         m = _next_pow2(n)
-        block = _srht_block_rows(k, m)
+        block = _srht_block_rows(k)
         n_blocks = -(-height // block)
         factor_rows = min(k, max(_GATHER_ELEMENTS // n_blocks, m // block))
         flipped = max(block * d, _GATHER_ELEMENTS)
-        return tree + m + 6 * k + n_blocks * block * d + flipped + block * block + 3 * factor_rows * n_blocks
+        sample = min(m, 50 * k) + 6 * k
+        return tree + sample + height + n_blocks * block * d + flipped + block * block + 3 * factor_rows * n_blocks
     return tree + max(d, _GATHER_ELEMENTS) + 10 * spec.s * height + 4 * k
 
 
@@ -224,28 +229,24 @@ class SketchState:
     """
 
     def __init__(self, spec: SketchSpec, n_rows: int):
-        if n_rows < 1:
-            raise ConfigurationError(f"n_rows must be at least 1, got {n_rows}")
         self.spec = spec
         self.d = spec.d
         self.k = sketch_rows(spec)
-        self.n_rows = n_rows
+        self.n_rows = n_rows = _integer(n_rows, "n_rows", 1)
         self._leaf = _leaf_rows(self.k)
         self._n_leaves = -(-n_rows // self._leaf)
         self._top = (self._n_leaves - 1).bit_length()
         self._nodes = {}  # (level, i) -> k x d sum of the rows under the node
         self._pending = {}  # leaf -> (its rows, zero where absent; mask of rows present)
+        m = _next_pow2(n_rows)
+        if spec.family == SRHT and self.k > m:
+            raise ConfigurationError(f"SRHT needs k <= padded row count: k={self.k}, padded rows={m}")
         ensure_capacity(8 * _tree_state_elements(spec, n_rows), "sketch tree and leaf kernel")
         if spec.family == SRHT:
-            m = _next_pow2(n_rows)
-            if self.k > m:
-                raise ConfigurationError(f"SRHT needs k <= padded row count: k={self.k}, padded rows={m}")
-            self._block = _srht_block_rows(self.k, m)
+            self._block = _srht_block_rows(self.k)
             self._scale = 1.0 / math.sqrt(self.k)
-            rng = np.random.Generator(
-                np.random.Philox(np.random.SeedSequence([_SRHT_SAMPLE_STREAM, spec.seed]))
-            )
-            self._signs = (2.0 * rng.integers(0, 2, m) - 1.0).astype(np.float64)
+            rng = _srht_draws(spec.seed, m - m % 8)
+            rng.integers(0, 2, m % 8)  # the last signs, where m < 8 ends mid counter step
             sample = np.sort(rng.choice(m, size=self.k, replace=False))
             # grouped by low index, so that each group is one contiguous GEMM output
             self._sample = sample[np.argsort(sample & (self._block - 1), kind="stable")]
@@ -303,7 +304,7 @@ class SketchState:
         the family's leaf kernel."""
         if self.spec.family == SRHT:
             lo = leaf * self._leaf
-            signs = self._signs[lo : lo + rows.shape[0]]
+            signs = 2.0 * _srht_draws(self.spec.seed, lo).integers(0, 2, rows.shape[0]) - 1.0
             return _sampled_hadamard(rows, signs, self._sample, self._block, lo, self._scale)
         return self._bucket_sums(leaf, rows)
 
@@ -483,17 +484,12 @@ def merge(s1: SketchState, s2: SketchState) -> SketchState:
     does. Linearity of the sketch makes it the state that would have been
     produced by consuming both row sets in one pass, bit for bit. A row held
     by both inputs raises IncompatibleSketchError. It runs no memory-cap check
-    (the inputs passed theirs), and SRHT's sign and sample draws are not
-    repeated. Neither input is modified.
+    (the inputs passed theirs). Neither input is modified.
     """
     if s1.spec != s2.spec or s1.n_rows != s2.n_rows:
         raise IncompatibleSketchError(
             f"cannot merge sketches with different specs: {s1.spec} / {s2.spec} "
             f"over {s1.n_rows} / {s2.n_rows} rows"
-        )
-    if s1.rows_consumed + s2.rows_consumed > s1.n_rows:
-        raise IncompatibleSketchError(
-            "merged states would cover more rows than the stream holds; inputs must be disjoint"
         )
     out = copy.copy(s1)
     out._nodes = dict(s1._nodes)
@@ -514,11 +510,18 @@ def _hadamard(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * parity
 
 
-def _srht_block_rows(k: int, m: int) -> int:
+def _srht_block_rows(k: int) -> int:
     """Block height B of the split ``H_m = H_{m/B} (x) H_B``: the power of two
     at or above sqrt(k), which balances the n*B*d block transform against the
     k*(n/B)*d sampled-row products."""
-    return min(m, _next_pow2(math.ceil(math.sqrt(k))))
+    return _next_pow2(math.ceil(math.sqrt(k)))
+
+
+def _srht_draws(seed: int, start: int) -> np.random.Generator:
+    """SRHT's Philox stream from 32-bit draw ``start`` on, a multiple of 8: a counter
+    step gives eight draws, and ``integers(0, 2)`` takes one per value, never rejecting."""
+    seeds = np.random.SeedSequence([_SRHT_SAMPLE_STREAM, seed])
+    return np.random.Generator(np.random.Philox(seeds, counter=start // 8))
 
 
 def _sampled_hadamard(
@@ -598,13 +601,13 @@ def _integer_pairs(value, what: str) -> list[tuple[int, int]]:
 def load_state(data_path, meta_path=None) -> SketchState:
     """Rebuild a state from :func:`save_state` output.
 
-    The sidecar is checked as outside input: its ``k`` and ``s`` are the
-    spec's, every node key lies inside the tree, no two keys or row ranges
-    overlap, every range lies inside one leaf, and the payload holds k rows
-    per node plus the held rows; a violation raises FormatError. The result
-    is an ordinary state, built by the constructor (and checked against the
-    memory cap): it consumes, merges and rejects rows it already holds like
-    the saved one, bit for bit.
+    The sidecar is checked as outside input: its fields build a spec and a
+    state, its ``k`` and ``s`` are the spec's, every node key lies inside the
+    tree, no two keys or row ranges overlap, every range lies inside one leaf,
+    and the payload holds k rows per node plus the held rows; a violation
+    raises FormatError. The result is an ordinary state, built by the
+    constructor (and checked against the memory cap): it consumes, merges and
+    rejects rows it already holds like the saved one, bit for bit.
     """
     data_path = Path(data_path)
     meta_path = Path(meta_path) if meta_path is not None else data_path.with_suffix(".json")
@@ -618,7 +621,7 @@ def load_state(data_path, meta_path=None) -> SketchState:
         state = SketchState(spec, meta["n_rows"])
         keys = _integer_pairs(meta["nodes"], f"{meta_path}: nodes")
         ranges = _integer_pairs(meta["rows"], f"{meta_path}: rows")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigurationError, UnsupportedFamilyError) as exc:
         raise FormatError(f"{meta_path}: malformed sketch sidecar: {exc!r}") from None
     n, leaf_rows = state.n_rows, state._leaf
     for level, i in keys:

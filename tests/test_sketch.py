@@ -118,20 +118,70 @@ def test_spec_validation():
             SketchSpec(family, eps=0.5, d=4, osnap_s=4)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("d", 4.0),
+        ("d", True),
+        ("seed", 1.0),
+        ("seed", True),
+        ("osnap_s", 2.0),
+        ("rows_override", 64.0),
+        ("rows_override", True),
+    ],
+)
+def test_spec_refuses_a_field_that_is_not_an_integer(field, value):
+    family = "osnap" if field == "osnap_s" else "countsketch"
+    with pytest.raises(ConfigurationError, match=field):
+        SketchSpec(**{"family": family, "eps": 0.5, "d": 4, field: value})
+
+
+@pytest.mark.parametrize("n_rows", [3000.0, True, "3000"])
+def test_state_refuses_a_row_count_that_is_not_an_integer(n_rows):
+    with pytest.raises(ConfigurationError, match="n_rows"):
+        SketchState(cs_spec(), n_rows)
+
+
+def test_numpy_integers_are_taken_as_python_ints():
+    spec = SketchSpec(
+        "osnap", eps=0.5, d=np.int64(4), osnap_s=np.int32(2), seed=np.uint64(3), rows_override=np.int64(16)
+    )
+    plain = SketchSpec("osnap", eps=0.5, d=4, osnap_s=2, seed=3, rows_override=16)
+    assert spec == plain and all(type(v) is int for v in (spec.d, spec.osnap_s, spec.seed, spec.rows_override))
+    assert json.dumps(spec.to_json_dict()) == json.dumps(plain.to_json_dict())
+    a = np.random.default_rng(46).standard_normal((300, 4))
+    state = consume_rows(SketchState(spec, np.int64(300)), a, 0)
+    assert type(state.n_rows) is int
+    assert np.array_equal(state.data, apply_sketch(a, plain).data)
+
+
 # ---------------------------------------------------------------------------
 # Column structure of the implicit matrix
 
 
+def srht_draws(spec: SketchSpec, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """SRHT's m signs and its sample, drawn in one pass from one Philox stream
+    (all m signs, then the sample), with the sample in the order of the
+    state's rows: the oracle for the per-leaf draws of the package."""
+    m, state = _next_pow2(n_rows), SketchState(spec, n_rows)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([0x5348, spec.seed])))
+    signs = 2.0 * rng.integers(0, 2, m) - 1.0
+    sample = rng.choice(m, state.k, replace=False)
+    assert np.array_equal(np.sort(state._sample), np.sort(sample))
+    return signs, state._sample
+
+
 def sketch_matrix(spec: SketchSpec, n_rows: int) -> np.ndarray:
-    """Materialize S as a dense k x n matrix from the state's hash keys, signs
-    and sample: the oracle for the streaming products of the package."""
+    """Materialize S as a dense k x n matrix from the state's hash keys, or
+    from SRHT's one-pass draws: the oracle for the streaming products of the
+    package."""
     state = SketchState(spec, n_rows)
     idx = np.arange(n_rows, dtype=np.uint64)
     cols = np.arange(n_rows)
     if spec.family == "srht":
         # overall scale sqrt(m/k)/sqrt(m)
-        signs_h = _hadamard(state._sample, cols)
-        return signs_h * state._signs[None, :n_rows] / math.sqrt(state.k)
+        signs, sample = srht_draws(spec, n_rows)
+        return _hadamard(sample, cols) * signs[None, :n_rows] / math.sqrt(state.k)
     s_mat = np.zeros((state.k, n_rows))
     for j in range(spec.s):
         buckets = state._block_offsets[j] + _bucket_hash(
@@ -453,6 +503,16 @@ def test_tree_state_peak_within_its_capacity_check(family, override, d, n, lo, h
     assert peak <= need
 
 
+@pytest.mark.parametrize("family", ["countsketch", "osnap", "srht"])
+def test_a_range_that_starts_mid_tree_holds_two_nodes_on_a_level(family):
+    # the premise of the figure's two nodes per level: leaves of 1024 rows,
+    # eight leaves; rows 1024..7167 are leaves 1 to 6
+    spec = SketchSpec(family, eps=0.5, d=4, seed=3, rows_override=64)
+    a = np.random.default_rng(45).standard_normal((8192, 4))
+    state = consume_rows(SketchState(spec, 8192), a[1024:7168], 1024)
+    assert sorted(state._nodes) == [(0, 1), (0, 6), (1, 1), (1, 2)]
+
+
 # ---------------------------------------------------------------------------
 # Walsh-Hadamard transform and SRHT
 
@@ -513,9 +573,10 @@ def test_srht_matches_explicit_matrix_oracle():
     state = apply_sketch(a, spec)
     m = 64
     h = scipy.linalg.hadamard(m).astype(float)
-    d_signs = np.diag(state._signs)
+    signs, sample = srht_draws(spec, 64)
+    d_signs = np.diag(signs)
     p = np.zeros((32, m))
-    p[np.arange(32), state._sample] = 1.0
+    p[np.arange(32), sample] = 1.0
     s_explicit = math.sqrt(m / 32) * p @ (h / math.sqrt(m)) @ d_signs
     assert np.allclose(state.data, s_explicit @ a, atol=1e-10)
     # the diagnostic dense path agrees too
@@ -563,6 +624,10 @@ def test_sampled_hadamard_matches_butterfly_and_scipy(n, d, block, k):
         (100, 3, 1),  # k = 1
         (513, 1, 64),  # d = 1
         (1, 2, 1),  # a single row
+        (2, 3, 2),  # m = 2: the sample starts two draws into a counter step
+        (3, 2, 4),  # m = 4
+        (5, 2, 3),  # m = 8: the sample starts at the second counter step
+        (5000, 3, 64),  # five leaves, each drawing its signs from its first row
     ],
 )
 def test_srht_state_matches_butterfly(n, d, k):
@@ -573,7 +638,8 @@ def test_srht_state_matches_butterfly(n, d, k):
     assert state.data.shape == (k, d)
     padded = np.zeros((_next_pow2(n), d))
     padded[:n] = a
-    butterfly = fwht(state._signs[:, None] * padded)[state._sample] / math.sqrt(k)
+    signs, sample = srht_draws(spec, n)
+    butterfly = fwht(signs[:, None] * padded)[sample] / math.sqrt(k)
     np.testing.assert_allclose(state.data, butterfly, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(state.data, sketch_matrix(spec, n) @ a, rtol=1e-12, atol=1e-12)
 
@@ -662,7 +728,18 @@ def test_srht_merge_rejects_overlapping_rows():
         consume_rows(both, a[7:], 7)
 
 
-@pytest.mark.parametrize("n, d, k", [(3000, 16, 256), (5000, 4, 1024), (1 << 14, 8, 1 << 14)])
+@pytest.mark.parametrize(
+    "n, d, k",
+    [
+        (3000, 16, 256),
+        (5000, 4, 1024),
+        (1 << 14, 8, 1 << 14),
+        # d = 1, where the leaf kernel's +-1 factor sets the peak
+        (2000, 1, 2048),
+        (1500, 1, 100),
+        (3000, 1, 64),
+    ],
+)
 def test_srht_state_peak_within_its_capacity_check(n, d, k, monkeypatch):
     spec = SketchSpec("srht", eps=0.5, d=d, seed=5, rows_override=k)
     a = np.random.default_rng(n).standard_normal((n, d))
@@ -678,6 +755,18 @@ def test_srht_state_peak_within_its_capacity_check(n, d, k, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= need
+
+
+def test_srht_state_does_not_grow_with_the_stream(monkeypatch):
+    # one sign per row would take 8 GiB here; the state keeps the tree and a leaf's draws
+    monkeypatch.setenv("LVSK_MEM_CAP", str(4 << 20))
+    n = 1 << 30
+    spec = SketchSpec("srht", eps=0.5, d=4, seed=3, rows_override=64)
+    a = np.random.default_rng(44).standard_normal((3000, 4))
+    state = consume_rows(SketchState(spec, n), a, n - 3000)
+    assert state.rows_consumed == 3000
+    assert sorted(state._nodes) == [(1, (n >> 10) // 2 - 1)] and list(state._pending) == [(n >> 10) - 3]
+    assert np.isfinite(state.data).all() and state.data.any()
 
 
 def test_srht_k_must_fit_padded_rows():
@@ -869,4 +958,20 @@ def test_load_state_rejects_a_malformed_sidecar(tmp_path, nodes, rows, extra):
     held = sum(max(0, hi - lo) for lo, hi in rows)
     save_matrix(np.ones((64 * len(nodes) + held + extra, 4)), path)
     with pytest.raises(FormatError):
+        load_state(path)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [{"n_rows": 3000.0}, {"d": 4.0}, {"rows_override": 64.0}, {"osnap_s": 2}],
+    ids=["n_rows-float", "d-float", "rows_override-float", "osnap_s-for-countsketch"],
+)
+def test_load_state_refuses_a_mistyped_field(tmp_path, edit):
+    # rows 0..1499: the node of leaf 0 and a row range of leaf 1
+    a = np.random.default_rng(47).standard_normal((3000, 4))
+    path, meta_path = tmp_path / "s.bin", tmp_path / "s.json"
+    save_state(consume_rows(SketchState(cs_spec(d=4, rows_override=64), 3000), a[:1500], 0), path)
+    meta = json.loads(meta_path.read_text())
+    meta_path.write_text(json.dumps(meta | edit))
+    with pytest.raises(FormatError, match="malformed sketch sidecar"):
         load_state(path)
