@@ -36,7 +36,7 @@ from .matrix import (
     text_lines,
     write_json,
 )
-from .order import OrderingPolicy, emit_batches, make_plan, save_manifest, save_plan, scores_to_distribution
+from .order import OrderingPolicy, make_plan, save_manifest, save_plan, scores_to_distribution
 from .sketch import FAMILIES, SketchSpec
 from .svd import singular_values
 
@@ -228,12 +228,14 @@ def cmd_leverage(args) -> int:
 def cmd_order(args) -> int:
     if args.epochs < 1:
         raise ConfigurationError(f"--epochs must be at least 1, got {args.epochs}")
+    if args.batch < 1:
+        raise ConfigurationError(f"batch_size must be at least 1, got {args.batch}")
     scores = load_scores(args.scores)
     p = scores_to_distribution(scores)
     policy = OrderingPolicy(kind=args.policy.replace("-", "_"), seed=args.seed)
     plans = [make_plan(p, policy, epoch) for epoch in range(args.epochs)]
     extra = _metadata(args, "order")
-    extra["batches_per_epoch"] = len(emit_batches(plans[0], args.batch))  # checks --batch before any write
+    extra["batches_per_epoch"] = -(-plans[0].indices.size // args.batch)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = [f"{args.prefix}epoch_{plan.epoch:04d}.txt" for plan in plans]

@@ -45,7 +45,7 @@ from .errors import (
     FormatError,
     SingularInversionError,
 )
-from .matrix import as_matrix, format_float, write_json
+from .matrix import FLOAT_FORMAT, as_matrix, write_json
 from .sketch import SketchSpec, SketchState, _consume, merge
 from .svd import SvdResult, _right_svd, right_svd, truncate
 
@@ -57,6 +57,11 @@ ORACLE_MAX_ROWS = 5000
 
 # Height of the fixed, globally aligned row blocks the score GEMM runs on.
 SCORE_BLOCK_ROWS = 1024
+
+# save_scores formats this many rows per write, in one pass of % over them;
+# the pass holds a Python float and str per row, so the block stays small.
+_SAVE_SCORES_ROWS = 4096
+_SCORE_LINE = f"%d,{FLOAT_FORMAT}\n"
 
 
 @dataclass
@@ -295,9 +300,11 @@ def leverage_sketched_trunc(a, spec: SketchSpec, sv_tol: float) -> LeverageResul
 def save_scores(result: LeverageResult, csv_path, meta_path=None, extra_meta: dict | None = None) -> None:
     csv_path = Path(csv_path)
     meta_path = Path(meta_path) if meta_path is not None else Path(str(csv_path) + ".json")
+    scores = result.scores
     with open(csv_path, "w") as f:
-        for i, v in enumerate(result.scores):
-            f.write(f"{i},{format_float(v)}\n")
+        for start in range(0, scores.shape[0], _SAVE_SCORES_ROWS):
+            block = scores[start : start + _SAVE_SCORES_ROWS].tolist()
+            f.write("".join(map(_SCORE_LINE.__mod__, zip(range(start, start + len(block)), block))))
     meta = {
         "method": result.method,
         "sketch": result.spec.to_json_dict() if result.spec is not None else None,

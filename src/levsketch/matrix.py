@@ -97,8 +97,13 @@ def save_matrix(m: np.ndarray, path, format: str = "binary") -> None:
         raise ConfigurationError(f"unknown matrix format {format!r}")
 
 
+# The text spelling of a float64 in every CSV this package writes; 17
+# significant digits round-trip any float64 exactly.
+FLOAT_FORMAT = "%.17g"
+
+
 def format_float(v: float) -> str:
-    return "%.17g" % v
+    return FLOAT_FORMAT % v
 
 
 def text_lines(path):

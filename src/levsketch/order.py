@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import ensure_capacity
 from .errors import ConfigurationError, DegenerateInputError
 from .matrix import write_json
 
@@ -27,6 +28,11 @@ DEC_SWOR = "dec_swor"
 POLICY_KINDS = (SHUFFLE, DEC, DEC_SWR, DEC_SWOR)
 
 _ORDER_STREAM = 0x4F52
+
+# save_plan encodes this many indices at a time, so its working set stays
+# under 1 MiB whatever the plan's length.
+_PLAN_CHUNK = 1 << 14
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -77,6 +83,10 @@ def make_plan(p, policy: OrderingPolicy, epoch: int = 0) -> OrderingPlan:
     i.i.d. samples from p. ``dec_swor`` and ``shuffle`` emit permutations;
     zero-probability items never appear in ``dec_swr`` output but sort/sample
     last under the permutation policies.
+
+    Needs 32 bytes per item under the memory cap: p as float64, and the
+    cumulative sum, uniform draw and drawn indices that ``dec_swr`` holds at
+    once, the most of any policy.
     """
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
@@ -86,6 +96,7 @@ def make_plan(p, policy: OrderingPolicy, epoch: int = 0) -> OrderingPlan:
     if epoch < 0:
         raise ConfigurationError(f"epoch must be nonnegative, got {epoch}")
     n = p.size
+    ensure_capacity(32 * n, f"ordering plan over {n} items")
     if policy.kind == DEC:
         indices = np.argsort(-p, kind="stable")
     elif policy.kind == SHUFFLE:
@@ -95,9 +106,10 @@ def make_plan(p, policy: OrderingPolicy, epoch: int = 0) -> OrderingPlan:
     else:  # DEC_SWOR: exponential-keys race
         rng = _epoch_rng(policy, epoch)
         with np.errstate(divide="ignore", invalid="ignore"):
-            keys = rng.exponential(size=n) / p
+            keys = rng.exponential(size=n)
+            keys /= p
         indices = np.argsort(keys, kind="stable")
-    return OrderingPlan(epoch=epoch, indices=indices.astype(np.int64), policy=policy)
+    return OrderingPlan(epoch=epoch, indices=indices.astype(np.int64, copy=False), policy=policy)
 
 
 def emit_batches(plan: OrderingPlan, batch_size: int) -> list[np.ndarray]:
@@ -108,11 +120,39 @@ def emit_batches(plan: OrderingPlan, batch_size: int) -> list[np.ndarray]:
     return [idx[i : i + batch_size] for i in range(0, idx.size, batch_size)]
 
 
+def _decimal_lines(q: np.ndarray) -> np.ndarray:
+    """The bytes of nonnegative int64 values in ASCII decimal, each followed
+    by a newline."""
+    width = np.ones(q.size, dtype=np.int64)
+    top = q.max()
+    for power in _POWERS_OF_TEN:
+        if power > top:
+            break
+        width += q >= power
+    ends = np.cumsum(width + 1)
+    buf = np.empty(int(ends[-1]), dtype=np.uint8)
+    buf[ends - 1] = ord("\n")
+    pos = ends - 2  # each value's last digit; digits are written right to left
+    for _ in range(int(width.max())):
+        q, digit = np.divmod(q, 10)
+        digit += ord("0")
+        buf[pos] = digit
+        more = q > 0
+        if not more.all():
+            q, pos = q[more], pos[more]
+        pos -= 1
+    return buf
+
+
 def save_plan(plan: OrderingPlan, path) -> None:
-    """One index per line; the hand-off format for external training loops."""
-    with open(Path(path), "w") as f:
-        f.write("\n".join(str(int(i)) for i in plan.indices))
-        f.write("\n")
+    """One index per line in ASCII decimal, with a final newline; the hand-off
+    format for external training loops."""
+    indices = np.asarray(plan.indices, dtype=np.int64)
+    if indices.ndim != 1 or indices.size == 0 or indices.min() < 0:
+        raise DegenerateInputError("a plan's indices must be a non-empty 1-D array of nonnegative integers")
+    with open(Path(path), "wb") as f:
+        for start in range(0, indices.size, _PLAN_CHUNK):
+            f.write(_decimal_lines(indices[start : start + _PLAN_CHUNK]))
 
 
 def save_manifest(plans: list[OrderingPlan], files: list[str], batch_size: int, path, extra: dict | None = None) -> None:

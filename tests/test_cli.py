@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from levsketch import SketchSpec, config, load_matrix, load_scores
+from levsketch import OrderingPolicy, SketchSpec, config, load_matrix, load_scores, make_plan, scores_to_distribution
 from levsketch.cli import main
 from levsketch.sketch import FAMILIES
 
@@ -142,6 +142,24 @@ def test_order_pipeline(tmp_path):
     for name in manifest["epoch_files"]:
         lines = (tmp_path / "plans" / name).read_text().split()
         assert sorted(int(v) for v in lines) == list(range(30))
+
+
+@pytest.mark.parametrize("policy", ["shuffle", "dec", "dec-swr", "dec-swor"])
+def test_order_epoch_files_hold_make_plan(tmp_path, policy):
+    mat, scores, out = tmp_path / "a.bin", tmp_path / "l.csv", tmp_path / "plans"
+    assert run(["gen", "--n", "300", "--d", "4", "--seed", "2", "--out", str(mat)]) == 0
+    assert run(["leverage", "--in", str(mat), "--out", str(scores)]) == 0
+    argv = ["order", "--scores", str(scores), "--policy", policy, "--seed", "4",
+            "--epochs", "3", "--batch", "64", "--out-dir", str(out)]
+    assert run(argv) == 0
+    manifest = json.loads((out / "order_manifest.json").read_text())
+    assert manifest["batches_per_epoch"] == 5
+    p = scores_to_distribution(load_scores(scores))
+    for epoch, name in enumerate(manifest["epoch_files"]):
+        plan = make_plan(p, OrderingPolicy(policy.replace("-", "_"), seed=4), epoch)
+        text = (out / name).read_text()
+        assert text.endswith("\n")
+        assert np.array_equal(np.array(text.split("\n")[:-1], dtype=np.int64), plan.indices)
 
 
 def test_unknown_method_exits_2(tmp_path):

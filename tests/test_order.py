@@ -1,8 +1,25 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from levsketch import OrderingPolicy, emit_batches, make_plan, scores_to_distribution
-from levsketch.errors import ConfigurationError, DegenerateInputError
+from levsketch import OrderingPlan, OrderingPolicy, emit_batches, make_plan, scores_to_distribution
+from levsketch.errors import CapacityError, ConfigurationError, DegenerateInputError
+from levsketch.order import _PLAN_CHUNK, save_plan
+
+
+def str_join_plan_bytes(indices) -> bytes:
+    """The plan file as a per-index str() join writes it: the reference for
+    save_plan's bytes."""
+    return ("\n".join(str(int(i)) for i in indices) + "\n").encode("ascii")
+
+
+def saved_plan_bytes(indices, path) -> bytes:
+    save_plan(OrderingPlan(epoch=0, indices=np.asarray(indices, dtype=np.int64), policy=OrderingPolicy("dec")), path)
+    return path.read_bytes()
 
 
 def test_distribution_normalizes():
@@ -148,3 +165,78 @@ def test_policy_validation():
         make_plan(np.array([0.5, 0.2]), OrderingPolicy("dec", seed=0))
     with pytest.raises(ConfigurationError):
         make_plan(p, OrderingPolicy("dec", seed=0), epoch=-1)
+
+
+def test_make_plan_checks_its_memory_figure_before_drawing(monkeypatch):
+    n = 50000
+    p = scores_to_distribution(np.random.default_rng(6).random(n))
+    need = 32 * n  # p, then dec_swr's cumulative sum, uniform draw and drawn indices
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a plan was drawn despite the memory cap")
+
+    for kind in ("shuffle", "dec", "dec_swr", "dec_swor"):
+        policy = OrderingPolicy(kind, seed=3)
+        monkeypatch.setenv("LVSK_MEM_CAP", str(need - 1))
+        with monkeypatch.context() as m:
+            m.setattr(np.random, "Philox", refuse)
+            m.setattr(np, "argsort", refuse)
+            with pytest.raises(CapacityError):
+                make_plan(p, policy, 1)
+        monkeypatch.setenv("LVSK_MEM_CAP", str(need))
+        tracemalloc.start()
+        try:
+            plan = make_plan(p, policy, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= need, kind
+        assert plan.indices.dtype == np.int64 and plan.indices.size == n
+
+
+@pytest.mark.parametrize(
+    "indices",
+    [
+        [0],
+        [7],
+        [0, 0, 0, 0],
+        [v for k in range(1, 13) for v in (10**k - 1, 10**k, 10**k + 1)],
+        [2**63 - 1, 0, 10**18, 10**18 - 1],
+    ],
+    ids=["zero", "one-index", "all-zeros", "powers-of-ten", "int64-extremes"],
+)
+def test_save_plan_writes_the_str_join_bytes(indices, tmp_path):
+    assert saved_plan_bytes(indices, tmp_path / "plan.txt") == str_join_plan_bytes(indices)
+
+
+def test_save_plan_bytes_of_drawn_plans(tmp_path):
+    rng = np.random.default_rng(8)
+    # a dec_swr plan repeats high-score indices; n spans more than one chunk
+    for n in (1000, 2 * _PLAN_CHUNK + 17):
+        p = scores_to_distribution(rng.random(n) ** 4)
+        for kind in ("shuffle", "dec", "dec_swr", "dec_swor"):
+            plan = make_plan(p, OrderingPolicy(kind, seed=5), epoch=1)
+            if kind == "dec_swr":
+                assert np.unique(plan.indices).size < n
+            path = tmp_path / f"{kind}_{n}.txt"
+            save_plan(plan, path)
+            assert path.read_bytes() == str_join_plan_bytes(plan.indices)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    indices=hnp.arrays(
+        np.int64,
+        st.integers(1, 300),
+        elements=st.one_of(st.integers(0, 2**63 - 1), st.integers(0, 10**7)),
+    )
+)
+def test_save_plan_bytes_property(indices, tmp_path_factory):
+    path = tmp_path_factory.mktemp("plan") / "plan.txt"
+    assert saved_plan_bytes(indices, path) == str_join_plan_bytes(indices)
+
+
+def test_save_plan_rejects_empty_and_negative_plans(tmp_path):
+    for indices in ([], [3, -1, 2]):
+        with pytest.raises(DegenerateInputError):
+            saved_plan_bytes(indices, tmp_path / "plan.txt")
