@@ -230,18 +230,19 @@ def cmd_order(args) -> int:
         raise ConfigurationError(f"--epochs must be at least 1, got {args.epochs}")
     if args.batch < 1:
         raise ConfigurationError(f"batch_size must be at least 1, got {args.batch}")
-    scores = load_scores(args.scores)
-    p = scores_to_distribution(scores)
+    p = scores_to_distribution(load_scores(args.scores))
     policy = OrderingPolicy(kind=args.policy.replace("-", "_"), seed=args.seed)
-    plans = [make_plan(p, policy, epoch) for epoch in range(args.epochs)]
-    extra = _metadata(args, "order")
-    extra["batches_per_epoch"] = -(-plans[0].indices.size // args.batch)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    files = [f"{args.prefix}epoch_{plan.epoch:04d}.txt" for plan in plans]
-    for plan, name in zip(plans, files):
+    files = [f"{args.prefix}epoch_{epoch:04d}.txt" for epoch in range(args.epochs)]
+    for epoch, name in enumerate(files):
+        if epoch:
+            del plan  # each plan is written as soon as it is drawn: one is held at a time
+        plan = make_plan(p, policy, epoch)
         save_plan(plan, out_dir / name)
-    save_manifest(plans, files, args.batch, out_dir / f"{args.prefix}manifest.json", extra=extra)
+    extra = _metadata(args, "order")
+    extra["batches_per_epoch"] = -(-p.size // args.batch)
+    save_manifest([plan], files, args.batch, out_dir / f"{args.prefix}manifest.json", extra=extra)
     return 0
 
 

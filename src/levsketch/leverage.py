@@ -64,6 +64,16 @@ _SAVE_SCORES_ROWS = 4096
 _SCORE_LINE = f"%d,{FLOAT_FORMAT}\n"
 
 
+def _load_scores_bytes(file_bytes: int) -> int:
+    """Bytes :func:`load_scores` needs for a file of ``file_bytes`` bytes. A
+    row is at least 4 bytes (``0,0`` and a newline, which the last row may
+    lack), and each costs at most 36: ``np.loadtxt``'s n x 2 float64 table
+    held twice while it grows by a quarter (16 + 20), more than the table
+    with the index check's range and mask (25) or with the returned column
+    (24). The reader's buffers add 64 KiB."""
+    return 36 * ((file_bytes + 1) // 4) + (1 << 16)
+
+
 @dataclass
 class LeverageResult:
     scores: np.ndarray
@@ -320,8 +330,10 @@ def save_scores(result: LeverageResult, csv_path, meta_path=None, extra_meta: di
 
 def load_scores(path) -> np.ndarray:
     """Read a scores CSV written by :func:`save_scores`: ``index,score`` rows
-    whose indices run 0..n-1 in order."""
+    whose indices run 0..n-1 in order. The memory cap is checked against
+    the file's size before it is parsed."""
     path = Path(path)
+    ensure_capacity(_load_scores_bytes(path.stat().st_size), f"scores file {path}")
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # an empty file is reported below

@@ -156,10 +156,12 @@ def save_plan(plan: OrderingPlan, path) -> None:
 
 
 def save_manifest(plans: list[OrderingPlan], files: list[str], batch_size: int, path, extra: dict | None = None) -> None:
+    """The JSON manifest of an ordering run: policy, seed and n from the
+    first plan (every epoch shares them), one epoch per file in ``files``."""
     manifest = {
         "policy": plans[0].policy.kind,
         "seed": plans[0].policy.seed,
-        "epochs": len(plans),
+        "epochs": len(files),
         "n": int(plans[0].indices.size),
         "batch_size": batch_size,
         "epoch_files": files,

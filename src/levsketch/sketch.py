@@ -12,8 +12,9 @@ Every family defines ``S @ A`` as a fixed binary tree over globally aligned
 leaves of L rows, L the power of two at or above max(k, 1024). A leaf is
 reduced to a k x d node by its family's kernel:
 
-- CountSketch and OSNAP: one plain float64 kernel; every bucket sums its
-  signed rows in row-index order, then the leaf is scaled by ``1/sqrt(s)``.
+- CountSketch and OSNAP: one sparse +-1 product (a k x L CSR matrix of the
+  hashed signs times the leaf's rows); every bucket sums its signed rows in
+  row-index order from zero, then the leaf is scaled by ``1/sqrt(s)``.
 - SRHT: the k sampled rows of ``H_m D``, restricted to the leaf's columns,
   times the leaf's rows, through the Sylvester split ``H_m = H_{m/B} (x) H_B``
   with B a power of two near sqrt(k) (B <= L, so a leaf holds whole B-row
@@ -47,6 +48,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse
 
 from .config import ensure_capacity
 from .errors import (
@@ -74,10 +76,10 @@ _GOLDEN = 0x9E3779B97F4A7C15  # splitmix64's increment
 _HASH_STREAM = {COUNTSKETCH: 0x6353, OSNAP: 0x6F53}
 _SRHT_SAMPLE_STREAM = 0x5348
 
-# Target size of a leaf kernel's small temporaries (a gathered, sign-flipped
-# block of rows; a block of SRHT's +-1 factor), in float64 elements
+# Target size of the SRHT leaf kernel's small temporaries (a chunk of
+# sign-flipped rows; a block of the +-1 factor), in float64 elements
 # (256 KiB): small enough to be used while still in cache.
-_GATHER_ELEMENTS = 1 << 15
+_CHUNK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -197,10 +199,14 @@ def _tree_state_elements(spec: SketchSpec, n: int) -> int:
     """Float64 elements (an index entry counted as one) a state over n rows
     holds at its peak while consuming a contiguous row range: the canonical
     nodes held (at most two per level below the root), two more k x d arrays
-    (a leaf kernel's result and its working copy, or a combination's inputs
-    and sum), a partial-leaf row buffer at each end of the range, and the
-    leaf kernel's working set. For CountSketch and OSNAP that is one gathered
-    chunk and the index arrays of the bucket sort; for SRHT, the sample draw
+    (a leaf kernel's result, or a combination's inputs and sum), a
+    partial-leaf row buffer at each end of the range, and the leaf kernel's
+    working set. For CountSketch and OSNAP that is the leaf's row indices
+    and, per hash copy and row, its bucket id, sign, place in the argsort
+    order, CSR entry and column index and scipy's int32 copy of that index,
+    plus the k-long bucket counts and CSR row pointers with their int32 copy
+    (the hashing's temporaries, a few leaf-long arrays, fit in the same
+    figure). For SRHT, the sample draw
     (``choice`` shuffles all m indices once k passes about m/50), a leaf's signs,
     its block-transformed rows and one chunk of its sign-flipped rows, ``H_B``,
     one block of the +-1 factor with two temporaries of its size, and k-long
@@ -214,11 +220,11 @@ def _tree_state_elements(spec: SketchSpec, n: int) -> int:
         m = _next_pow2(n)
         block = _srht_block_rows(k)
         n_blocks = -(-height // block)
-        factor_rows = min(k, max(_GATHER_ELEMENTS // n_blocks, m // block))
-        flipped = max(block * d, _GATHER_ELEMENTS)
+        factor_rows = min(k, max(_CHUNK_ELEMENTS // n_blocks, m // block))
+        flipped = max(block * d, _CHUNK_ELEMENTS)
         sample = min(m, 50 * k) + 6 * k
         return tree + sample + height + n_blocks * block * d + flipped + block * block + 3 * factor_rows * n_blocks
-    return tree + max(d, _GATHER_ELEMENTS) + 10 * spec.s * height + 4 * k
+    return tree + (6 * spec.s + 1) * height + 4 * k
 
 
 class SketchState:
@@ -309,17 +315,16 @@ class SketchState:
         return self._bucket_sums(leaf, rows)
 
     def _bucket_sums(self, leaf: int, rows: np.ndarray) -> np.ndarray:
-        """CountSketch and OSNAP kernel: each bucket sums its signed rows in
-        index order, then the result is scaled by 1/sqrt(s).
+        """CountSketch and OSNAP kernel: one sparse +-1 product, then the
+        scale 1/sqrt(s).
 
-        The s hash copies go through one stable sort by bucket, which gives
-        every contribution its depth (its rank within its bucket). Buckets are
-        laid out by decreasing count, so the buckets still live at depth t are
-        a prefix of the accumulator and each depth is one gathered, sign-
-        flipped block added to that prefix, in chunks of about
-        ``_GATHER_ELEMENTS``.
+        The s hash copies go through one stable sort by bucket, which makes
+        bucket b row b of a k x m CSR matrix whose entries are its signs at
+        its rows' leaf offsets, in row order. scipy's ``csr_matvecs`` starts
+        every output row at zero and adds its terms one after another in that
+        order, so every bucket sums its signed rows in row order.
         """
-        m, d, k = rows.shape[0], self.d, self.k
+        m, k = rows.shape[0], self.k
         lo = leaf * self._leaf
         idx = np.arange(lo, lo + m, dtype=np.uint64)
         buckets = np.empty((self.spec.s, m), dtype=np.int64)
@@ -330,26 +335,10 @@ class SketchState:
             )
             signs[j] = _sign_hash(idx, self._sign_keys[j])
         buckets, signs = buckets.ravel(), signs.ravel()
-        counts = np.bincount(buckets, minlength=k)
+        indptr = np.zeros(k + 1, dtype=np.int64)
+        np.cumsum(np.bincount(buckets, minlength=k), out=indptr[1:])
         order = np.argsort(buckets, kind="stable")
-        depth = np.empty_like(order)
-        depth[order] = np.arange(order.size) - (np.cumsum(counts) - counts)[buckets[order]]
-        slot = np.empty(k, dtype=np.int64)
-        slot[np.argsort(-counts, kind="stable")] = np.arange(k)
-        live = k - np.cumsum(np.bincount(counts))[:-1]  # buckets with more than t contributions
-        starts = np.cumsum(live) - live
-        sequence = np.empty_like(order)
-        sequence[starts[depth] + slot[buckets]] = np.arange(order.size)
-        src, signs = sequence % m, signs[sequence]
-        acc = np.zeros((k, d))
-        step = max(1, _GATHER_ELEMENTS // d)
-        for base, width in zip(starts, live):
-            for p0 in range(0, width, step):
-                p1 = min(width, p0 + step)
-                picked = rows[src[base + p0 : base + p1]]
-                picked *= signs[base + p0 : base + p1, None]
-                acc[p0:p1] += picked
-        acc = acc[slot]
+        acc = scipy.sparse.csr_array((signs[order], order % m, indptr), shape=(k, m)) @ rows
         if self.spec.s > 1:
             acc *= self._scale
         return acc
@@ -536,12 +525,12 @@ def _sampled_hadamard(
     n_blocks = -(-h // block)
     local = np.arange(block)
     # Step 1: H_B times every B-row block of D x, a chunk of about
-    # _GATHER_ELEMENTS at a time, written block-transposed so that the rows
+    # _CHUNK_ELEMENTS at a time, written block-transposed so that the rows
     # at one low index p2 form one contiguous operand. Only the last, partial
     # block is zero-filled.
     h_block = _hadamard(local, local)
     transformed = np.empty((block, n_blocks, d))
-    per_chunk = max(1, _GATHER_ELEMENTS // (block * d))
+    per_chunk = max(1, _CHUNK_ELEMENTS // (block * d))
     flipped = np.empty((per_chunk * block, d))
     for b0 in range(0, n_blocks, per_chunk):
         b1 = min(b0 + per_chunk, n_blocks)
@@ -552,12 +541,12 @@ def _sampled_hadamard(
         np.matmul(h_block, chunk, out=transformed[:, b0:b1].transpose(1, 0, 2))
     # Step 2: sampled row p = p1*B + p2 is H_{m/B}[p1, blocks] times the
     # transformed rows at p2. The scaled +-1 factor is built for a run of
-    # groups at a time, about _GATHER_ELEMENTS of it.
+    # groups at a time, about _CHUNK_ELEMENTS of it.
     low = sample & (block - 1)
     high = sample >> (block.bit_length() - 1)
     blocks = np.arange(start // block, start // block + n_blocks)
     cuts = [0, *(np.flatnonzero(np.diff(low)) + 1).tolist(), sample.size]
-    per_factor = max(1, _GATHER_ELEMENTS // n_blocks)
+    per_factor = max(1, _CHUNK_ELEMENTS // n_blocks)
     out = np.empty((sample.size, d))
     g = 0
     while g < len(cuts) - 1:

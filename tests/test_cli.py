@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 
 from levsketch import OrderingPolicy, SketchSpec, config, load_matrix, load_scores, make_plan, scores_to_distribution
 from levsketch.cli import main
+from levsketch.leverage import _load_scores_bytes
+from levsketch.order import save_plan
 from levsketch.sketch import FAMILIES
 
 
@@ -160,6 +163,33 @@ def test_order_epoch_files_hold_make_plan(tmp_path, policy):
         text = (out / name).read_text()
         assert text.endswith("\n")
         assert np.array_equal(np.array(text.split("\n")[:-1], dtype=np.int64), plan.indices)
+
+
+def test_order_holds_one_plan_at_a_time(tmp_path):
+    # 200 epochs of 4096 indices: the peak stays within the cap that the
+    # scores file and one plan (32 bytes an item) need, not 200 plans' 6.5 MB
+    mat, scores, out = tmp_path / "a.bin", tmp_path / "l.csv", tmp_path / "plans"
+    assert run(["gen", "--n", "4096", "--d", "4", "--seed", "2", "--out", str(mat)]) == 0
+    assert run(["leverage", "--in", str(mat), "--out", str(scores)]) == 0
+    need = max(_load_scores_bytes(scores.stat().st_size), 32 * 4096)
+    argv = ["order", "--scores", str(scores), "--policy", "shuffle", "--seed", "4", "--epochs", "200",
+            "--batch", "64", "--mem-cap", str(need), "--out-dir", str(out)]
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= need
+    manifest = json.loads((out / "order_manifest.json").read_text())
+    files = [f"order_epoch_{epoch:04d}.txt" for epoch in range(200)]
+    fields = {"policy": "shuffle", "seed": 4, "epochs": 200, "n": 4096, "batch_size": 64,
+              "batches_per_epoch": 64, "epoch_files": files}
+    assert {key: manifest[key] for key in fields} == fields
+    p = scores_to_distribution(load_scores(scores))
+    for epoch in (0, 1, 199):
+        save_plan(make_plan(p, OrderingPolicy("shuffle", seed=4), epoch), tmp_path / "ref.txt")
+        assert (out / files[epoch]).read_bytes() == (tmp_path / "ref.txt").read_bytes()
 
 
 def test_unknown_method_exits_2(tmp_path):
@@ -379,7 +409,7 @@ def test_leverage_mem_cap_reaches_the_worker_threads(tmp_path, capsys):
             "--mem-cap", "12000000", "--out", str(tmp_path / "l.csv")]
     # the 10240000-byte input fits; each worker's sketch state does not
     assert run(argv) == 1
-    assert "sketch tree and leaf kernel needs 52428800 bytes" in capsys.readouterr().err
+    assert "sketch tree and leaf kernel needs 51773440 bytes" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("env", [None, "123456789"])

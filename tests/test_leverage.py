@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from levsketch import (
     truncate,
 )
 from levsketch.errors import CapacityError, DegenerateInputError, FormatError, SingularInversionError
-from levsketch.leverage import SCORE_BLOCK_ROWS, _approx_basis
+from levsketch.leverage import SCORE_BLOCK_ROWS, _approx_basis, _load_scores_bytes
 from levsketch.svd import SvdResult
 
 
@@ -347,3 +349,34 @@ def test_load_scores_roundtrip_is_bit_exact(tmp_path):
     assert np.array_equal(load_scores(path), scores)
     path.write_text("0,0.5\n\n1,0.25\n")  # blank lines are skipped
     assert load_scores(path).tolist() == [0.5, 0.25]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(None, id="save-scores-65536-rows"),
+        pytest.param("".join(f"{i},0\n" for i in range(20000)), id="shortest-rows"),
+        pytest.param("0,0", id="one-row-no-newline"),
+    ],
+)
+def test_load_scores_peak_within_its_capacity_check(tmp_path, monkeypatch, text):
+    path = tmp_path / "scores.csv"
+    if text is None:
+        scores = np.random.default_rng(23).random(65536)
+        save_scores(LeverageResult(scores=scores, method="exact", effective_rank=1), path)
+    else:
+        path.write_text(text)
+    need = _load_scores_bytes(path.stat().st_size)
+    with monkeypatch.context() as patch:
+        patch.setenv("LVSK_MEM_CAP", str(need - 1))
+        patch.setattr(np, "loadtxt", None)  # refused before any parse
+        with pytest.raises(CapacityError):
+            load_scores(path)
+    monkeypatch.setenv("LVSK_MEM_CAP", str(need))
+    tracemalloc.start()
+    try:
+        load_scores(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= need

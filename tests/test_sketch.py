@@ -362,14 +362,30 @@ def adversarial_rows(seed, n, d=2):
     return np.random.default_rng(seed).choice(ADVERSARIAL, size=(n, d))
 
 
-@pytest.mark.parametrize("spec", [cs_spec(rows_override=64), SketchSpec("osnap", eps=0.5, d=16, osnap_s=3, seed=5)])
+OSNAP_S3 = dict(family="osnap", eps=0.5, d=16, osnap_s=3, seed=5)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        cs_spec(rows_override=64),
+        SketchSpec(**OSNAP_S3),
+        cs_spec(rows_override=1024),
+        SketchSpec(**OSNAP_S3, rows_override=1024),
+    ],
+)
 def test_tree_matches_row_order_loop_per_leaf(spec):
-    # the definition, bit for bit: per leaf of 1024 rows, every bucket adds its
-    # signed rows in row order, then the leaf is scaled; the root is leaf 0 + leaf 1
-    a = adversarial_rows(28, 1500, d=16)
-    state = SketchState(spec, 1500)
+    # the definition, byte for byte (so +0.0 and -0.0 differ): per leaf of 1024
+    # rows, every bucket adds its signed rows in row order to zero, then the
+    # leaf is scaled; the root is leaf 0 + leaf 1. At k = 1024 a last leaf of
+    # 76 rows leaves most of its buckets empty.
+    n = 1100 if spec.rows_override == 1024 else 1500
+    a = adversarial_rows(28, n, d=16)
+    a[::5] = 0.0
+    a[1::10] = -0.0
+    state = SketchState(spec, n)
     leaves = []
-    for lo, hi in ((0, 1024), (1024, 1500)):
+    for lo, hi in ((0, 1024), (1024, n)):
         acc = np.zeros((state.k, 16))
         for i in range(lo, hi):
             idx = np.array([i], dtype=np.uint64)
@@ -377,7 +393,7 @@ def test_tree_matches_row_order_loop_per_leaf(spec):
                 b = _bucket_hash(idx, state._hash_a[j], state._hash_b[j], state._block_sizes[j])[0]
                 acc[state._block_offsets[j] + b] += _sign_hash(idx, state._sign_keys[j])[0] * a[i]
         leaves.append(acc * state._scale if spec.s > 1 else acc)
-    assert np.array_equal(apply_sketch(a, spec).data, leaves[0] + leaves[1])
+    assert apply_sketch(a, spec).data.tobytes() == (leaves[0] + leaves[1]).tobytes()
 
 
 def small_k(family, n):
@@ -488,7 +504,20 @@ def test_consume_rejects_rows_already_held():
 )
 def test_tree_state_peak_within_its_capacity_check(family, override, d, n, lo, hi, monkeypatch):
     spec = SketchSpec(family, eps=0.5, d=d, seed=5, rows_override=override)
-    a = np.random.default_rng(n).standard_normal((n, d))
+    assert_peak_within_capacity_check(spec, np.random.default_rng(n).standard_normal((n, d)), lo, hi, monkeypatch)
+
+
+@pytest.mark.parametrize("s", [4, 16])
+def test_osnap_kernel_peak_within_its_capacity_check(s, monkeypatch):
+    # d = 2, so the figure is mostly the leaf kernel's s arrays per row
+    spec = SketchSpec("osnap", eps=0.5, d=2, osnap_s=s, seed=5, rows_override=64)
+    assert_peak_within_capacity_check(spec, np.random.default_rng(s).standard_normal((5000, 2)), 0, 5000, monkeypatch)
+
+
+def assert_peak_within_capacity_check(spec, a, lo, hi, monkeypatch):
+    """A state over ``a``'s rows is refused one byte under its figure, and
+    consuming rows lo..hi at the figure peaks within it."""
+    n = a.shape[0]
     need = 8 * _tree_state_elements(spec, n)
     monkeypatch.setenv("LVSK_MEM_CAP", str(need - 1))
     with pytest.raises(CapacityError):
@@ -496,7 +525,7 @@ def test_tree_state_peak_within_its_capacity_check(family, override, d, n, lo, h
     monkeypatch.setenv("LVSK_MEM_CAP", str(need))
     tracemalloc.start()
     try:
-        consume_rows(SketchState(spec, n), a[lo:hi], lo)
+        consume_rows(SketchState(spec, n), a[lo:hi], lo).data
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -742,19 +771,7 @@ def test_srht_merge_rejects_overlapping_rows():
 )
 def test_srht_state_peak_within_its_capacity_check(n, d, k, monkeypatch):
     spec = SketchSpec("srht", eps=0.5, d=d, seed=5, rows_override=k)
-    a = np.random.default_rng(n).standard_normal((n, d))
-    need = 8 * _tree_state_elements(spec, n)
-    monkeypatch.setenv("LVSK_MEM_CAP", str(need - 1))
-    with pytest.raises(CapacityError):
-        SketchState(spec, n)
-    monkeypatch.setenv("LVSK_MEM_CAP", str(need))
-    tracemalloc.start()
-    try:
-        consume_rows(SketchState(spec, n), a, 0).data
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= need
+    assert_peak_within_capacity_check(spec, np.random.default_rng(n).standard_normal((n, d)), 0, n, monkeypatch)
 
 
 def test_srht_state_does_not_grow_with_the_stream(monkeypatch):
