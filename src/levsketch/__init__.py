@@ -1,10 +1,12 @@
 """Leverage scores for large dense matrices via randomized sketching.
 
-Exact scores come from the SVD of the R factor of the matrix, made
-orthonormal by one Cholesky QR pass; approximate scores come from the SVD of a
-much smaller sketched product built in a streaming row model (CountSketch,
-OSNAP, or SRHT), optionally with small singular components truncated before
-basis inversion so rank-deficient and noise-corrupted data stay accurate.
+Exact scores come from one Cholesky QR pass preconditioned by a small
+internal CountSketch and checked against the matrix itself (falling back to
+the SVD of the matrix's own R factor when the sketch missed a direction);
+approximate scores come from the SVD of a much smaller sketched product built
+in a streaming row model (CountSketch, OSNAP, or SRHT), optionally with small
+singular components truncated before basis inversion so rank-deficient and
+noise-corrupted data stay accurate.
 A coordinator-model simulation distributes the sketching across row
 partitions, and an ordering generator turns scores into per-epoch curriculum
 orderings for training loops.

@@ -8,8 +8,11 @@ never formed. Uncorrected, it inverts every singular value of the sketch and
 is deliberately retained because it fails on rank-deficient or
 noise-corrupted inputs. The truncated variant drops small singular components
 first, which restores the approximation guarantee on such inputs. The exact
-method runs the same stages with A as its own sketch, then makes the basis
-orthonormal to float64 rounding with one Cholesky QR pass. The oracle forms
+method runs the same stages on an internal CountSketch of 4d rows, makes the
+basis orthonormal to float64 rounding with one Cholesky QR pass, and decides
+the rank on A's own singular values; when a check against A shows that the
+sketch missed a direction or left the basis too ill-conditioned for one
+pass, it runs them again with A as its own sketch. The oracle forms
 the full projection matrix through a pseudo-inverse and is kept as a fully
 independent code path for testing.
 
@@ -46,12 +49,21 @@ from .errors import (
     SingularInversionError,
 )
 from .matrix import FLOAT_FORMAT, as_matrix, write_json
-from .sketch import SketchSpec, SketchState, _consume, merge
-from .svd import SvdResult, _right_svd, right_svd, truncate
+from .sketch import COUNTSKETCH, SketchSpec, SketchState, _consume, merge
+from .svd import SvdResult, _right_svd, right_svd, thin_svd, truncate
 
 # Relative floor under which singular components are treated as numerically
 # zero by the exact method, so rank-deficient inputs stay well-defined.
 MACHINE_RANK_TOL = 1e-12
+
+# The exact method's preconditioner: a CountSketch of this many rows per
+# column of A at a fixed seed (its eps is recorded but unused, as the row
+# count is pinned), the relative cut on its singular values, and the largest
+# condition number of the Cholesky factor C it is accepted with.
+_PRECONDITIONER_ROWS = 4
+_PRECONDITIONER_SEED = 0
+_PRECONDITIONER_CUT = 1e-14
+_PRECONDITIONER_KAPPA = 1e2
 
 ORACLE_MAX_ROWS = 5000
 
@@ -82,38 +94,103 @@ class LeverageResult:
     spec: SketchSpec | None = None
     sv_tol: float | None = None
     wall_time_s: float | None = None
+    preconditioner: SketchSpec | None = None
 
 
 def leverage_exact(a) -> LeverageResult:
     """Exact scores, restricted to components above the machine-relative rank
-    floor: the sketched pipeline with A as its own sketch, plus one Cholesky
-    QR pass.
+    floor: the sketched pipeline run on a CountSketch preconditioner, checked
+    against A, plus one Cholesky QR pass.
 
-    ``Y = A V diag(1/sigma)``, from the R-factor SVD of A, spans the kept left
-    singular subspace but is orthonormal only to O(kappa u), kappa the
-    condition number of the kept part and u = 2^-53. With ``Y^T Y = C^T C``
-    (C upper triangular), ``Z = Y C^{-1}`` is orthonormal to O(u) whenever
-    kappa(Y) < u^{-1/2} (Yamamoto et al., ETNA 2015). The floor bounds kappa
-    by 1e12, so ``||Y^T Y - I|| <~ d u 1e12 <= 0.03`` at d = 256 and
-    kappa(Y) <= 1.03, far inside that condition. Every score is then in
-    [0, 1 + O(u)] and the scores sum to the rank r to O(r u). The Gram matrix
-    and Z come from the same computed Y: folding ``C^{-1}`` into the basis and
-    multiplying A again would bring back the O(kappa u) error.
+    When n > 4d, A is sketched by a CountSketch of 4d rows at a fixed seed
+    (the preconditioner, Rokhlin & Tygert, PNAS 2008); otherwise A is its own
+    sketch. From the R-factor SVD of the sketch, cut at 1e-14 of its largest
+    singular value, ``Y = A V_1 diag(1/sigma_1)`` spans A's column space
+    whenever the sketch kept every direction A has. With ``Y^T Y = C^T C``
+    (C upper triangular), ``Z = Y C^{-1}`` is orthonormal to O(kappa(C)^2 u)
+    (u = 2^-53; Yamamoto et al., ETNA 2015), and ``A V_1 = Z R_A`` with
+    ``R_A = C diag(sigma_1)``, so A's singular values are R_A's. The rank r is
+    decided on them at the 1e-12 floor, and the scores are the squared row
+    norms of ``Y (C^{-1} U_R[:, :r])``; when r is every column of Y, U_R only
+    rotates the basis and is left out.
+
+    A sketch can miss directions of A: CountSketch sums colliding rows, so
+    rows that alone carry a direction can cancel or merge. The preconditioner
+    is therefore accepted only when (a) it kept all d directions, or what A
+    holds in the directions it dropped is below the floor,
+    ``||A V_0||_F <= 1e-12 sigma_1(R_A)``, and (b) C is factored and kappa(C)
+    is at most 1e2, so that one pass is enough: ``||Z^T Z - I||`` stays near
+    kappa(C)^2 u <= 1e4 u (measured kappa on CountSketch embeddings: about 3).
+    Since ``sigma_1(R_A) <= ||A||_F``, ``||A V_0||_F > 1e-12 ||A||_F``
+    refuses the sketch before Y is formed. An attempt that overflows is
+    refused too.
+    Otherwise the same stages run with A as its own sketch, cut at the 1e-12
+    floor: there the floor itself bounds kappa(Y) by about 1.03, since
+    ``||Y^T Y - I|| <~ d u 1e12 <= 0.03`` at d = 256. Either way every score
+    is in [0, 1 + O(kappa(C)^2 u)] and the scores sum to r to the same
+    relative accuracy. The Gram matrix and Z come from the same computed Y:
+    folding ``C^{-1}`` into the basis and multiplying A again would bring
+    back an error of O(kappa(A) u).
     """
     a = as_matrix(a)
-    kept = truncate(_right_svd(a), MACHINE_RANK_TOL)
     n, d = a.shape
-    r = kept.rank
-    # Y, the scores, the basis, Gram / C / C^-1, and per score block its
-    # zero-padded copy, its product and its row norms
+    if n > _PRECONDITIONER_ROWS * d:
+        spec = SketchSpec(
+            COUNTSKETCH, eps=0.5, d=d, seed=_PRECONDITIONER_SEED, rows_override=_PRECONDITIONER_ROWS * d
+        )
+        # on entries near the overflow threshold the sketch's bucket sums and
+        # norms can overflow where A's own R factor does not; an attempt that
+        # fails on a non-finite value counts as a refused sketch
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                result = _cholesky_qr_scores(a, _consume(SketchState(spec, n), a, 0).data, _PRECONDITIONER_CUT)
+            except (np.linalg.LinAlgError, FormatError):
+                result = None
+        if result is not None:
+            result.preconditioner = spec
+            return result
+    return _cholesky_qr_scores(a, a, MACHINE_RANK_TOL)
+
+
+def _cholesky_qr_scores(a: np.ndarray, sketch: np.ndarray, cut: float) -> LeverageResult | None:
+    """Exact scores of A from the R-factor SVD of ``sketch`` cut at ``cut``,
+    one Cholesky QR pass and the SVD of R_A (see :func:`leverage_exact`). A
+    sketch other than A itself is validated and checked, and None is returned
+    when it fails the check; A as its own sketch needs neither.
+    """
+    checked = sketch is not a
+    svd = right_svd(sketch) if checked else _right_svd(a)
+    if checked and svd.sigma[0] == 0:  # rows cancelled in every bucket
+        return None
+    kept = truncate(svd, cut)
+    n, d = a.shape
+    k = kept.rank
+    leaks = checked and k < d
+    # Y (and A V_0 when it is formed), the scores, the basis, Gram / C / R_A /
+    # the SVD of R_A / C^-1 U_R, and per score block its zero-padded copy,
+    # its product and its row norms
     ensure_capacity(
-        8 * (n * r + n + d * r + 3 * r * r + min(n, SCORE_BLOCK_ROWS) * (2 * r + 1)),
+        8 * (n * (d if leaks else k) + n + d * k + 7 * k * k + min(n, SCORE_BLOCK_ROWS) * (2 * k + 1)),
         f"orthonormal basis of a {n}x{d} matrix",
     )
+    if leaks:
+        # what A holds in the directions the sketch dropped; sigma_1(R_A) is
+        # at most ||A||_F, so a leak above the floor of that refuses the
+        # sketch before Y is formed
+        leak = np.linalg.norm(a @ svd.vt[k:].T)
+        if leak > MACHINE_RANK_TOL * np.linalg.norm(a):
+            return None
     y = a @ _approx_basis(kept)
     c = np.linalg.cholesky(y.T @ y, upper=True)
-    scores = _block_scores(y, np.linalg.inv(c), 0, n)
-    return LeverageResult(scores=scores, method="exact", effective_rank=r)
+    if checked and not np.linalg.cond(c) <= _PRECONDITIONER_KAPPA:  # NaN fails too
+        return None
+    r_a = truncate(thin_svd(c * kept.sigma), MACHINE_RANK_TOL)
+    if leaks and leak > MACHINE_RANK_TOL * r_a.sigma[0]:
+        return None
+    basis = np.linalg.inv(c)
+    if r_a.rank < k:  # A's own spectrum drops components the sketch kept
+        basis = basis @ r_a.u
+    return LeverageResult(scores=_block_scores(y, basis, 0, n), method="exact", effective_rank=r_a.rank)
 
 
 def leverage_oracle(a) -> LeverageResult:
@@ -318,6 +395,7 @@ def save_scores(result: LeverageResult, csv_path, meta_path=None, extra_meta: di
     meta = {
         "method": result.method,
         "sketch": result.spec.to_json_dict() if result.spec is not None else None,
+        "preconditioner": result.preconditioner.to_json_dict() if result.preconditioner is not None else None,
         "sv_tol": result.sv_tol,
         "effective_rank": result.effective_rank,
         "wall_time_s": result.wall_time_s,

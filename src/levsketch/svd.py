@@ -4,14 +4,17 @@ Two entry points, both on numpy's LAPACK routines:
 
 - :func:`right_svd` returns only sigma and V^T, from a Householder QR of the
   input (R factor only) followed by the SVD of that small R. Every scoring
-  path needs no more: the basis is ``A V diag(1/sigma)`` (with A its own
-  sketch for the exact method), so a left factor would be built only to be
-  thrown away. ``A = Q R`` with Q orthonormal gives A and R the same sigma
-  and V, and the route is backward stable like the full SVD (LAPACK's
-  divide-and-conquer SVD itself starts with a QR on tall inputs); nothing is
-  inverted or squared.
-- :func:`thin_svd` returns all three factors; no scoring path uses it, it is
-  the reference that tests and benchmarks compare against.
+  path needs no more from its sketch: the basis is ``A V diag(1/sigma)``
+  (for the exact method, from its internal sketch, or from A itself when A
+  is its own sketch), so a left factor would be built only to be thrown
+  away. ``A = Q R`` with Q orthonormal gives A and R the same sigma and V,
+  and the route is backward stable like the full SVD (LAPACK's
+  divide-and-conquer SVD itself starts with a QR on tall inputs); nothing
+  is inverted or squared.
+- :func:`thin_svd` returns all three factors. The exact method uses it on
+  its small k x k factor ``R_A``, whose left factor rotates the basis; on
+  anything tall it is the reference that tests and benchmarks compare
+  against.
 
 The truncation threshold is always RELATIVE to the largest singular value,
 which keeps it scale-invariant (exposed on the CLI as ``--sv-tol``).

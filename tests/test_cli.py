@@ -43,6 +43,24 @@ def test_leverage_exact_pipeline(tmp_path):
     assert meta["wall_time_s"] is not None
 
 
+def test_leverage_sidecar_records_the_exact_preconditioner(tmp_path):
+    tall, square = tmp_path / "tall.bin", tmp_path / "square.bin"
+    run(["gen", "--n", "40", "--d", "5", "--out", str(tall)])
+    run(["gen", "--n", "20", "--d", "5", "--out", str(square)])
+    metas = {}
+    for name, mat, method in (("tall", tall, "exact"), ("square", square, "exact"), ("trunc", tall, "sketch-trunc")):
+        out = tmp_path / f"{name}.csv"
+        assert run(["leverage", "--in", str(mat), "--method", method, "--out", str(out)]) == 0
+        metas[name] = json.loads((tmp_path / f"{name}.csv.json").read_text())
+    # n > 4d: the internal CountSketch of 4d rows, as its sketch record
+    assert metas["tall"]["preconditioner"] == SketchSpec("countsketch", 0.5, 5, rows_override=20).to_json_dict()
+    assert metas["tall"]["preconditioner"]["k"] == 20
+    assert metas["tall"]["sketch"] is None
+    # n <= 4d: A is its own sketch; the sketched methods have none
+    assert metas["square"]["preconditioner"] is None
+    assert metas["trunc"]["preconditioner"] is None
+
+
 def test_leverage_sketch_trunc_distributed(tmp_path):
     mat = tmp_path / "a.bin"
     run(["gen", "--n", "200", "--d", "8", "--out", str(mat)])

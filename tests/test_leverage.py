@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import levsketch.leverage
 from levsketch import (
     LeverageResult,
     SketchSpec,
@@ -18,6 +19,7 @@ from levsketch import (
     load_scores,
     run_distributed,
     save_scores,
+    sketch_rows,
     thin_svd,
     truncate,
 )
@@ -203,49 +205,163 @@ def test_every_entry_point_rejects_a_non_finite_row(bad):
             call()
 
 
-def exact_basis_bytes(n, d, r):
-    """The memory-cap figure of the exact method's basis and score step."""
-    return 8 * (n * r + n + d * r + 3 * r * r + min(n, SCORE_BLOCK_ROWS) * (2 * r + 1))
+def exact_basis_bytes(n, d, k, leaks):
+    """The memory-cap figure of the exact method's basis and score step, for a
+    sketch that kept k directions: Y (n x k, or n x d with A V_0 beside it
+    when a checked sketch dropped directions), the scores, the basis V / sigma,
+    Gram / C / R_A / the SVD of R_A / C^-1 U_R, and the score block."""
+    return 8 * (n * (d if leaks else k) + n + d * k + 7 * k * k + min(n, SCORE_BLOCK_ROWS) * (2 * k + 1))
+
+
+def r_factor_svd_bytes(n, d):
+    """The memory-cap figure of :func:`right_svd` of an n x d matrix, n >= d."""
+    return 8 * (3 * n * d + 5 * d * d + 7 * d * d + d)
+
+
+def spikes(n, d, m, seed):
+    """Gaussian columns plus m columns that each hold one nonzero, on m
+    distinct rows: those rows have score 1 and carry a direction alone, so a
+    CountSketch that sums two of them into one bucket loses a direction. The
+    exact scores: 1 on the spike rows, and the others' from the thin SVD of
+    the Gaussian columns without the spike rows."""
+    rng = np.random.default_rng(seed)
+    a = np.zeros((n, d))
+    a[:, : d - m] = rng.standard_normal((n, d - m))
+    rows = rng.choice(n, m, replace=False)
+    a[rows, np.arange(d - m, d)] = rng.uniform(0.5, 2.0, m)
+    truth = np.ones(n)
+    rest = np.setdiff1d(np.arange(n), rows)
+    if m < d:
+        u = thin_svd(a[rest, : d - m]).u
+        truth[rest] = np.einsum("ij,ij->i", u, u)
+    else:
+        truth[rest] = 0.0
+    return a, truth
+
+
+def refuse_qr_of(rows):
+    """A stand-in for np.linalg.qr that refuses an input of more than ``rows``
+    rows and passes smaller ones (a sketch) to the real QR."""
+    qr = np.linalg.qr
+
+    def refusing(x, *args, **kwargs):
+        if x.shape[0] > rows:
+            raise AssertionError(f"a QR of {x.shape[0]} rows ran")
+        return qr(x, *args, **kwargs)
+
+    return refusing
 
 
 def test_exact_svd_checks_the_memory_cap_before_allocating(monkeypatch):
-    n, d = 2000, 16
-    a = gen_synthetic(SyntheticSpec(n=n, d=d, rank=d, seed=26))
-    # here the R-factor SVD (three input copies, tau, R, thin SVD of R) needs
-    # more than the basis and score step, so it sets the exact route's figure
-    need = 8 * (3 * n * d + 5 * d * d + 7 * d * d + d)
-    assert need > exact_basis_bytes(n, d, d)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the QR ran despite the memory cap")
-
-    with monkeypatch.context() as patched:
-        patched.setenv("LVSK_MEM_CAP", str(need - 1))
-        patched.setattr(np.linalg, "qr", refuse)
-        with pytest.raises(CapacityError, match="R-factor SVD"):
-            leverage_exact(a)
-    monkeypatch.setenv("LVSK_MEM_CAP", str(need))
-    assert leverage_exact(a).effective_rank == d
+    # On the fallback route the R-factor SVD of A (three input copies, tau, R,
+    # thin SVD of R) needs more than any other step, so it sets the figure:
+    # with A its own sketch (n <= 4d), and when the check refuses the sketch
+    # because 16 spike rows collide in its 64 rows and the QR runs on A.
+    for n, d, m, sketched in ((60, 16, 0, False), (2000, 16, 16, True)):
+        a = spikes(n, d, m, 26)[0]
+        need = r_factor_svd_bytes(n, d)
+        assert need > exact_basis_bytes(n, d, d, sketched)
+        with monkeypatch.context() as patched:
+            patched.setenv("LVSK_MEM_CAP", str(need - 1))
+            patched.setattr(np.linalg, "qr", refuse_qr_of(n - 1))
+            with pytest.raises(CapacityError, match=f"R-factor SVD of a {n}x{d}"):
+                leverage_exact(a)
+        with monkeypatch.context() as patched:
+            patched.setenv("LVSK_MEM_CAP", str(need))
+            res = leverage_exact(a)
+        assert res.effective_rank == d
+        assert res.preconditioner is None
 
 
 def test_exact_basis_checks_the_memory_cap_before_its_gemm(monkeypatch):
-    n, d = 300, 4
-    a = gen_synthetic(SyntheticSpec(n=n, d=d, rank=d, seed=28))
-    # Y, the scores, the basis, Gram / C / C^-1 and the score block; at this
-    # n and d they need more than the R-factor SVD
-    need = exact_basis_bytes(n, d, d)
-    assert need > 8 * (3 * n * d + 5 * d * d + 7 * d * d + d)
+    # On the preconditioned route nothing touches all n rows before Y = A W:
+    # the sketch state and the R-factor SVD of the 4d x d sketch need less.
+    # At rank 4 the sketch drops 12 directions, and A V_0 is formed to check
+    # them.
+    n, d = 5000, 16
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the Cholesky QR ran despite the memory cap")
+        raise AssertionError("the basis GEMM ran despite the memory cap")
 
-    with monkeypatch.context() as patched:
-        patched.setenv("LVSK_MEM_CAP", str(need - 1))
-        patched.setattr(np.linalg, "cholesky", refuse)
-        with pytest.raises(CapacityError, match="orthonormal basis"):
-            leverage_exact(a)
-    monkeypatch.setenv("LVSK_MEM_CAP", str(need))
-    assert leverage_exact(a).effective_rank == d
+    for rank in (d, 4):
+        a = gen_synthetic(SyntheticSpec(n=n, d=d, rank=rank, seed=28))
+        need = exact_basis_bytes(n, d, rank, rank < d)
+        assert need > r_factor_svd_bytes(4 * d, d)
+        with monkeypatch.context() as patched:
+            patched.setenv("LVSK_MEM_CAP", str(need - 1))
+            patched.setattr(levsketch.leverage, "_approx_basis", refuse)
+            with pytest.raises(CapacityError, match="orthonormal basis"):
+                leverage_exact(a)
+        with monkeypatch.context() as patched:
+            patched.setenv("LVSK_MEM_CAP", str(need))
+            res = leverage_exact(a)
+        assert res.effective_rank == rank
+        assert sketch_rows(res.preconditioner) == 4 * d
+
+
+@pytest.mark.parametrize(
+    "n, d, m",
+    [pytest.param(4096, 64, 32, id="4096x64-32-spikes"), pytest.param(20000, 256, 128, id="20000x256-128-spikes")],
+)
+def test_exact_scores_of_spike_rows_that_collide_in_the_sketch(n, d, m):
+    # Without the check against A the preconditioned route loses the
+    # directions of spike rows that share a bucket: rank 62 of 64 at
+    # 4096 x 64, and 251 of 256 at 20000 x 256.
+    a, truth = spikes(n, d, m, 5)
+    res = leverage_exact(a)
+    assert res.effective_rank == d
+    assert np.abs(res.scores - truth).max() <= 1e-12
+    if n <= 5000:
+        orc = leverage_oracle(a)
+        assert orc.effective_rank == d
+        assert np.abs(res.scores - orc.scores).max() <= 1e-12
+
+
+@pytest.mark.parametrize("rest", [1.0, 0.0], ids=["kappa-of-C-1e6", "sketch-all-zero"])
+def test_exact_refuses_a_sketch_that_cancels_two_large_rows(rest):
+    # Two equal rows of norm ~1e6 that the preconditioner sums into one bucket
+    # with opposite signs vanish from the sketch. Among Gaussian rows the
+    # sketch keeps all d directions but sees theirs a million times too small:
+    # kappa(C) is then ~1e6, and one Cholesky QR pass without the kappa check
+    # misses the scores by 1e-6. Alone, they leave an all-zero sketch of a
+    # rank-1 matrix.
+    n, d = 300, 8
+    spec = SketchSpec("countsketch", eps=0.5, d=n, rows_override=4 * d)  # S itself, as S I
+    s = apply_sketch(np.eye(n), spec).data
+    i, j = next((i, j) for i in range(n) for j in range(i + 1, n) if np.array_equal(s[:, i], -s[:, j]))
+    rng = np.random.default_rng(30)
+    a = rest * rng.standard_normal((n, d))
+    a[[i, j]] = 1e6 * rng.standard_normal(d)
+    res = leverage_exact(a)
+    ref = truncate(thin_svd(a), 1e-12)
+    assert res.effective_rank == ref.rank
+    assert res.preconditioner is None
+    assert np.abs(res.scores - np.einsum("ij,ij->i", ref.u, ref.u)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("rank", [4, 2])
+def test_exact_scores_of_entries_near_the_overflow_threshold(rank):
+    # At entries of 1e307 the sketched attempt's norms can overflow where A's
+    # own R factor does not (here ||A V_0||_F, at rank 2): that refuses the
+    # sketch, with no warning and no error.
+    rng = np.random.default_rng(31)
+    a = rng.standard_normal((200, rank)) @ rng.standard_normal((rank, 4))
+    a *= 1e307 / np.abs(a).max()
+    res = leverage_exact(a)
+    ref = leverage_exact(a * 2.0**-1000)  # exact scaling, far from overflow
+    assert res.effective_rank == ref.effective_rank == rank
+    assert np.abs(res.scores - ref.scores).max() <= 1e-12
+
+
+@pytest.mark.parametrize("rank", [64, 20], ids=["gaussian-full-rank", "exact-low-rank"])
+def test_exact_takes_the_preconditioned_route_on_generic_inputs(monkeypatch, rank):
+    n, d = 4096, 64
+    a = gen_synthetic(SyntheticSpec(n=n, d=d, rank=rank, seed=29))
+    monkeypatch.setattr(np.linalg, "qr", refuse_qr_of(4 * d))
+    res = leverage_exact(a)
+    assert res.effective_rank == rank
+    assert res.preconditioner == SketchSpec("countsketch", eps=0.5, d=d, rows_override=4 * d)
+    assert np.abs(res.scores - leverage_oracle(a).scores).max() <= 1e-12
 
 
 def with_spectrum(n, sigma, seed):

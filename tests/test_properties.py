@@ -1,11 +1,12 @@
 """Property tests of the score invariants (Drineas, Magdon-Ismail, Mahoney &
 Woodruff, JMLR 2012): exact scores lie in [0, 1] and sum to the rank, permute
 with the rows, and do not change when the matrix is scaled; neither do the
-sketched, truncated scores. The sketch itself is linear to within float64
-rounding."""
+sketched, truncated scores. Exact scores match the oracle on inputs built to
+defeat the exact method's internal sketch. The sketch itself is linear to
+within float64 rounding."""
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from levsketch import (
@@ -14,6 +15,7 @@ from levsketch import (
     apply_sketch,
     gen_synthetic,
     leverage_exact,
+    leverage_oracle,
     leverage_sketched_trunc,
 )
 
@@ -57,6 +59,51 @@ def test_exact_scores_permute_with_the_rows(case, data):
 def test_exact_scores_are_scale_invariant(case, scale):
     a, _ = case
     np.testing.assert_allclose(leverage_exact(scale * a).scores, leverage_exact(a).scores, rtol=1e-9, atol=1e-12)
+
+
+@st.composite
+def coherent(draw):
+    """An n x d matrix with 4d < n <= 4d + 40, so that the exact method runs
+    on a CountSketch of only 4d rows, built to defeat that sketch: a
+    rank-deficient Gaussian product with spike columns (one nonzero each, so
+    a spike row has score 1 and carries a direction alone), duplicated rows
+    and all-zero columns, its rows in two tiers 1e8 apart."""
+    d = draw(st.integers(1, 6), label="d")
+    n = draw(st.integers(4 * d + 1, 4 * d + 40), label="n")
+    rank = draw(st.integers(1, d), label="rank")
+    rng = np.random.default_rng(draw(st.integers(0, 2**16), label="seed"))
+    a = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, d))
+    # 1e8 on at least half the rows, or 1e-8 on at most half: the large tier
+    # spans the product's row space either way
+    up = draw(st.booleans(), label="scale up")
+    scaled = rng.permutation(n)[: draw(st.integers(-(-n // 2), n) if up else st.integers(0, n // 2), label="scaled")]
+    a[scaled] *= 1e8 if up else 1e-8
+    top = 1e8 if up else 1.0  # spikes as large as the large tier, far from the rank floor
+    spike_cols = draw(st.lists(st.integers(0, d - 1), unique=True, max_size=d), label="spike columns")
+    a[:, spike_cols] = 0.0
+    a[rng.choice(n, len(spike_cols), replace=False), spike_cols] = top * rng.uniform(0.5, 2.0, len(spike_cols))
+    for _ in range(draw(st.integers(0, 4), label="duplicates")):
+        i, j = rng.integers(0, n, 2)
+        a[i] = a[j]
+    a[:, draw(st.lists(st.integers(0, d - 1), unique=True, max_size=d - 1), label="zero columns")] = 0.0
+    return a
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=coherent())
+# two spike rows that share a bucket of the 8-row sketch: without the check
+# against A the route returned rank 1, scoring them 0.06 and 0.94
+@example(a=np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])[[0, 2, 2, 2, 2, 2, 1, 2, 2]])
+def test_exact_scores_match_the_oracle_on_coherent_inputs(a):
+    assume(a.any())
+    # the oracle inverts A^T A, squaring A's condition number: it resolves
+    # 1e-8, and the rank, only while every singular value is either within
+    # 1e3 of the largest or rounding noise
+    sigma = np.linalg.svd(a, compute_uv=False)
+    assume(((sigma > 1e-3 * sigma[0]) | (sigma <= 1e-14 * sigma[0])).all())
+    ex, orc = leverage_exact(a), leverage_oracle(a)
+    assert ex.effective_rank == orc.effective_rank
+    assert np.abs(ex.scores - orc.scores).max() <= 1e-8
 
 
 @settings(max_examples=30, deadline=None)
