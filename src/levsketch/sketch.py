@@ -28,11 +28,14 @@ reduced to a k x d node by its family's kernel:
 A tree node (level, i) covers leaves [i*2^level, (i+1)*2^level); its value is
 left + right, a child past the last leaf counting as absent. A state holds
 the complete nodes it has (combined with a sibling as soon as both are
-present) plus the raw rows of leaves it holds only in part, and :func:`merge`
-unions two states. The tree fixes the value of any set of rows, so any row
-partition, merge order or chunking of the stream gives the same bits,
-whatever the data. A saved state is exactly that message: its nodes and its
-rows of partly held leaves.
+present) plus the raw rows of leaves it holds only in part. Rows enter a
+state one way, consumed, merged or loaded: their range is claimed whole, then
+each whole leaf is reduced to a node and a partly covered leaf's rows wait in
+its zero-filled buffer until it is whole. :func:`merge` adds one state's
+message (its nodes and its rows of partly held leaves, which is also what a
+saved state holds) to a copy of the other. The tree fixes the value of any
+set of rows, so any row partition, merge order or chunking of the stream gives
+the same bits, whatever the data.
 
 Every draw derives from ``SketchSpec.seed``, and none is kept per row.
 CountSketch and OSNAP hash the row index: keyed multiply-shift picks the
@@ -124,10 +127,11 @@ class SketchSpec:
         return asdict(self) | {"k": sketch_rows(self), "s": self.s}
 
 
-def _integer(value, name: str, least: int) -> int:
+def _integer(value, name: str, least: float = -math.inf) -> int:
     """``value`` as an int, if it is an integer (not a bool) of at least ``least``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ConfigurationError(f"{name} must be an integer of at least {least}, got {value!r}")
+        floor = f" of at least {least}" if least > -math.inf else ""
+        raise ConfigurationError(f"{name} must be an integer{floor}, got {value!r}")
     return int(value)
 
 
@@ -279,9 +283,8 @@ class SketchState:
     def rows_consumed(self) -> int:
         """Rows this state holds: those under its complete nodes plus its rows
         of partly held leaves."""
-        n, leaf = self.n_rows, self._leaf
-        spans = sum(min(n, ((i + 1) << level) * leaf) - (i << level) * leaf for level, i in self._nodes)
-        return spans + self._partial_rows
+        spans = (self._span(level, i) for level, i in self._nodes)
+        return sum(hi - lo for lo, hi in spans) + self._partial_rows
 
     @property
     def message_bytes(self) -> int:
@@ -301,9 +304,10 @@ class SketchState:
         view.flags.writeable = False
         return view
 
-    def _leaf_span(self, leaf: int) -> tuple[int, int]:
-        lo = leaf * self._leaf
-        return lo, min(lo + self._leaf, self.n_rows)
+    def _span(self, level: int, i: int) -> tuple[int, int]:
+        """Rows ``[lo, hi)`` under tree node (level, i)."""
+        lo = (i << level) * self._leaf
+        return lo, min(lo + (self._leaf << level), self.n_rows)
 
     def _reduce(self, leaf: int, rows: np.ndarray) -> np.ndarray:
         """The k x d node of ``leaf`` from all its rows (zero where absent), by
@@ -343,13 +347,16 @@ class SketchState:
             acc *= self._scale
         return acc
 
-    def _claim(self, level: int, i: int) -> None:
-        """Raise if a node or partly held leaf of this state overlaps node
-        (level, i)."""
-        above = any((up, i >> (up - level)) in self._nodes for up in range(level, self._top + 1))
-        below = any(lv < level and j >> (level - lv) == i for lv, j in self._nodes)
-        if above or below or any(leaf >> level == i for leaf in self._pending):
-            raise IncompatibleSketchError(f"rows under tree node ({level}, {i}) are already held")
+    def _claim(self, lo: int, hi: int) -> None:
+        """Raise if a node or a partly held leaf of this state holds a row in ``[lo, hi)``."""
+        for level, i in self._nodes:
+            a, b = self._span(level, i)
+            if a < hi and lo < b:
+                raise IncompatibleSketchError(f"rows under tree node ({level}, {i}) are already held")
+        for leaf, (_, held) in self._pending.items():
+            a, b = self._span(0, leaf)
+            if a < hi and lo < b and held[max(lo, a) - a : min(hi, b) - a].any():
+                raise IncompatibleSketchError(f"rows of leaf {leaf} are already held")
 
     def _insert(self, level: int, i: int, value: np.ndarray) -> None:
         """Add a complete node, combining it with its sibling for as long as
@@ -367,27 +374,26 @@ class SketchState:
             level, i = level + 1, i >> 1
         self._nodes[(level, i)] = value
 
-    def _claim_rows(self, leaf: int, window: slice) -> None:
-        """Raise if a row of ``leaf`` in ``window`` is already held."""
-        if leaf not in self._pending:
-            self._claim(0, leaf)
-        elif self._pending[leaf][1][window].any():
-            raise IncompatibleSketchError(f"rows of leaf {leaf} are already held")
-
-    def _fill(self, leaf: int, offset: int, rows: np.ndarray) -> None:
-        """Place rows of a leaf at row ``offset`` within it; reduce the leaf
-        once it is whole."""
-        window = slice(offset, offset + rows.shape[0])
-        self._claim_rows(leaf, window)
-        if leaf not in self._pending:
-            lo, hi = self._leaf_span(leaf)
-            self._pending[leaf] = (np.zeros((hi - lo, self.d)), np.zeros(hi - lo, dtype=bool))
-        buffer, held = self._pending[leaf]
-        buffer[window] = rows
-        held[window] = True
-        if held.all():
-            del self._pending[leaf]
-            self._insert(0, leaf, self._reduce(leaf, buffer))
+    def _add(self, start: int, rows: np.ndarray) -> None:
+        """Take rows ``[start, stop)``, stop = ``start + len(rows)``: claim
+        them all first, so a rejected range changes nothing, then reduce and
+        insert each whole leaf, and place the rows of a partly covered leaf in
+        its zero-filled buffer, reducing it once it is whole."""
+        stop = start + rows.shape[0]
+        self._claim(start, stop)
+        for leaf in range(start // self._leaf, (stop - 1) // self._leaf + 1):
+            lo, hi = self._span(0, leaf)
+            a, b = max(lo, start), min(hi, stop)
+            part = rows[a - start : b - start]
+            if b - a < hi - lo:
+                if leaf not in self._pending:
+                    self._pending[leaf] = (np.zeros((hi - lo, self.d)), np.zeros(hi - lo, dtype=bool))
+                buffer, held = self._pending[leaf]
+                buffer[a - lo : b - lo], held[a - lo : b - lo] = part, True
+                if not held.all():
+                    continue
+                part = self._pending.pop(leaf)[0]
+            self._insert(0, leaf, self._reduce(leaf, part))
 
     def _fold(self) -> np.ndarray | None:
         """Tree sum of the held nodes and of each partly held leaf reduced with
@@ -417,25 +423,27 @@ class SketchState:
         return keys, ranges, np.concatenate(parts) if parts else np.empty((0, self.d))
 
     def _absorb(self, keys, ranges, payload: np.ndarray) -> None:
-        """Add a message (see :meth:`_message`): claim and insert each node,
-        then fill each row range. The payload is taken over: its nodes stay
-        views of it unless it also carries rows, which no node may keep alive."""
+        """Add a message (see :meth:`_message`): claim the rows under each node
+        and insert it, then pass each row range to :meth:`_add`. The payload is
+        taken over: its nodes stay views of it unless it also carries rows,
+        which no node may keep alive."""
         for j, (level, i) in enumerate(keys):
-            self._claim(level, i)
+            self._claim(*self._span(level, i))
             node = payload[j * self.k : (j + 1) * self.k]
             self._insert(level, i, node.copy() if ranges else node)
         at = len(keys) * self.k
         for lo, hi in ranges:
-            self._fill(lo // self._leaf, lo % self._leaf, payload[at : at + hi - lo])
+            self._add(lo, payload[at : at + hi - lo])
             at += hi - lo
 
 
 def consume_rows(state: SketchState, rows, start_index: int) -> SketchState:
-    """Consume a contiguous block of rows whose global indices start at
-    ``start_index``; one row is the block ``row[None, :]``. Each global index
-    must be consumed at most once: a row the state already holds raises
-    IncompatibleSketchError, and a rejected block leaves the state unchanged."""
-    return _consume(state, as_matrix(rows, "row block"), start_index)
+    """Consume a contiguous block of rows whose global indices start at the
+    integer ``start_index``; one row is the block ``row[None, :]``. Each global
+    index must be consumed at most once: the block is claimed whole before any
+    row is placed, so a row the state already holds raises
+    IncompatibleSketchError and leaves the state unchanged."""
+    return _consume(state, as_matrix(rows, "row block"), _integer(start_index, "start_index"))
 
 
 def _consume(state: SketchState, rows: np.ndarray, start_index: int) -> SketchState:
@@ -445,17 +453,7 @@ def _consume(state: SketchState, rows: np.ndarray, start_index: int) -> SketchSt
     stop = start_index + rows.shape[0]
     if start_index < 0 or stop > state.n_rows:
         raise DimensionMismatchError(f"rows [{start_index}, {stop}) outside [0, {state.n_rows})")
-    leaves = range(start_index // state._leaf, (stop - 1) // state._leaf + 1)
-    for leaf in leaves:  # all checks first, so a rejected block changes nothing
-        lo, hi = state._leaf_span(leaf)
-        state._claim_rows(leaf, slice(max(lo, start_index) - lo, min(hi, stop) - lo))
-    for leaf in leaves:
-        lo, hi = state._leaf_span(leaf)
-        part = rows[max(lo, start_index) - start_index : min(hi, stop) - start_index]
-        if part.shape[0] == hi - lo:
-            state._insert(0, leaf, state._reduce(leaf, part))
-        else:
-            state._fill(leaf, max(lo, start_index) - lo, part)
+    state._add(start_index, rows)
     return state
 
 

@@ -130,6 +130,7 @@ def test_sketched_truncated_scores_are_scale_invariant(case, family, scale):
     alpha=st.floats(-1e3, 1e3),
     beta=st.floats(-1e3, 1e3),
 )
+@example(n=16, d=1, family="countsketch", seed=0, alpha=0.0, beta=2.2250738585e-313)
 def test_sketch_is_linear(n, d, family, seed, alpha, beta):
     rng = np.random.default_rng(seed)
     a, b = (rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3, d) for _ in range(2))
@@ -140,7 +141,9 @@ def test_sketch_is_linear(n, d, family, seed, alpha, beta):
     # entry of S (|S| <= 1 in all three families) with an entry of X, so in
     # float64 it is off by at most m u |S||X| (u = 2^-53); both sides make
     # that error once per operand, plus a few roundings for alpha*A + beta*B
-    # and the scaling.
+    # and the scaling. A rounding in the subnormal range errs by up to 2^-1074
+    # absolutely rather than relatively, hence the (m + 4) 2^-1074 term.
     m = 1 << (n - 1).bit_length()
-    bound = (2 * m + 8) * 2.0**-53 * (abs(alpha) * np.abs(a) + abs(beta) * np.abs(b)).sum(axis=0)
+    relative = (2 * m + 8) * 2.0**-53 * (abs(alpha) * np.abs(a) + abs(beta) * np.abs(b)).sum(axis=0)
+    bound = relative + (m + 4) * 2.0**-1074
     assert (np.abs(combined - separate) <= bound).all()

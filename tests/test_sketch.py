@@ -1,6 +1,8 @@
 import json
 import math
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,6 +255,13 @@ def test_single_row_consume_validates():
         consume_rows(state, np.zeros(7)[None, :], 0)
     with pytest.raises(DimensionMismatchError):
         consume_rows(state, np.zeros(16)[None, :], 10)
+    with pytest.raises(DimensionMismatchError):
+        consume_rows(state, np.zeros(16)[None, :], -1)
+    for start in (3.0, 2.5, True, False):
+        with pytest.raises(ConfigurationError, match="start_index"):
+            consume_rows(state, np.zeros(16)[None, :], start)
+    consume_rows(state, np.zeros(16)[None, :], np.int64(9))
+    assert state.rows_consumed == 1
 
 
 def test_consume_rows_matches_row_by_row():
@@ -418,6 +427,10 @@ def test_any_partition_and_merge_order_gives_the_same_bits(family, data):
         step = data.draw(st.integers(1, hi - lo), label="chunk")
         for start in range(lo, hi, step):
             consume_rows(state, a[start : min(start + step, hi)], start)
+        if data.draw(st.booleans(), label="round trip"):
+            with tempfile.TemporaryDirectory() as tmp:
+                save_state(state, Path(tmp) / "part.bin")
+                state = load_state(Path(tmp) / "part.bin")
         parts.append(state)
     parts = data.draw(st.permutations(parts), label="order")
     while len(parts) > 1:
