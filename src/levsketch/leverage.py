@@ -49,7 +49,7 @@ from .errors import (
     SingularInversionError,
 )
 from .matrix import FLOAT_FORMAT, as_matrix, write_json
-from .sketch import COUNTSKETCH, SketchSpec, SketchState, _consume, merge
+from .sketch import COUNTSKETCH, SketchSpec, SketchState, _consume, _integer, merge
 from .svd import SvdResult, _right_svd, right_svd, thin_svd, truncate
 
 # Relative floor under which singular components are treated as numerically
@@ -280,8 +280,7 @@ class CoordinatorReport:
 
 def partition_rows(n: int, w: int) -> list[tuple[int, int]]:
     """Split [0, n) into w contiguous ranges with sizes differing by at most 1."""
-    if w < 1:
-        raise ConfigurationError(f"need at least one worker, got {w}")
+    w = _integer(w, "workers", 1)
     if w > n:
         raise ConfigurationError(f"cannot split {n} rows across {w} workers")
     base, rem = divmod(n, w)
@@ -314,15 +313,15 @@ def run_distributed(
     n = a.shape[0]
     ranges = partition_rows(n, workers)
     los, his = zip(*ranges)
+    if max_threads is not None:
+        max_threads = _integer(max_threads, "max_threads", 1)
 
     def sketch_partition(lo: int, hi: int) -> tuple[SketchState, float]:
         t0 = time.perf_counter()
         state = _consume(SketchState(spec, n), a[lo:hi], lo)
         return state, time.perf_counter() - t0
 
-    if max_threads is not None and max_threads < 1:
-        raise ConfigurationError(f"max_threads must be at least 1, got {max_threads}")
-    pool_size = min(workers, max_threads or os.cpu_count() or 1)
+    pool_size = min(len(ranges), max_threads or os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=pool_size) as pool:
         sketched = list(pool.map(sketch_partition, los, his))
 
@@ -353,7 +352,7 @@ def run_distributed(
     )
     report = CoordinatorReport(
         merged=merged,
-        workers=workers,
+        workers=len(ranges),
         per_worker_times=[t for _, t in sketched],
         merge_time=merge_time,
         svd_time=svd_time,

@@ -12,7 +12,7 @@ Every family defines ``S @ A`` as a fixed binary tree over globally aligned
 leaves of L rows, L the power of two at or above max(k, 1024). A leaf is
 reduced to a k x d node by its family's kernel:
 
-- CountSketch and OSNAP: one sparse +-1 product (a k x L CSR matrix of the
+- CountSketch and OSNAP: one sparse +-1 product (a k x L CSC matrix of the
   hashed signs times the leaf's rows); every bucket sums its signed rows in
   row-index order from zero, then the leaf is scaled by ``1/sqrt(s)``.
 - SRHT: the k sampled rows of ``H_m D``, restricted to the leaf's columns,
@@ -43,7 +43,6 @@ bucket, a keyed splitmix64 bit the sign. SRHT's sign of row r is draw r of one
 Philox stream, drawn when r's leaf is reduced; the sample follows the m signs.
 """
 
-import bisect
 import copy
 import json
 import math
@@ -78,11 +77,6 @@ _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15  # splitmix64's increment
 _HASH_STREAM = {COUNTSKETCH: 0x6353, OSNAP: 0x6F53}
 _SRHT_SAMPLE_STREAM = 0x5348
-
-# Target size of the SRHT leaf kernel's small temporaries (a chunk of
-# sign-flipped rows; a block of the +-1 factor), in float64 elements
-# (256 KiB): small enough to be used while still in cache.
-_CHUNK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -205,30 +199,28 @@ def _tree_state_elements(spec: SketchSpec, n: int) -> int:
     nodes held (at most two per level below the root), two more k x d arrays
     (a leaf kernel's result, or a combination's inputs and sum), a
     partial-leaf row buffer at each end of the range, and the leaf kernel's
-    working set. For CountSketch and OSNAP that is the leaf's row indices
-    and, per hash copy and row, its bucket id, sign, place in the argsort
-    order, CSR entry and column index and scipy's int32 copy of that index,
-    plus the k-long bucket counts and CSR row pointers with their int32 copy
-    (the hashing's temporaries, a few leaf-long arrays, fit in the same
-    figure). For SRHT, the sample draw
-    (``choice`` shuffles all m indices once k passes about m/50), a leaf's signs,
-    its block-transformed rows and one chunk of its sign-flipped rows, ``H_B``,
-    one block of the +-1 factor with two temporaries of its size, and k-long
-    index arrays."""
+    working set. For CountSketch and OSNAP that is, per leaf row, its index,
+    its column pointer and scipy's int32 copy of it, and, per hash copy and
+    row, its bucket id, sign and scipy's int32 copy of the bucket id (the
+    hashing's temporaries, a few leaf-long arrays, fit in the same figure).
+    For SRHT, the sample draw (``choice`` shuffles all m indices once k
+    passes about m/50) and k-long index arrays; a leaf's signs, its
+    sign-flipped rows zero-padded to whole B-row blocks and its
+    block-transformed rows; ``H_B``; the k x (L/B) +-1 factor with two
+    temporaries of its size; and numpy's iterator buffers for a broadcast
+    operation (``np.getbufsize()`` elements for each of three operands)."""
     k, d = sketch_rows(spec), spec.d
     leaf = _leaf_rows(k)
     n_leaves = -(-n // leaf)
     height = min(leaf, n)
     tree = (2 * (n_leaves - 1).bit_length() + 2) * k * d + min(2, n_leaves) * height * d
     if spec.family == SRHT:
-        m = _next_pow2(n)
         block = _srht_block_rows(k)
         n_blocks = -(-height // block)
-        factor_rows = min(k, max(_CHUNK_ELEMENTS // n_blocks, m // block))
-        flipped = max(block * d, _CHUNK_ELEMENTS)
-        sample = min(m, 50 * k) + 6 * k
-        return tree + sample + height + n_blocks * block * d + flipped + block * block + 3 * factor_rows * n_blocks
-    return tree + (6 * spec.s + 1) * height + 4 * k
+        sample = min(_next_pow2(n), 50 * k) + 6 * k
+        kernel = height + 2 * n_blocks * block * d + block * block + 3 * k * n_blocks
+        return tree + sample + kernel + 3 * np.getbufsize()
+    return tree + (3 * spec.s + 4) * height
 
 
 class SketchState:
@@ -322,28 +314,26 @@ class SketchState:
         """CountSketch and OSNAP kernel: one sparse +-1 product, then the
         scale 1/sqrt(s).
 
-        The s hash copies go through one stable sort by bucket, which makes
-        bucket b row b of a k x m CSR matrix whose entries are its signs at
-        its rows' leaf offsets, in row order. scipy's ``csr_matvecs`` starts
-        every output row at zero and adds its terms one after another in that
-        order, so every bucket sums its signed rows in row order.
+        The leaf's m rows hash to an m x s layout of (bucket, sign) pairs,
+        which is already the compressed-column form of the k x m matrix:
+        column r holds row r's s pairs, in block order. scipy's
+        ``csc_matvecs`` starts every output row at zero and walks the columns
+        in order, adding ``sign * row`` into each of the row's buckets, so
+        every bucket sums its signed rows in row order.
         """
-        m, k = rows.shape[0], self.k
+        m, s = rows.shape[0], self.spec.s
         lo = leaf * self._leaf
         idx = np.arange(lo, lo + m, dtype=np.uint64)
-        buckets = np.empty((self.spec.s, m), dtype=np.int64)
-        signs = np.empty((self.spec.s, m))
-        for j in range(self.spec.s):
-            buckets[j] = self._block_offsets[j] + _bucket_hash(
+        buckets = np.empty((m, s), dtype=np.int64)
+        signs = np.empty((m, s))
+        for j in range(s):
+            buckets[:, j] = self._block_offsets[j] + _bucket_hash(
                 idx, self._hash_a[j], self._hash_b[j], self._block_sizes[j]
             )
-            signs[j] = _sign_hash(idx, self._sign_keys[j])
-        buckets, signs = buckets.ravel(), signs.ravel()
-        indptr = np.zeros(k + 1, dtype=np.int64)
-        np.cumsum(np.bincount(buckets, minlength=k), out=indptr[1:])
-        order = np.argsort(buckets, kind="stable")
-        acc = scipy.sparse.csr_array((signs[order], order % m, indptr), shape=(k, m)) @ rows
-        if self.spec.s > 1:
+            signs[:, j] = _sign_hash(idx, self._sign_keys[j])
+        indptr = np.arange(0, s * m + 1, s)
+        acc = scipy.sparse.csc_array((signs.ravel(), buckets.ravel(), indptr), shape=(self.k, m)) @ rows
+        if s > 1:
             acc *= self._scale
         return acc
 
@@ -517,43 +507,29 @@ def _sampled_hadamard(
     """``scale`` times rows ``sample`` of ``H_m @ diag(signs) @ X``, where X is
     zero but for the rows ``x`` from row ``start`` on (a multiple of
     B = ``block``) and ``signs`` are the signs of those rows: the SRHT leaf
-    kernel. Computed through ``H_m = H_{m/B} (x) H_B``, with one GEMM per run
-    of samples that share a low index."""
+    kernel. Computed through ``H_m = H_{m/B} (x) H_B``: one batched GEMM of
+    ``H_B`` and every block of ``D x``, then one GEMM per run of samples that
+    share a low index."""
     h, d = x.shape
     n_blocks = -(-h // block)
+    # Step 1: H_B times every B-row block of D x, zero past row h, written
+    # block-transposed so that the rows at one low index p2 form one
+    # contiguous operand.
+    flipped = np.zeros((n_blocks * block, d))
+    np.multiply(signs[:, None], x, out=flipped[:h])
     local = np.arange(block)
-    # Step 1: H_B times every B-row block of D x, a chunk of about
-    # _CHUNK_ELEMENTS at a time, written block-transposed so that the rows
-    # at one low index p2 form one contiguous operand. Only the last, partial
-    # block is zero-filled.
-    h_block = _hadamard(local, local)
     transformed = np.empty((block, n_blocks, d))
-    per_chunk = max(1, _CHUNK_ELEMENTS // (block * d))
-    flipped = np.empty((per_chunk * block, d))
-    for b0 in range(0, n_blocks, per_chunk):
-        b1 = min(b0 + per_chunk, n_blocks)
-        r0, r1 = b0 * block, min(b1 * block, h)
-        np.multiply(signs[r0:r1, None], x[r0:r1], out=flipped[: r1 - r0])
-        flipped[r1 - r0 : (b1 - b0) * block] = 0.0
-        chunk = flipped[: (b1 - b0) * block].reshape(b1 - b0, block, d)
-        np.matmul(h_block, chunk, out=transformed[:, b0:b1].transpose(1, 0, 2))
+    np.matmul(_hadamard(local, local), flipped.reshape(n_blocks, block, d), out=transformed.transpose(1, 0, 2))
     # Step 2: sampled row p = p1*B + p2 is H_{m/B}[p1, blocks] times the
-    # transformed rows at p2. The scaled +-1 factor is built for a run of
-    # groups at a time, about _CHUNK_ELEMENTS of it.
+    # transformed rows at p2, one GEMM per run of samples sharing p2.
     low = sample & (block - 1)
     high = sample >> (block.bit_length() - 1)
-    blocks = np.arange(start // block, start // block + n_blocks)
+    factor = _hadamard(high, np.arange(start // block, start // block + n_blocks))
+    factor *= scale
     cuts = [0, *(np.flatnonzero(np.diff(low)) + 1).tolist(), sample.size]
-    per_factor = max(1, _CHUNK_ELEMENTS // n_blocks)
     out = np.empty((sample.size, d))
-    g = 0
-    while g < len(cuts) - 1:
-        end = max(g + 1, bisect.bisect_right(cuts, cuts[g] + per_factor) - 1)
-        factor = _hadamard(high[cuts[g] : cuts[end]], blocks)
-        factor *= scale
-        for r0, r1 in zip(cuts[g:end], cuts[g + 1 : end + 1]):
-            np.matmul(factor[r0 - cuts[g] : r1 - cuts[g]], transformed[low[r0]], out=out[r0:r1])
-        g = end
+    for r0, r1 in zip(cuts[:-1], cuts[1:]):
+        np.matmul(factor[r0:r1], transformed[low[r0]], out=out[r0:r1])
     return out
 
 

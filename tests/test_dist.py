@@ -1,3 +1,4 @@
+import json
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -41,8 +42,14 @@ def test_partition_singletons():
 def test_partition_validation():
     with pytest.raises(ConfigurationError):
         partition_rows(3, 4)
-    with pytest.raises(ConfigurationError):
-        partition_rows(3, 0)
+    for w in (0, 2.0, True, "2"):
+        with pytest.raises(ConfigurationError):
+            partition_rows(200, w)
+    a = gen_synthetic(SyntheticSpec(n=200, d=4, rank=4, seed=1))
+    spec = SketchSpec("countsketch", eps=0.5, d=4, seed=2)
+    for workers, max_threads in ((2.0, None), (True, None), (2, 0), (2, 1.5), (2, True)):
+        with pytest.raises(ConfigurationError):
+            run_distributed(a, spec, workers, None, max_threads=max_threads)
 
 
 def test_single_worker_identical_to_serial():
@@ -229,6 +236,10 @@ def test_report_contents():
     assert payload["workers"] == 3
     assert payload["sketch"]["family"] == "osnap"
     assert payload["bytes_communicated"] == rep.bytes_communicated
+    # a numpy worker count gives the same report, all plain ints
+    _, rep = run_distributed(a, spec, np.int64(3), 1e-3, max_threads=np.int64(2))
+    assert json.loads(json.dumps(rep.to_json_dict()))["per_worker_rows"] == [100, 100, 100]
+    assert type(rep.workers) is int
 
 
 def test_thread_cap_does_not_change_result():

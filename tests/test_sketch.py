@@ -647,7 +647,7 @@ def test_sampled_hadamard_matches_butterfly_and_scipy(n, d, block, k):
     sample = sample[np.argsort(sample % block, kind="stable")]  # grouped by low index, as a state holds it
     leaf = 4 * block
     got = sum(
-        _sampled_hadamard(x[lo : lo + leaf], signs[lo : lo + leaf], sample, block, lo, 1.0)
+        _sampled_hadamard(x[lo : lo + leaf], signs[lo : min(lo + leaf, n)], sample, block, lo, 1.0)
         for lo in range(0, n, leaf)
     )
     padded = np.zeros((m, d))
@@ -776,6 +776,8 @@ def test_srht_merge_rejects_overlapping_rows():
         (3000, 16, 256),
         (5000, 4, 1024),
         (1 << 14, 8, 1 << 14),
+        # B = 16 < d, the paper's regime, where a leaf's rows outweigh its +-1 factor
+        (4096, 64, 256),
         # d = 1, where the leaf kernel's +-1 factor sets the peak
         (2000, 1, 2048),
         (1500, 1, 100),
