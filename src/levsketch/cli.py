@@ -27,14 +27,15 @@ from .leverage import (
     save_scores,
 )
 from .matrix import (
+    FLOAT_FORMAT,
     GENERATOR_NAME,
     SyntheticSpec,
-    format_float,
     gen_synthetic,
     load_matrix,
     save_matrix,
     text_lines,
     write_json,
+    write_rows,
 )
 from .order import OrderingPolicy, make_plan, save_manifest, save_plan, scores_to_distribution
 from .sketch import FAMILIES, SketchSpec
@@ -226,10 +227,8 @@ def cmd_leverage(args) -> int:
 
 
 def cmd_order(args) -> int:
-    if args.epochs < 1:
-        raise ConfigurationError(f"--epochs must be at least 1, got {args.epochs}")
-    if args.batch < 1:
-        raise ConfigurationError(f"batch_size must be at least 1, got {args.batch}")
+    config._integer(args.epochs, "--epochs", 1)
+    config._integer(args.batch, "--batch", 1)
     p = scores_to_distribution(load_scores(args.scores))
     policy = OrderingPolicy(kind=args.policy.replace("-", "_"), seed=args.seed)
     out_dir = Path(args.out_dir)
@@ -258,8 +257,7 @@ def _bench_cell(a, method: str, eps: float, sv_tol: float, seed: int) -> float:
 
 
 def cmd_bench(args) -> int:
-    if args.repeats < 1:
-        raise ConfigurationError(f"--repeats must be at least 1, got {args.repeats}")
+    config._integer(args.repeats, "--repeats", 1)
     exponents = [int(v) for v in args.log2_n.split(",") if v]
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     eps_grid = [float(v) for v in args.eps.split(",") if v]
@@ -297,7 +295,7 @@ def cmd_bench(args) -> int:
                     if seconds is None:
                         rows.append((n, args.d, method, eps, rep, "", "skipped"))
                     else:
-                        rows.append((n, args.d, method, eps, rep, format_float(seconds[rep]), "ok"))
+                        rows.append((n, args.d, method, eps, rep, FLOAT_FORMAT % seconds[rep], "ok"))
     out = Path(args.out)
     with open(out, "w") as f:
         f.write("n,d,method,eps,repeat,seconds,status\n")
@@ -311,7 +309,7 @@ def cmd_bench(args) -> int:
     with open(summary_path, "w") as f:
         f.write("n,d,method,eps,median_seconds\n")
         for (n, d, method, eps), xs in sorted(summary.items()):
-            f.write(f"{n},{d},{method},{eps},{format_float(statistics.median(xs))}\n")
+            f.write(f"{n},{d},{method},{eps},{FLOAT_FORMAT % statistics.median(xs)}\n")
     meta = _metadata(args, "bench")
     meta["summary_file"] = str(summary_path)
     write_json(Path(str(out) + ".json"), meta)
@@ -331,8 +329,7 @@ def cmd_figure(args) -> int:
         sv = singular_values(a)
         with open(out, "w") as f:
             f.write("component,sigma\n")
-            for j, v in enumerate(sv):
-                f.write(f"{j},{format_float(v)}\n")
+            write_rows(f, sv, index=True)
         write_json(Path(str(out) + ".json"), meta)
         return 0
     spec = _sketch_spec(args, d)
@@ -343,8 +340,7 @@ def cmd_figure(args) -> int:
         approx = leverage_sketched(a, spec)
     with open(out, "w") as f:
         f.write("true_score,approx_score\n")
-        for t, s in zip(exact.scores, approx.scores):
-            f.write(f"{format_float(t)},{format_float(s)}\n")
+        write_rows(f, exact.scores, approx.scores)
     write_json(Path(str(out) + ".json"), meta)
     return 0
 
@@ -375,6 +371,7 @@ def main(argv=None) -> int:
             raise LevsketchError(f"config keys do not match any flag: {unknown}")
         if extra:
             parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        config._integer(args.seed, "--seed", 0)
         if args.mem_cap is not None:
             config._command_cap = args.mem_cap
             config.mem_cap()  # validate early

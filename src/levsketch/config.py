@@ -1,6 +1,9 @@
-"""Process-wide knobs: memory cap resolution and capacity checks."""
+"""Process-wide knobs and checks: memory cap resolution, capacity checks, and
+the one check every count and seed in the package goes through."""
 
 import os
+
+import numpy as np
 
 from .errors import CapacityError, ConfigurationError
 
@@ -34,3 +37,11 @@ def ensure_capacity(nbytes: int, what: str) -> None:
     limit = mem_cap()
     if nbytes > limit:
         raise CapacityError(f"{what} needs {nbytes} bytes, exceeding the memory cap of {limit} bytes")
+
+
+def _integer(value, name: str, least: float = -np.inf) -> int:
+    """``value`` as an int, if it is an integer (not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        floor = f" of at least {least}" if least > -np.inf else ""
+        raise ConfigurationError(f"{name} must be an integer{floor}, got {value!r}")
+    return int(value)

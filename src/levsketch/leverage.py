@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ensure_capacity
+from .config import _integer, ensure_capacity
 from .errors import (
     CapacityError,
     ConfigurationError,
@@ -48,8 +48,8 @@ from .errors import (
     FormatError,
     SingularInversionError,
 )
-from .matrix import FLOAT_FORMAT, as_matrix, write_json
-from .sketch import COUNTSKETCH, SketchSpec, SketchState, _consume, _integer, merge
+from .matrix import as_matrix, write_json, write_rows
+from .sketch import COUNTSKETCH, SketchSpec, SketchState, _consume, merge
 from .svd import SvdResult, _right_svd, right_svd, thin_svd, truncate
 
 # Relative floor under which singular components are treated as numerically
@@ -69,11 +69,6 @@ ORACLE_MAX_ROWS = 5000
 
 # Height of the fixed, globally aligned row blocks the score GEMM runs on.
 SCORE_BLOCK_ROWS = 1024
-
-# save_scores formats this many rows per write, in one pass of % over them;
-# the pass holds a Python float and str per row, so the block stays small.
-_SAVE_SCORES_ROWS = 4096
-_SCORE_LINE = f"%d,{FLOAT_FORMAT}\n"
 
 
 def _load_scores_bytes(file_bytes: int) -> int:
@@ -386,11 +381,8 @@ def leverage_sketched_trunc(a, spec: SketchSpec, sv_tol: float) -> LeverageResul
 def save_scores(result: LeverageResult, csv_path, meta_path=None, extra_meta: dict | None = None) -> None:
     csv_path = Path(csv_path)
     meta_path = Path(meta_path) if meta_path is not None else Path(str(csv_path) + ".json")
-    scores = result.scores
     with open(csv_path, "w") as f:
-        for start in range(0, scores.shape[0], _SAVE_SCORES_ROWS):
-            block = scores[start : start + _SAVE_SCORES_ROWS].tolist()
-            f.write("".join(map(_SCORE_LINE.__mod__, zip(range(start, start + len(block)), block))))
+        write_rows(f, result.scores, index=True)
     meta = {
         "method": result.method,
         "sketch": result.spec.to_json_dict() if result.spec is not None else None,

@@ -1,4 +1,4 @@
-"""Dense row-major matrix I/O and synthetic dataset generation.
+"""Dense row-major matrix I/O, synthetic datasets, and the package's CSV rows and random streams.
 
 Matrices are plain float64 C-contiguous 2-D numpy arrays throughout the
 package; :func:`as_matrix` is the single validation/coercion point.
@@ -15,17 +15,24 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ensure_capacity, mem_cap
+from .config import _integer, ensure_capacity, mem_cap
 from .errors import ConfigurationError, FormatError, ParseError
 
 MAGIC = b"LVSK"
 BINARY_VERSION = 1
 _HEADER = struct.Struct("<4sIQQ")
 
-# Counter-based generator used for all dataset sampling; recorded in output
-# metadata so runs can be reproduced.
+# The counter-based generator of every random stream in the package (Salmon
+# et al., SC 2011), each built by :func:`philox`; recorded in output metadata
+# so runs can be reproduced.
 GENERATOR_NAME = "philox4x64"
 _SYNTH_STREAM = 0x5D47
+
+
+def philox(*key: int, counter: int = 0) -> np.random.Generator:
+    """The Philox stream keyed by ``key`` (a stream constant, then its seeds),
+    from counter block ``counter`` on; a block gives eight 32-bit draws."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key), counter=counter))
 
 
 def as_matrix(obj, name: str = "matrix") -> np.ndarray:
@@ -53,12 +60,12 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1 or self.d < 1:
-            raise ConfigurationError(f"n and d must be at least 1, got n={self.n}, d={self.d}")
-        if not 1 <= self.rank <= self.d:
+        for name, least in (("n", 1), ("d", 1), ("rank", 1), ("seed", 0)):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, least))
+        if self.rank > self.d:
             raise ConfigurationError(f"rank must satisfy 1 <= rank <= d, got rank={self.rank}, d={self.d}")
-        if self.noise_sigma < 0:
-            raise ConfigurationError(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ConfigurationError(f"noise_sigma must be finite and nonnegative, got {self.noise_sigma}")
 
 
 def gen_synthetic(spec: SyntheticSpec) -> np.ndarray:
@@ -70,7 +77,7 @@ def gen_synthetic(spec: SyntheticSpec) -> np.ndarray:
     """
     n, d, rank = spec.n, spec.d, spec.rank
     ensure_capacity(8 * ((n + d) * rank + 2 * n * d) + n * d, f"synthetic {n}x{d} matrix")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([_SYNTH_STREAM, spec.seed])))
+    rng = philox(_SYNTH_STREAM, spec.seed)
     a = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, d))  # G1 drawn first
     if spec.noise_sigma > 0:
         noise = rng.standard_normal((n, d))
@@ -90,9 +97,7 @@ def save_matrix(m: np.ndarray, path, format: str = "binary") -> None:
             f.write(m.astype("<f8", copy=False).tobytes())
     elif format == "csv":
         with open(path, "w") as f:
-            for row in m:
-                f.write(",".join(format_float(v) for v in row))
-                f.write("\n")
+            write_rows(f, *m.T)
     else:
         raise ConfigurationError(f"unknown matrix format {format!r}")
 
@@ -100,10 +105,21 @@ def save_matrix(m: np.ndarray, path, format: str = "binary") -> None:
 # The text spelling of a float64 in every CSV this package writes; 17
 # significant digits round-trip any float64 exactly.
 FLOAT_FORMAT = "%.17g"
+# write_rows formats about this many values per write, in one pass of % that
+# holds a Python object per value, so the block stays small.
+_VALUES_PER_WRITE = 4096
 
 
-def format_float(v: float) -> str:
-    return FLOAT_FORMAT % v
+def write_rows(f, *columns, index: bool = False) -> None:
+    """Write one CSV line per row of the equal-length 1-D ``columns``: each
+    value in :data:`FLOAT_FORMAT`, after the row's index if ``index``."""
+    line = ("%d," if index else "") + ",".join([FLOAT_FORMAT] * len(columns)) + "\n"
+    step = max(1, _VALUES_PER_WRITE // len(columns))
+    for start in range(0, len(columns[0]), step):
+        cells = [c[start : start + step].tolist() for c in columns]
+        if index:
+            cells.insert(0, range(start, start + step))  # zip stops at the block's end
+        f.write("".join(map(line.__mod__, zip(*cells))))
 
 
 def text_lines(path):

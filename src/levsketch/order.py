@@ -17,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ensure_capacity
+from .config import _integer, ensure_capacity
 from .errors import ConfigurationError, DegenerateInputError
-from .matrix import write_json
+from .matrix import philox, write_json
 
 SHUFFLE = "shuffle"
 DEC = "dec"
@@ -43,8 +43,7 @@ class OrderingPolicy:
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
             raise ConfigurationError(f"unknown ordering policy {self.kind!r}; expected one of {POLICY_KINDS}")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", 0))
 
 
 @dataclass
@@ -54,25 +53,23 @@ class OrderingPlan:
     policy: OrderingPolicy
 
 
+def _weights(w, name: str) -> np.ndarray:
+    """``w`` as a float64 array, if it is non-empty, 1-D, finite and nonnegative."""
+    w = np.asarray(w, dtype=np.float64)
+    if w.ndim != 1 or w.size == 0:
+        raise DegenerateInputError(f"{name} must be a non-empty 1-D array, got shape {w.shape}")
+    if not 0 <= w.min() <= w.max() < np.inf:  # NaN fails too
+        raise DegenerateInputError(f"{name} must be finite and nonnegative")
+    return w
+
+
 def scores_to_distribution(scores) -> np.ndarray:
     """Normalize nonnegative scores into sampling probabilities."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 1 or scores.size == 0:
-        raise DegenerateInputError(f"scores must be a non-empty 1-D array, got shape {scores.shape}")
-    if not np.isfinite(scores).all():
-        raise DegenerateInputError("scores contain non-finite values")
-    if (scores < 0).any():
-        raise DegenerateInputError("scores must be nonnegative")
+    scores = _weights(scores, "scores")
     total = scores.sum()
     if total <= 0:
         raise DegenerateInputError("all scores are zero; no sampling distribution exists")
     return scores / total
-
-
-def _epoch_rng(policy: OrderingPolicy, epoch: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence([_ORDER_STREAM, policy.seed, epoch]))
-    )
 
 
 def make_plan(p, policy: OrderingPolicy, epoch: int = 0) -> OrderingPlan:
@@ -88,25 +85,21 @@ def make_plan(p, policy: OrderingPolicy, epoch: int = 0) -> OrderingPlan:
     cumulative sum, uniform draw and drawn indices that ``dec_swr`` holds at
     once, the most of any policy.
     """
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1 or p.size == 0:
-        raise DegenerateInputError(f"need a non-empty 1-D distribution, got shape {p.shape}")
+    p = _weights(p, "probabilities")
     if abs(float(p.sum()) - 1.0) > 1e-9:
         raise DegenerateInputError(f"probabilities sum to {p.sum()}, not 1")
-    if epoch < 0:
-        raise ConfigurationError(f"epoch must be nonnegative, got {epoch}")
+    epoch = _integer(epoch, "epoch", 0)
     n = p.size
     ensure_capacity(32 * n, f"ordering plan over {n} items")
     if policy.kind == DEC:
         indices = np.argsort(-p, kind="stable")
     elif policy.kind == SHUFFLE:
-        indices = _epoch_rng(policy, epoch).permutation(n)
+        indices = philox(_ORDER_STREAM, policy.seed, epoch).permutation(n)
     elif policy.kind == DEC_SWR:
-        indices = _epoch_rng(policy, epoch).choice(n, size=n, replace=True, p=p)
+        indices = philox(_ORDER_STREAM, policy.seed, epoch).choice(n, size=n, replace=True, p=p)
     else:  # DEC_SWOR: exponential-keys race
-        rng = _epoch_rng(policy, epoch)
+        keys = philox(_ORDER_STREAM, policy.seed, epoch).exponential(size=n)
         with np.errstate(divide="ignore", invalid="ignore"):
-            keys = rng.exponential(size=n)
             keys /= p
         indices = np.argsort(keys, kind="stable")
     return OrderingPlan(epoch=epoch, indices=indices.astype(np.int64, copy=False), policy=policy)
@@ -114,8 +107,7 @@ def make_plan(p, policy: OrderingPolicy, epoch: int = 0) -> OrderingPlan:
 
 def emit_batches(plan: OrderingPlan, batch_size: int) -> list[np.ndarray]:
     """Contiguous mini-batches of the plan; the final batch may be short."""
-    if batch_size < 1:
-        raise ConfigurationError(f"batch_size must be at least 1, got {batch_size}")
+    batch_size = _integer(batch_size, "batch_size", 1)
     idx = plan.indices
     return [idx[i : i + batch_size] for i in range(0, idx.size, batch_size)]
 

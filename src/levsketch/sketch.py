@@ -52,7 +52,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse
 
-from .config import ensure_capacity
+from .config import _integer, ensure_capacity
 from .errors import (
     ConfigurationError,
     DimensionMismatchError,
@@ -60,7 +60,7 @@ from .errors import (
     IncompatibleSketchError,
     UnsupportedFamilyError,
 )
-from .matrix import as_matrix, load_matrix, save_matrix, write_json
+from .matrix import as_matrix, load_matrix, philox, save_matrix, write_json
 
 COUNTSKETCH = "countsketch"
 OSNAP = "osnap"
@@ -119,14 +119,6 @@ class SketchSpec:
         """The sketch as every sidecar records it: the spec's fields plus the
         derived row count ``k`` and nonzeros per column ``s``."""
         return asdict(self) | {"k": sketch_rows(self), "s": self.s}
-
-
-def _integer(value, name: str, least: float = -math.inf) -> int:
-    """``value`` as an int, if it is an integer (not a bool) of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        floor = f" of at least {least}" if least > -math.inf else ""
-        raise ConfigurationError(f"{name} must be an integer{floor}, got {value!r}")
-    return int(value)
 
 
 def _next_pow2(v: int) -> int:
@@ -497,8 +489,7 @@ def _srht_block_rows(k: int) -> int:
 def _srht_draws(seed: int, start: int) -> np.random.Generator:
     """SRHT's Philox stream from 32-bit draw ``start`` on, a multiple of 8: a counter
     step gives eight draws, and ``integers(0, 2)`` takes one per value, never rejecting."""
-    seeds = np.random.SeedSequence([_SRHT_SAMPLE_STREAM, seed])
-    return np.random.Generator(np.random.Philox(seeds, counter=start // 8))
+    return philox(_SRHT_SAMPLE_STREAM, seed, counter=start // 8)
 
 
 def _sampled_hadamard(

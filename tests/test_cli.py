@@ -5,7 +5,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from levsketch import OrderingPolicy, SketchSpec, config, load_matrix, load_scores, make_plan, scores_to_distribution
+from levsketch import (
+    OrderingPolicy,
+    SketchSpec,
+    SyntheticSpec,
+    config,
+    gen_synthetic,
+    leverage_exact,
+    leverage_sketched,
+    load_matrix,
+    load_scores,
+    make_plan,
+    scores_to_distribution,
+    singular_values,
+)
 from levsketch.cli import main
 from levsketch.leverage import _load_scores_bytes
 from levsketch.order import save_plan
@@ -312,11 +325,15 @@ def test_figure_kinds(tmp_path):
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "true_score,approx_score"
         assert len(lines) == 1 + n
+    a = gen_synthetic(SyntheticSpec(n=256, d=6, rank=6))
+    exact, approx = leverage_exact(a).scores, leverage_sketched(a, SketchSpec("countsketch", eps=0.5, d=6)).scores
+    lines = ["%.17g,%.17g" % pair for pair in zip(exact.tolist(), approx.tolist())]
+    assert (tmp_path / "rank-full.csv").read_text() == "\n".join(["true_score,approx_score", *lines, ""])
     out = tmp_path / "spectrum.csv"
     assert run(["figure", "--kind", "spectrum", "--n", "128", "--d", "64", "--out", str(out)]) == 0
-    lines = out.read_text().strip().split("\n")
-    assert lines[0] == "component,sigma"
-    assert len(lines) == 1 + 64
+    sigma = singular_values(gen_synthetic(SyntheticSpec(n=128, d=64, rank=16, noise_sigma=1e-3)))
+    lines = ["%d,%.17g" % pair for pair in enumerate(sigma.tolist())]
+    assert out.read_text() == "\n".join(["component,sigma", *lines, ""])
 
 
 def test_figure_spectrum_is_under_the_memory_cap(tmp_path, capsys):
@@ -360,12 +377,16 @@ def test_config_file_seeds_defaults_but_flags_win(tmp_path):
     assert meta["seed"] == 6  # explicit flag beat the config value
     with_cfg = load_matrix(tmp_path / "cfg_out.bin")
     assert with_cfg.shape == (25, 4)
+    assert run(["gen", f"--config={cfg}"]) == 0  # the joined form of the flag
+    assert json.loads((tmp_path / "cfg_out.bin.json").read_text())["seed"] == 5
 
 
 def test_config_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "cfg"
-    cfg.write_text("frobnicate=1\n")
-    assert run(["gen", "--config", str(cfg), "--n", "4", "--d", "2", "--out", str(tmp_path / "x.bin")]) == 1
+    for text in ("frobnicate=1\n", "n 4\n"):  # a key that is no flag; a line with no =
+        cfg.write_text(text)
+        assert run(["gen", "--config", str(cfg), "--n", "4", "--d", "2", "--out", str(tmp_path / "x.bin")]) == 1
+        assert not (tmp_path / "x.bin").exists()
 
 
 def test_sizing_constant_is_not_an_input(tmp_path):
@@ -474,12 +495,28 @@ def test_config_sets_a_switch(tmp_path):
         ["bench", "--methods", ",", "--out", "{out}"],
         ["bench", "--log2-n", "", "--out", "{out}"],
         ["bench", "--eps", "", "--out", "{out}"],
+        ["bench", "--methods", "exact,gaussian", "--out", "{out}"],
+        ["gen", "--n", "40", "--d", "4", "--seed", "-1", "--out", "{out}"],
+        ["gen", "--n", "40", "--d", "4", "--noise", "nan", "--out", "{out}"],
+        ["gen", "--n", "40", "--d", "4", "--noise", "inf", "--out", "{out}"],
+        ["figure", "--kind", "rank-full", "--n", "64", "--seed", "-1", "--out", "{out}"],
+        ["figure", "--kind", "spectrum", "--n", "64", "--d", "8", "--seed", "-1", "--out", "{out}"],
+        ["bench", "--log2-n", "6", "--d", "4", "--methods", "exact", "--seed", "-1", "--out", "{out}"],
+        ["leverage", "--in", "{mat}", "--method", "exact", "--seed", "-1", "--out", "{out}"],
+        ["leverage", "--in", "{mat}", "--method", "oracle", "--seed", "-1", "--out", "{out}"],
+        ["leverage", "--in", "{mat}", "--method", "sketch-trunc", "--seed", "-1", "--out", "{out}"],
+        ["order", "--scores", "{scores}", "--policy", "shuffle", "--seed", "-1", "--out-dir", "{out}"],
+        ["order", "--scores", "{scores}", "--policy", "dec", "--seed", "-1", "--out-dir", "{out}"],
     ],
 )
-def test_out_of_range_counts_exit_1(tmp_path, argv):
+def test_out_of_range_counts_exit_1(tmp_path, capsys, argv):
     paths = {name: tmp_path / name for name in ("mat", "scores", "cfg", "out")}
     assert run(["gen", "--n", "40", "--d", "4", "--out", str(paths["mat"])]) == 0
     assert run(["leverage", "--in", str(paths["mat"]), "--out", str(paths["scores"])]) == 0
     paths["cfg"].write_text("header=maybe\n")
+    capsys.readouterr()
     assert run([token.format(**paths) for token in argv]) == 1
     assert not paths["out"].exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"levsketch {argv[0]}: error: ") and err.count("\n") == 1
+

@@ -393,6 +393,18 @@ def test_exact_scores_of_ill_conditioned_inputs(sigma, bound):
     assert np.abs(res.scores - truth).max() <= bound
 
 
+def test_exact_rotates_the_basis_onto_the_components_above_the_floor():
+    # the preconditioner keeps the two components at 1e-13 (its cut is
+    # 1e-14), A's own spectrum drops them at the 1e-12 floor; 5.2e-18 measured
+    rng = np.random.default_rng(3)
+    u = np.linalg.qr(rng.standard_normal((4096, 12)))[0]
+    v = np.linalg.qr(rng.standard_normal((12, 12)))[0]
+    a = (u * np.r_[np.ones(10), np.full(2, 1e-13)]) @ v.T
+    res = leverage_exact(a)
+    assert res.preconditioner is not None and res.effective_rank == 10
+    assert np.abs(res.scores - np.einsum("ij,ij->i", u[:, :10], u[:, :10])).max() <= 1e-15
+
+
 def test_exact_scores_stay_in_the_unit_interval_over_a_sweep():
     # 3000 low-rank inputs, columns scaled apart by up to 10^6. Largest
     # l - 1: 4.4e-16 here, 8.9e-16 from the thin-SVD left factor, and 3.0e-9
@@ -426,6 +438,15 @@ def test_scores_roundtrip(tmp_path):
     back = load_scores(path)
     assert np.array_equal(back, res.scores)
     assert (tmp_path / "scores.csv.json").exists()
+
+
+def test_save_scores_writes_index_and_17_digit_score_lines(tmp_path):
+    # 10000 rows span three write blocks, the last one short
+    scores = np.random.default_rng(4).random(10000) ** 9
+    scores[:3] = [0.0, 5e-324, 1.0]
+    path = tmp_path / "scores.csv"
+    save_scores(LeverageResult(scores=scores, method="exact", effective_rank=1), path)
+    assert path.read_text() == "".join("%d,%.17g\n" % pair for pair in enumerate(scores.tolist()))
 
 
 def test_load_scores_rejects_junk(tmp_path):

@@ -30,6 +30,8 @@ def test_csv_identity_contents(tmp_path):
     m = load_matrix(path)
     assert m.shape == (2, 2)
     assert np.array_equal(m, np.eye(2))
+    path.write_text("1,0\n \t \n0,1\n")  # a whitespace-only line is skipped
+    assert np.array_equal(load_matrix(path), np.eye(2))
 
 
 def test_csv_ragged_row_rejected(tmp_path):
@@ -58,6 +60,9 @@ def test_csv_header_skip(tmp_path):
     path.write_text("colx,coly\n5,6\n")
     m = load_matrix(path, header=True)
     assert np.array_equal(m, [[5.0, 6.0]])
+    path.write_text("colx,coly\n\n")
+    with pytest.raises(FormatError, match="no data rows"):
+        load_matrix(path, header=True)
 
 
 def test_csv_rejects_non_finite(tmp_path):
@@ -96,11 +101,26 @@ def test_csv_roundtrip_exact(tmp_path):
     assert np.array_equal(back, m)
 
 
+@pytest.mark.parametrize("shape", [(5000, 3), (3, 5000), (1, 1)])
+def test_csv_bytes_are_the_per_value_format(tmp_path, shape):
+    m = np.random.default_rng(2).standard_normal(shape)
+    m.flat[:3] = [-0.0, 5e-324, -1.7976931348623157e308][: m.size]
+    path = tmp_path / "m.csv"
+    save_matrix(m, path, "csv")
+    assert path.read_text() == "".join(",".join("%.17g" % v for v in row) + "\n" for row in m.tolist())
+
+
 def test_binary_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"XXXX" + b"\0" * 20)
     with pytest.raises(FormatError, match="magic"):
         load_matrix(path, "binary")
+    path.write_bytes(b"LVSK" + b"\0" * 19)
+    with pytest.raises(FormatError, match="truncated header"):
+        load_matrix(path)
+    path.write_bytes(struct.pack("<4sIQQ", b"LVSK", 2, 1, 1) + b"\0" * 8)
+    with pytest.raises(FormatError, match="unsupported version 2"):
+        load_matrix(path)
 
 
 def test_load_reads_the_format_from_the_file(tmp_path):
@@ -141,8 +161,20 @@ def test_synthetic_spec_validation():
         SyntheticSpec(n=10, d=5, rank=6)
     with pytest.raises(ConfigurationError):
         SyntheticSpec(n=10, d=5, rank=0)
-    with pytest.raises(ConfigurationError):
-        SyntheticSpec(n=10, d=5, rank=3, noise_sigma=-1.0)
+    for noise in (-1.0, np.nan, np.inf):
+        with pytest.raises(ConfigurationError, match="noise_sigma"):
+            SyntheticSpec(n=10, d=5, rank=3, noise_sigma=noise)
+    for field, value in (("n", 10.5), ("n", 0), ("d", True), ("d", 3.0), ("rank", 2.0), ("rank", True),
+                         ("seed", -1), ("seed", True), ("seed", 1.0), ("seed", "3")):
+        with pytest.raises(ConfigurationError, match=field):
+            SyntheticSpec(**{"n": 10, "d": 3, "rank": 1, field: value})
+
+
+def test_synthetic_spec_takes_numpy_integers_as_python_ints():
+    spec = SyntheticSpec(n=np.int64(40), d=np.int32(3), rank=np.uint8(2), seed=np.uint64(5))
+    assert spec == SyntheticSpec(n=40, d=3, rank=2, seed=5)
+    assert all(type(v) is int for v in (spec.n, spec.d, spec.rank, spec.seed))
+    assert np.array_equal(gen_synthetic(spec), gen_synthetic(SyntheticSpec(n=40, d=3, rank=2, seed=5)))
 
 
 def test_synthetic_full_rank():
@@ -211,9 +243,10 @@ def test_mem_cap_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("LVSK_MEM_CAP", "1000")
     with pytest.raises(CapacityError):
         gen_synthetic(SyntheticSpec(n=100, d=100, rank=5, seed=0))
-    monkeypatch.setenv("LVSK_MEM_CAP", "notanumber")
-    with pytest.raises(ConfigurationError):
-        gen_synthetic(SyntheticSpec(n=100, d=100, rank=5, seed=0))
+    for bad in ("notanumber", "0", "-5"):
+        monkeypatch.setenv("LVSK_MEM_CAP", bad)
+        with pytest.raises(ConfigurationError):
+            gen_synthetic(SyntheticSpec(n=100, d=100, rank=5, seed=0))
 
 
 def test_binary_header_is_checked_against_the_cap_before_reading(tmp_path, monkeypatch):

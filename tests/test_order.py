@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from levsketch import OrderingPlan, OrderingPolicy, emit_batches, make_plan, scores_to_distribution
 from levsketch.errors import CapacityError, ConfigurationError, DegenerateInputError
-from levsketch.order import _PLAN_CHUNK, save_plan
+from levsketch.order import _PLAN_CHUNK, save_manifest, save_plan
 
 
 def str_join_plan_bytes(indices) -> bytes:
@@ -40,6 +41,9 @@ def test_distribution_rejects_degenerate():
         scores_to_distribution([1.0, -0.5])
     with pytest.raises(DegenerateInputError):
         scores_to_distribution([])
+    for bad in ([1.0, np.nan], [np.inf, 1.0], [[1.0, 2.0]]):
+        with pytest.raises(DegenerateInputError):
+            scores_to_distribution(bad)
 
 
 def test_dec_sorts_decreasing():
@@ -153,8 +157,10 @@ def test_batches_shapes_and_roundtrip():
     assert [len(b) for b in batches] == [2, 2, 1]
     assert np.array_equal(np.concatenate(batches), plan.indices)
     assert len(emit_batches(plan, 100)) == 1
-    with pytest.raises(ConfigurationError):
-        emit_batches(plan, 0)
+    assert [len(b) for b in emit_batches(plan, np.int64(2))] == [2, 2, 1]
+    for bad in (0, 2.5, 2.0, True, "2"):
+        with pytest.raises(ConfigurationError, match="batch_size"):
+            emit_batches(plan, bad)
 
 
 def test_policy_validation():
@@ -165,6 +171,29 @@ def test_policy_validation():
         make_plan(np.array([0.5, 0.2]), OrderingPolicy("dec", seed=0))
     with pytest.raises(ConfigurationError):
         make_plan(p, OrderingPolicy("dec", seed=0), epoch=-1)
+    with pytest.raises(DegenerateInputError):
+        make_plan(np.array([[0.5, 0.5]]), OrderingPolicy("dec", seed=0))
+    for seed in (-1, True, False, 3.0, "3"):
+        with pytest.raises(ConfigurationError, match="seed"):
+            OrderingPolicy("shuffle", seed=seed)
+    for kind in ("shuffle", "dec", "dec_swr", "dec_swor"):
+        for epoch in (1.5, 1.0, True, "1"):
+            with pytest.raises(ConfigurationError, match="epoch"):
+                make_plan(p, OrderingPolicy(kind, seed=0), epoch=epoch)
+        for bad in ([np.nan, 1.0], [1.5, -0.5], [np.inf, 0.0]):
+            with pytest.raises(DegenerateInputError, match="finite and nonnegative"):
+                make_plan(np.array(bad), OrderingPolicy(kind, seed=0))
+
+
+def test_numpy_integers_are_taken_as_python_ints(tmp_path):
+    policy = OrderingPolicy("shuffle", seed=np.int64(3))
+    assert policy == OrderingPolicy("shuffle", seed=3) and type(policy.seed) is int
+    p = scores_to_distribution(np.arange(1.0, 9.0))
+    plan = make_plan(p, policy, np.int64(2))
+    assert type(plan.epoch) is int
+    assert np.array_equal(plan.indices, make_plan(p, OrderingPolicy("shuffle", seed=3), 2).indices)
+    save_manifest([plan], ["e.txt"], 4, tmp_path / "m.json")
+    assert json.loads((tmp_path / "m.json").read_text())["seed"] == 3
 
 
 def test_make_plan_checks_its_memory_figure_before_drawing(monkeypatch):

@@ -118,6 +118,8 @@ def test_spec_validation():
     for family in ("countsketch", "srht"):
         with pytest.raises(ConfigurationError, match="OSNAP only"):
             SketchSpec(family, eps=0.5, d=4, osnap_s=4)
+    with pytest.raises(ConfigurationError, match="below nonzeros per column"):
+        SketchState(SketchSpec("osnap", eps=0.5, d=4, osnap_s=4, rows_override=3), 100)
 
 
 @pytest.mark.parametrize(
@@ -857,6 +859,8 @@ def test_state_roundtrip(tmp_path):
         assert back.rows_consumed == 120
         assert back.k == state.k
         assert np.array_equal(back.data, state.data)
+        with pytest.raises(ConfigurationError, match="empty sketch state"):
+            save_state(SketchState(spec, 120), tmp_path / "empty.bin")
 
 
 @pytest.mark.parametrize("family", ["countsketch", "osnap", "srht"])
