@@ -90,7 +90,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--epochs", type=int, default=1)
     p.add_argument("--batch", type=int, default=1, help="mini-batch size recorded in the manifest")
     p.add_argument("--out-dir", type=str, default=".")
-    p.add_argument("--prefix", type=str, default="order_")
 
     p = subs["bench"] = sub.add_parser("bench", help="timing harness over a synthetic grid")
     common(p)
@@ -233,7 +232,7 @@ def cmd_order(args) -> int:
     policy = OrderingPolicy(kind=args.policy.replace("-", "_"), seed=args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    files = [f"{args.prefix}epoch_{epoch:04d}.txt" for epoch in range(args.epochs)]
+    files = [f"order_epoch_{epoch:04d}.txt" for epoch in range(args.epochs)]
     for epoch, name in enumerate(files):
         if epoch:
             del plan  # each plan is written as soon as it is drawn: one is held at a time
@@ -241,8 +240,20 @@ def cmd_order(args) -> int:
         save_plan(plan, out_dir / name)
     extra = _metadata(args, "order")
     extra["batches_per_epoch"] = -(-p.size // args.batch)
-    save_manifest([plan], files, args.batch, out_dir / f"{args.prefix}manifest.json", extra=extra)
+    save_manifest([plan], files, args.batch, out_dir / "order_manifest.json", extra=extra)
     return 0
+
+
+def _grid(flag: str, value: str, parse) -> list:
+    """The values of a comma-separated bench grid flag, empty items skipped;
+    an item ``parse`` refuses, or no item at all, is a ConfigurationError."""
+    try:
+        grid = [parse(v.strip()) for v in value.split(",") if v.strip()]
+    except ValueError as exc:
+        raise ConfigurationError(f"{flag}: {exc}") from None
+    if not grid:
+        raise ConfigurationError(f"{flag} names no value, so the grid is empty")
+    return grid
 
 
 def _bench_cell(a, method: str, eps: float, sv_tol: float, seed: int) -> float:
@@ -258,12 +269,9 @@ def _bench_cell(a, method: str, eps: float, sv_tol: float, seed: int) -> float:
 
 def cmd_bench(args) -> int:
     config._integer(args.repeats, "--repeats", 1)
-    exponents = [int(v) for v in args.log2_n.split(",") if v]
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    eps_grid = [float(v) for v in args.eps.split(",") if v]
-    for flag, grid in (("--log2-n", exponents), ("--methods", methods), ("--eps", eps_grid)):
-        if not grid:
-            raise ConfigurationError(f"{flag} names no value, so the grid is empty")
+    exponents = _grid("--log2-n", args.log2_n, int)
+    methods = _grid("--methods", args.methods, str)
+    eps_grid = _grid("--eps", args.eps, float)
     for m in methods:
         if m != "exact" and m not in FAMILIES:
             raise LevsketchError(f"unknown bench method {m!r}")

@@ -21,14 +21,18 @@ row-partitioned sketching in the coordinator model; the serial methods are its
 one-worker run. Workers sketch contiguous row partitions using global row
 indices, so each worker's hash assignments are identical to a serial pass; the
 coordinator merges the states in ascending worker order, runs the R-factor
-SVD of the merged sketch once, and broadcasts the basis so workers score their
-own rows. Workers are concurrent tasks in one process exchanging owned values;
-no network transport is implemented. Communication is accounted as what the
-workers ship to the coordinator, which is exactly what sketch.save_state
-writes: each worker's canonical block-tree nodes (k x d each, O(log(n/L)) of
-them for a contiguous range over leaves of L rows) plus its raw rows of the at
-most two leaves it holds only in part, O(k*d*log(n/L) + L*d) bytes per worker,
-for every sketch family.
+SVD of the merged sketch once, and broadcasts the basis. Each worker scores
+the globally aligned blocks of ``SCORE_BLOCK_ROWS`` rows that begin in its
+rows, one GEMM per whole block. A block cut by a worker boundary lies inside
+one leaf (L is a power of two of at least 1024) that every worker holding its
+rows holds only in part, so all its rows already reached the coordinator in
+the sketch messages. Workers are concurrent tasks in one process exchanging
+owned values; no network transport is implemented. Communication is accounted
+as what the workers ship to the coordinator, which is exactly what
+sketch.save_state writes: each worker's canonical block-tree nodes (k x d
+each, O(log(n/L)) of them for a contiguous range over leaves of L rows) plus
+its raw rows of the at most two leaves it holds only in part,
+O(k*d*log(n/L) + L*d) bytes per worker, for every sketch family.
 """
 
 import os
@@ -162,10 +166,9 @@ def _cholesky_qr_scores(a: np.ndarray, sketch: np.ndarray, cut: float) -> Levera
     k = kept.rank
     leaks = checked and k < d
     # Y (and A V_0 when it is formed), the scores, the basis, Gram / C / R_A /
-    # the SVD of R_A / C^-1 U_R, and per score block its zero-padded copy,
-    # its product and its row norms
+    # the SVD of R_A / C^-1 U_R, and per score block its product and row norms
     ensure_capacity(
-        8 * (n * (d if leaks else k) + n + d * k + 7 * k * k + min(n, SCORE_BLOCK_ROWS) * (2 * k + 1)),
+        8 * (n * (d if leaks else k) + n + d * k + 7 * k * k + min(n, SCORE_BLOCK_ROWS) * (k + 1)),
         f"orthonormal basis of a {n}x{d} matrix",
     )
     if leaks:
@@ -185,7 +188,7 @@ def _cholesky_qr_scores(a: np.ndarray, sketch: np.ndarray, cut: float) -> Levera
     basis = np.linalg.inv(c)
     if r_a.rank < k:  # A's own spectrum drops components the sketch kept
         basis = basis @ r_a.u
-    return LeverageResult(scores=_block_scores(y, basis, 0, n), method="exact", effective_rank=r_a.rank)
+    return LeverageResult(scores=_block_scores(y, basis), method="exact", effective_rank=r_a.rank)
 
 
 def leverage_oracle(a) -> LeverageResult:
@@ -220,32 +223,19 @@ def _approx_basis(svd: SvdResult) -> np.ndarray:
     return svd.vt.T / svd.sigma
 
 
-def _block_scores(rows: np.ndarray, basis: np.ndarray, start: int, n: int) -> np.ndarray:
-    """Scores for the rows at global indices ``start, start + 1, ...`` of an
-    n-row matrix: squared row norms of ``rows @ basis``.
+def _block_scores(rows: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Squared row norms of ``rows @ basis`` for rows that begin at a
+    multiple of ``SCORE_BLOCK_ROWS`` and end at another or at the matrix's end.
 
-    BLAS does not promise a row the same bits at every GEMM height, so each row
-    is scored in the globally aligned block that holds it, rows
-    ``[b, b + min(SCORE_BLOCK_ROWS, n - b))`` for b a multiple of
-    ``SCORE_BLOCK_ROWS``, by a GEMM of exactly that height; the rows of the
-    block that ``rows`` does not hold are zero-padded. A row's result then
-    does not depend on how the rows were partitioned.
+    BLAS does not promise a row the same bits at every GEMM height, so each
+    globally aligned block of ``SCORE_BLOCK_ROWS`` rows (the last one shorter)
+    is scored whole by one GEMM, and a row's bits do not depend on how the
+    rows were partitioned.
     """
-    m, d = rows.shape
-    scores = np.empty(m)
-    lo = 0
-    while lo < m:
-        offset = (start + lo) % SCORE_BLOCK_ROWS
-        height = min(SCORE_BLOCK_ROWS, n - (start + lo - offset))
-        hi = min(m, lo + height - offset)
-        if hi - lo == height:
-            block = rows[lo:hi]
-        else:
-            block = np.zeros((height, d))
-            block[offset : offset + hi - lo] = rows[lo:hi]
-        u = block @ basis
-        scores[lo:hi] = np.einsum("ij,ij->i", u, u)[offset : offset + hi - lo]
-        lo = hi
+    scores = np.empty(rows.shape[0])
+    for lo in range(0, rows.shape[0], SCORE_BLOCK_ROWS):
+        u = rows[lo : lo + SCORE_BLOCK_ROWS] @ basis
+        scores[lo : lo + SCORE_BLOCK_ROWS] = np.einsum("ij,ij->i", u, u)
     return scores
 
 
@@ -299,10 +289,10 @@ def run_distributed(
     largest are dropped first (``"sketch_trunc"``). One worker is the serial
     computation; more workers give the same scores bit for bit on any data
     and for every family, since the sketch is a fixed block-tree sum that the
-    merged states reproduce exactly (see the sketch module) and scores are
-    computed on globally aligned row blocks. At most ``max_threads`` tasks
-    (at least 1) run at once, by default one per CPU; the thread count never
-    changes the result.
+    merged states reproduce exactly (see the sketch module) and every globally
+    aligned score block is scored whole by one GEMM. At most ``max_threads``
+    tasks (at least 1) run at once, by default one per CPU; the thread count
+    never changes the result.
     """
     a = as_matrix(a)
     n = a.shape[0]
@@ -334,7 +324,9 @@ def run_distributed(
 
         t0 = time.perf_counter()
         basis = _approx_basis(svd)
-        blocks = pool.map(lambda lo, hi: _block_scores(a[lo:hi], basis, lo, n), los, his)
+        # each worker scores the aligned blocks that begin in its rows
+        cuts = [min(n, -(-lo // SCORE_BLOCK_ROWS) * SCORE_BLOCK_ROWS) for lo in los] + [n]
+        blocks = pool.map(lambda lo, hi: _block_scores(a[lo:hi], basis), cuts[:-1], cuts[1:])
         scores = np.concatenate(list(blocks))
         score_time = time.perf_counter() - t0
 
@@ -378,9 +370,7 @@ def leverage_sketched_trunc(a, spec: SketchSpec, sv_tol: float) -> LeverageResul
 # Serialization: scores CSV plus JSON metadata sidecar
 
 
-def save_scores(result: LeverageResult, csv_path, meta_path=None, extra_meta: dict | None = None) -> None:
-    csv_path = Path(csv_path)
-    meta_path = Path(meta_path) if meta_path is not None else Path(str(csv_path) + ".json")
+def save_scores(result: LeverageResult, csv_path, extra_meta: dict | None = None) -> None:
     with open(csv_path, "w") as f:
         write_rows(f, result.scores, index=True)
     meta = {
@@ -394,7 +384,7 @@ def save_scores(result: LeverageResult, csv_path, meta_path=None, extra_meta: di
     }
     if extra_meta:
         meta.update(extra_meta)
-    write_json(meta_path, meta)
+    write_json(Path(str(csv_path) + ".json"), meta)
 
 
 def load_scores(path) -> np.ndarray:

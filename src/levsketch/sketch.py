@@ -528,15 +528,16 @@ def _sampled_hadamard(
 # Serialization: matrix binary payload + JSON sidecar
 
 
-def save_state(state: SketchState, data_path, meta_path=None) -> None:
+def save_state(state: SketchState, data_path) -> None:
     """Write the state's message: a matrix binary payload of its canonical
     nodes (k rows each, in key order) followed by its held rows of partly
     held leaves (in row order), ``message_bytes`` bytes of data, plus a JSON
-    sidecar of the sketch record (:meth:`SketchSpec.to_json_dict`), the row
-    count, the node keys ``[level, i]`` and the held row ranges ``[lo, hi)``.
-    A state holding no rows has no message to save."""
+    sidecar (``data_path`` with suffix ``.json``) of the sketch record
+    (:meth:`SketchSpec.to_json_dict`), the row count, the node keys
+    ``[level, i]`` and the held row ranges ``[lo, hi)``. A state holding no
+    rows has no message to save."""
     data_path = Path(data_path)
-    meta_path = Path(meta_path) if meta_path is not None else data_path.with_suffix(".json")
+    meta_path = data_path.with_suffix(".json")
     keys, ranges, payload = state._message()
     if not keys and not ranges:
         raise ConfigurationError("an empty sketch state has no message to save")
@@ -552,7 +553,7 @@ def _integer_pairs(value, what: str) -> list[tuple[int, int]]:
     return [tuple(p) for p in value]
 
 
-def load_state(data_path, meta_path=None) -> SketchState:
+def load_state(data_path) -> SketchState:
     """Rebuild a state from :func:`save_state` output.
 
     The sidecar is checked as outside input: its fields build a spec and a
@@ -564,7 +565,7 @@ def load_state(data_path, meta_path=None) -> SketchState:
     rejects rows it already holds like the saved one, bit for bit.
     """
     data_path = Path(data_path)
-    meta_path = Path(meta_path) if meta_path is not None else data_path.with_suffix(".json")
+    meta_path = data_path.with_suffix(".json")
     try:
         with open(meta_path) as f:
             meta = json.load(f)

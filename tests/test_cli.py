@@ -507,6 +507,9 @@ def test_config_sets_a_switch(tmp_path):
         ["leverage", "--in", "{mat}", "--method", "sketch-trunc", "--seed", "-1", "--out", "{out}"],
         ["order", "--scores", "{scores}", "--policy", "shuffle", "--seed", "-1", "--out-dir", "{out}"],
         ["order", "--scores", "{scores}", "--policy", "dec", "--seed", "-1", "--out-dir", "{out}"],
+        ["bench", "--log2-n", "6,x", "--out", "{out}"],
+        ["bench", "--log2-n", "6.5", "--out", "{out}"],
+        ["bench", "--eps", "0.5,abc", "--out", "{out}"],
     ],
 )
 def test_out_of_range_counts_exit_1(tmp_path, capsys, argv):

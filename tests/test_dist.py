@@ -23,7 +23,6 @@ from levsketch import (
     save_state,
 )
 from levsketch.errors import ConfigurationError
-from levsketch.leverage import _block_scores
 
 
 def test_partition_even_split():
@@ -107,31 +106,19 @@ def test_distributed_bit_equals_serial_on_adversarial_data(family):
             assert np.array_equal(res.scores, serial.scores), (seed, workers)
 
 
-def test_block_scores_independent_of_split():
-    rng = np.random.default_rng(23)
-    rows = rng.standard_normal((3000, 256))
-    basis = rng.standard_normal((256, 255))  # a width where GEMM height changes the bits
-    whole = _block_scores(rows, basis, 0, 3000)
-    u = rows @ basis
-    assert np.allclose(whole, np.einsum("ij,ij->i", u, u), rtol=1e-13)
-    # the last block, rows 2048..2999, is 952 rows high and cut three times
-    cuts = [0, 1, 1023, 1024, 1500, 2049, 2500, 2999, 3000]
-    pieces = [_block_scores(rows[lo:hi], basis, lo, 3000) for lo, hi in zip(cuts, cuts[1:])]
-    assert np.array_equal(np.concatenate(pieces), whole)
-
-
-@settings(max_examples=25, deadline=None)
-@given(data=st.data())
-def test_block_scores_of_any_split_equal_the_unsplit_call(data):
-    n = data.draw(st.integers(1, 3500).filter(lambda v: v % 1024), label="n")
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    rows = rng.standard_normal((n, 256))
-    basis = rng.standard_normal((256, 255))
-    whole = _block_scores(rows, basis, 0, n)
-    cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=6), label="cuts")) if n > 1 else []
-    bounds = [0, *cuts, n]
-    pieces = [_block_scores(rows[lo:hi], basis, lo, n) for lo, hi in zip(bounds, bounds[1:])]
-    assert np.array_equal(np.concatenate(pieces), whole)
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(256, 3500), workers=st.integers(1, 8), seed=st.integers(0, 2**16))
+def test_distributed_scores_of_ragged_splits_equal_one_worker(n, workers, seed):
+    # a 256 x 255 basis, a width where GEMM height changes the bits; worker
+    # boundaries land anywhere inside the aligned score blocks, and each block
+    # must still be scored whole. An SRHT of min(1024, m) rows keeps all 255
+    # directions even at n = 256, where hashed sketches collide rows away.
+    a = gen_synthetic(SyntheticSpec(n=n, d=256, rank=255, seed=seed))
+    spec = SketchSpec("srht", eps=0.5, d=256, seed=seed, rows_override=min(1024, 1 << (n - 1).bit_length()))
+    serial = run_distributed(a, spec, 1, 1e-10)[0]
+    assert serial.effective_rank == 255
+    res, _ = run_distributed(a, spec, workers, 1e-10)
+    assert np.array_equal(res.scores, serial.scores)
 
 
 def test_srht_single_worker_equals_serial():

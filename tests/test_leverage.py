@@ -210,7 +210,7 @@ def exact_basis_bytes(n, d, k, leaks):
     sketch that kept k directions: Y (n x k, or n x d with A V_0 beside it
     when a checked sketch dropped directions), the scores, the basis V / sigma,
     Gram / C / R_A / the SVD of R_A / C^-1 U_R, and the score block."""
-    return 8 * (n * (d if leaks else k) + n + d * k + 7 * k * k + min(n, SCORE_BLOCK_ROWS) * (2 * k + 1))
+    return 8 * (n * (d if leaks else k) + n + d * k + 7 * k * k + min(n, SCORE_BLOCK_ROWS) * (k + 1))
 
 
 def r_factor_svd_bytes(n, d):
