@@ -23,6 +23,7 @@ from levsketch import (
     save_state,
 )
 from levsketch.errors import ConfigurationError
+from levsketch.leverage import SCORE_BLOCK_ROWS, _block_scores
 
 
 def test_partition_even_split():
@@ -104,6 +105,34 @@ def test_distributed_bit_equals_serial_on_adversarial_data(family):
         for workers in (2, 3):
             res, _ = run_distributed(a, spec, workers, 1e-3)
             assert np.array_equal(res.scores, serial.scores), (seed, workers)
+
+
+def test_block_scores_independent_of_split():
+    rng = np.random.default_rng(23)
+    rows = rng.standard_normal((3000, 256))
+    basis = rng.standard_normal((256, 255))  # a width where GEMM height changes the bits
+    whole = _block_scores(rows, basis)
+    u = rows @ basis
+    assert np.allclose(whole, np.einsum("ij,ij->i", u, u), rtol=1e-13)
+    # every cut on a block boundary; the last block, rows 2048..2999, is 952 rows high
+    cuts = [0, SCORE_BLOCK_ROWS, 2 * SCORE_BLOCK_ROWS, 3000]
+    pieces = [_block_scores(rows[lo:hi], basis) for lo, hi in zip(cuts, cuts[1:])]
+    assert np.array_equal(np.concatenate(pieces), whole)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_block_scores_of_any_split_equal_the_unsplit_call(data):
+    n = data.draw(st.integers(1, 3500).filter(lambda v: v % SCORE_BLOCK_ROWS), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    rows = rng.standard_normal((n, 256))
+    basis = rng.standard_normal((256, 255))
+    whole = _block_scores(rows, basis)
+    aligned = range(SCORE_BLOCK_ROWS, n, SCORE_BLOCK_ROWS)
+    cuts = sorted(data.draw(st.sets(st.sampled_from(aligned)), label="cuts")) if aligned else []
+    bounds = [0, *cuts, n]
+    pieces = [_block_scores(rows[lo:hi], basis) for lo, hi in zip(bounds, bounds[1:])]
+    assert np.array_equal(np.concatenate(pieces), whole)
 
 
 @settings(max_examples=20, deadline=None)
