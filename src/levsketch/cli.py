@@ -246,13 +246,17 @@ def cmd_order(args) -> int:
 
 def _grid(flag: str, value: str, parse) -> list:
     """The values of a comma-separated bench grid flag, empty items skipped;
-    an item ``parse`` refuses, or no item at all, is a ConfigurationError."""
+    an item ``parse`` refuses, a value named twice, or no item at all, is a
+    ConfigurationError."""
     try:
         grid = [parse(v.strip()) for v in value.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigurationError(f"{flag}: {exc}") from None
     if not grid:
         raise ConfigurationError(f"{flag} names no value, so the grid is empty")
+    repeated = [v for i, v in enumerate(grid) if v in grid[:i]]
+    if repeated:
+        raise ConfigurationError(f"{flag} names {repeated[0]!r} more than once")
     return grid
 
 
@@ -269,12 +273,16 @@ def _bench_cell(a, method: str, eps: float, sv_tol: float, seed: int) -> float:
 
 def cmd_bench(args) -> int:
     config._integer(args.repeats, "--repeats", 1)
-    exponents = _grid("--log2-n", args.log2_n, int)
+    exponents = [config._integer(e, "--log2-n", 0) for e in _grid("--log2-n", args.log2_n, int)]
     methods = _grid("--methods", args.methods, str)
     eps_grid = _grid("--eps", args.eps, float)
     for m in methods:
         if m != "exact" and m not in FAMILIES:
             raise LevsketchError(f"unknown bench method {m!r}")
+    # checked here for every method: the exact method builds no SketchSpec
+    for eps in eps_grid:
+        if not 0 < eps < 1:
+            raise ConfigurationError(f"--eps must be in (0, 1), got {eps}")
 
     def timings(a, method: str, eps: float) -> list[float] | None:
         """The cell's timed repeats, after one untimed run that keeps first-call

@@ -2,15 +2,23 @@
 
 The sketched method computes an approximate orthonormal basis
 ``A V diag(1/sigma)`` from the singular values and right singular vectors of
-``S @ A``, taken from the SVD of its R factor
-(:func:`levsketch.svd.right_svd`), so the k x d left factor of the sketch is
-never formed. Uncorrected, it inverts every singular value of the sketch and
-is deliberately retained because it fails on rank-deficient or
-noise-corrupted inputs. The truncated variant drops small singular components
-first, which restores the approximation guarantee on such inputs. The exact
-method runs the same stages on an internal CountSketch of 4d rows, makes the
-basis orthonormal to float64 rounding with one Cholesky QR pass, and decides
-the rank on A's own singular values; when a check against A shows that the
+``S @ A``, so the k x d left factor of the sketch is never formed.
+Uncorrected, it inverts every singular value of the sketch and is
+deliberately retained because it fails on rank-deficient or noise-corrupted
+inputs; it needs every component resolved down to rounding, so it takes
+sigma and V from the SVD of the sketch's R factor
+(:func:`levsketch.svd.right_svd`). The truncated variant drops the
+components at or below ``sv_tol`` times the largest first, which restores
+the approximation guarantee on such inputs. From ``sv_tol`` =
+:data:`levsketch.svd.GRAM_SV_TOL_FLOOR` (1e-4) up it takes sigma and V from
+the sketch's Gram matrix plus one Cholesky QR pass
+(:func:`levsketch.svd.gram_right_svd`), two k x d x d products in place of a
+Householder QR of k rows; below, from the R factor. The route depends on
+``sv_tol`` alone and is recorded in the run's report. The exact method runs
+the same stages on an internal CountSketch of 4d rows, always through the R
+factor (its cut, 1e-14, is far below what a Gram resolves), makes the basis
+orthonormal to float64 rounding with one Cholesky QR pass, and decides the
+rank on A's own singular values; when a check against A shows that the
 sketch missed a direction or left the basis too ill-conditioned for one
 pass, it runs them again with A as its own sketch. The oracle forms
 the full projection matrix through a pseudo-inverse and is kept as a fully
@@ -20,8 +28,8 @@ Both sketched variants run through :func:`run_distributed`, a simulation of
 row-partitioned sketching in the coordinator model; the serial methods are its
 one-worker run. Workers sketch contiguous row partitions using global row
 indices, so each worker's hash assignments are identical to a serial pass; the
-coordinator merges the states in ascending worker order, runs the R-factor
-SVD of the merged sketch once, and broadcasts the basis. Each worker scores
+coordinator merges the states in ascending worker order, runs the SVD of the
+merged sketch once, and broadcasts the basis. Each worker scores
 the globally aligned blocks of ``SCORE_BLOCK_ROWS`` rows that begin in its
 rows, one GEMM per whole block. A block cut by a worker boundary lies inside
 one leaf (L is a power of two of at least 1024) that every worker holding its
@@ -54,7 +62,7 @@ from .errors import (
 )
 from .matrix import as_matrix, write_json, write_rows
 from .sketch import COUNTSKETCH, SketchSpec, SketchState, _consume, merge
-from .svd import SvdResult, _right_svd, right_svd, thin_svd, truncate
+from .svd import GRAM_SV_TOL_FLOOR, SvdResult, _right_svd, gram_right_svd, right_svd, thin_svd, truncate
 
 # Relative floor under which singular components are treated as numerically
 # zero by the exact method, so rank-deficient inputs stay well-defined.
@@ -245,6 +253,7 @@ class CoordinatorReport:
     workers: int
     per_worker_times: list[float]
     merge_time: float
+    svd_route: str
     svd_time: float
     score_time: float
     bytes_communicated: int
@@ -255,6 +264,7 @@ class CoordinatorReport:
             "workers": self.workers,
             "per_worker_times_s": self.per_worker_times,
             "merge_time_s": self.merge_time,
+            "svd_route": self.svd_route,
             "svd_time_s": self.svd_time,
             "score_time_s": self.score_time,
             "bytes_communicated": self.bytes_communicated,
@@ -282,11 +292,15 @@ def run_distributed(
     a, spec: SketchSpec, workers: int, sv_tol: float | None, max_threads: int | None = None
 ) -> tuple[LeverageResult, CoordinatorReport]:
     """Sketched leverage scores over ``workers`` row partitions: sketch, merge,
-    SVD of the merged sketch's R factor (sigma and V^T only), basis, score.
+    SVD of the merged sketch (sigma and V^T only), basis, score.
 
     ``sv_tol=None`` inverts every singular component of the sketch (method
     ``"sketch"``); otherwise components at or below ``sv_tol`` times the
-    largest are dropped first (``"sketch_trunc"``). One worker is the serial
+    largest are dropped first (``"sketch_trunc"``). The SVD is
+    :func:`gram_right_svd` when ``sv_tol`` is at least ``GRAM_SV_TOL_FLOOR``
+    and the R-factor :func:`right_svd` otherwise; the report's ``svd_route``
+    says which ran, and an ``sv_tol`` outside [0, 1) is refused before any
+    row is sketched. One worker is the serial
     computation; more workers give the same scores bit for bit on any data
     and for every family, since the sketch is a fixed block-tree sum that the
     merged states reproduce exactly (see the sketch module) and every globally
@@ -296,6 +310,8 @@ def run_distributed(
     """
     a = as_matrix(a)
     n = a.shape[0]
+    if sv_tol is not None and not 0 <= sv_tol < 1:  # NaN fails too
+        raise ConfigurationError(f"sv_tol must be in [0, 1), got {sv_tol}")
     ranges = partition_rows(n, workers)
     los, his = zip(*ranges)
     if max_threads is not None:
@@ -317,9 +333,12 @@ def run_distributed(
         merge_time = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        svd = right_svd(merged.data)
-        if sv_tol is not None:
-            svd = truncate(svd, sv_tol)
+        if sv_tol is not None and sv_tol >= GRAM_SV_TOL_FLOOR:
+            svd, svd_route = gram_right_svd(merged.data, sv_tol), "gram_cholesky_qr"
+        else:
+            svd, svd_route = right_svd(merged.data), "householder_qr"
+            if sv_tol is not None:
+                svd = truncate(svd, sv_tol)
         svd_time = time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -342,6 +361,7 @@ def run_distributed(
         workers=len(ranges),
         per_worker_times=[t for _, t in sketched],
         merge_time=merge_time,
+        svd_route=svd_route,
         svd_time=svd_time,
         score_time=score_time,
         bytes_communicated=sum(state.message_bytes for state, _ in sketched),

@@ -94,7 +94,7 @@ def save_matrix(m: np.ndarray, path, format: str = "binary") -> None:
     if format == "binary":
         with open(path, "wb") as f:
             f.write(_HEADER.pack(MAGIC, BINARY_VERSION, m.shape[0], m.shape[1]))
-            f.write(m.astype("<f8", copy=False).tobytes())
+            f.write(m.astype("<f8", copy=False).data)  # the buffer itself, not a bytes copy of it
     elif format == "csv":
         with open(path, "w") as f:
             write_rows(f, *m.T)

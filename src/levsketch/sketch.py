@@ -43,6 +43,7 @@ bucket, a keyed splitmix64 bit the sign. SRHT's sign of row r is draw r of one
 Philox stream, drawn when r's leaf is reduced; the sample follows the m signs.
 """
 
+import bisect
 import copy
 import json
 import math
@@ -198,9 +199,12 @@ def _tree_state_elements(spec: SketchSpec, n: int) -> int:
     For SRHT, the sample draw (``choice`` shuffles all m indices once k
     passes about m/50) and k-long index arrays; a leaf's signs, its
     sign-flipped rows zero-padded to whole B-row blocks and its
-    block-transformed rows; ``H_B``; the k x (L/B) +-1 factor with two
-    temporaries of its size; and numpy's iterator buffers for a broadcast
-    operation (``np.getbufsize()`` elements for each of three operands)."""
+    block-transformed rows; ``H_B``; the +-1 factor of whole runs of
+    samples that share a low index, B*d rows of it or one run (at most m/B,
+    the high indices that go with one low index), and at most k, times L/B
+    columns, with two temporaries of its size; and numpy's iterator buffers
+    for a broadcast operation (``np.getbufsize()`` elements for each of
+    three operands)."""
     k, d = sketch_rows(spec), spec.d
     leaf = _leaf_rows(k)
     n_leaves = -(-n // leaf)
@@ -209,8 +213,9 @@ def _tree_state_elements(spec: SketchSpec, n: int) -> int:
     if spec.family == SRHT:
         block = _srht_block_rows(k)
         n_blocks = -(-height // block)
-        sample = min(_next_pow2(n), 50 * k) + 6 * k
-        kernel = height + 2 * n_blocks * block * d + block * block + 3 * k * n_blocks
+        m = _next_pow2(n)
+        sample = min(m, 50 * k) + 6 * k
+        kernel = height + 2 * n_blocks * block * d + block * block + 3 * min(k, max(block * d, m // block)) * n_blocks
         return tree + sample + kernel + 3 * np.getbufsize()
     return tree + (3 * spec.s + 4) * height
 
@@ -512,15 +517,21 @@ def _sampled_hadamard(
     transformed = np.empty((block, n_blocks, d))
     np.matmul(_hadamard(local, local), flipped.reshape(n_blocks, block, d), out=transformed.transpose(1, 0, 2))
     # Step 2: sampled row p = p1*B + p2 is H_{m/B}[p1, blocks] times the
-    # transformed rows at p2, one GEMM per run of samples sharing p2.
+    # transformed rows at p2, one GEMM per run of samples sharing p2. The +-1
+    # factor is built for whole runs at a time, B*d rows of it at most unless
+    # one run is longer, so it holds no more than the leaf's rows.
     low = sample & (block - 1)
     high = sample >> (block.bit_length() - 1)
-    factor = _hadamard(high, np.arange(start // block, start // block + n_blocks))
-    factor *= scale
+    blocks = np.arange(start // block, start // block + n_blocks)
     cuts = [0, *(np.flatnonzero(np.diff(low)) + 1).tolist(), sample.size]
     out = np.empty((sample.size, d))
+    base = built = 0  # the factor holds the rows [base, built) of the samples
     for r0, r1 in zip(cuts[:-1], cuts[1:]):
-        np.matmul(factor[r0:r1], transformed[low[r0]], out=out[r0:r1])
+        if r1 > built:
+            base, built = r0, max(r1, cuts[bisect.bisect_right(cuts, r0 + block * d) - 1])
+            factor = _hadamard(high[base:built], blocks)
+            factor *= scale
+        np.matmul(factor[r0 - base : r1 - base], transformed[low[r0]], out=out[r0:r1])
     return out
 
 

@@ -1,6 +1,6 @@
 """Thin SVDs plus relative singular-value truncation.
 
-Two entry points, both on numpy's LAPACK routines:
+Three entry points, all on numpy's LAPACK routines:
 
 - :func:`right_svd` returns only sigma and V^T, from a Householder QR of the
   input (R factor only) followed by the SVD of that small R. Every scoring
@@ -10,7 +10,15 @@ Two entry points, both on numpy's LAPACK routines:
   away. ``A = Q R`` with Q orthonormal gives A and R the same sigma and V,
   and the route is backward stable like the full SVD (LAPACK's
   divide-and-conquer SVD itself starts with a QR on tall inputs); nothing
-  is inverted or squared.
+  is inverted or squared. It resolves every component down to rounding, so
+  it serves the uncorrected sketched method (which inverts all of them), a
+  truncation below :data:`GRAM_SV_TOL_FLOOR`, and the exact method.
+- :func:`gram_right_svd` returns sigma and V^T of the components above a
+  relative cut ``sv_tol`` of at least :data:`GRAM_SV_TOL_FLOOR`, from the
+  Gram matrix ``A^T A`` plus one Cholesky QR pass: two k x d x d products
+  and small d x d factorizations in place of a Householder QR of all k
+  rows, which runs far below the BLAS rate. The truncated sketched method
+  takes it.
 - :func:`thin_svd` returns all three factors. The exact method uses it on
   its small k x k factor ``R_A``, whose left factor rotates the basis; on
   anything tall it is the reference that tests and benchmarks compare
@@ -85,6 +93,72 @@ def _right_svd(a: np.ndarray) -> SvdResult:
     # both ways, which costs more than this copy. R is the same bit for bit.
     _, sigma, vt = np.linalg.svd(np.linalg.qr(np.asfortranarray(a), mode="r"), full_matrices=False)
     return SvdResult(u=None, sigma=sigma, vt=vt)
+
+
+# The smallest relative cut that :func:`gram_right_svd` takes.
+GRAM_SV_TOL_FLOOR = 1e-4
+
+
+def gram_right_svd(a: np.ndarray, sv_tol: float) -> SvdResult:
+    """Singular values above ``sv_tol`` times the largest and their right
+    singular vectors, from the Gram matrix plus one Cholesky QR pass; ``u`` is
+    None. Up to rounding it is ``truncate(right_svd(a), sv_tol)``, for
+    ``GRAM_SV_TOL_FLOOR <= sv_tol < 1`` (SVQB, Stathopoulos & Wu, SISC 2002;
+    CholeskyQR2, Fukaya et al., ScalA 2014). For an m x n input:
+
+    1. ``A^T A = V diag(lam) V^T`` by ``eigh``; keep the components with
+       ``sqrt(lam) > (sv_tol/2) sigma_1``, as V_1 and Sigma_1.
+    2. ``Q = A V_1 Sigma_1^-1``, one m x n x r GEMM.
+    3. ``Q^T Q = C^T C``, a Cholesky factorization.
+    4. ``A V_1 = Z C Sigma_1`` with ``Z = Q C^-1`` orthonormal, so sigma and
+       V^T are those of the r x n matrix ``C Sigma_1 V_1^T``: its thin SVD,
+       cut at ``sv_tol``.
+
+    The input is first scaled by the power of two that brings its largest
+    entry into [1/2, 1): that is exact, and the Gram neither overflows nor
+    underflows. An all-zero input raises DegenerateInputError.
+
+    The floor. The Gram and its ``eigh`` err by about ``n u sigma_1^2`` (u =
+    2^-53), so step 1 measures a component at the cut ``(sv_tol/2) sigma_1``
+    to ``4 n u / sv_tol^2`` of its lam: at sv_tol = 1e-4 that is n * 4.4e-8,
+    1.1e-5 at n = 256, against a margin of 4 in lam between the cut and any
+    component kept at the end. The same error leaves each kept right vector
+    tilted towards the dropped ones by up to about ``n u sigma_1^2 /
+    (sigma_i^2 - sigma_j^2) <= (4/3) n u / sv_tol^2``, which steps 2-4 cannot
+    undo since they act inside the span of V_1; scores built on V inherit
+    that, ``n u / sv_tol^2``, at most 2.8e-6 at n = 256 and the floor, far
+    inside any sketch's distortion. Steps 2-4 make sigma accurate to about
+    ``n u / sv_tol`` relative: ``kappa(Q)^2 <= 1 + 4 n u / sv_tol^2``, so one
+    Cholesky QR pass makes Z orthonormal to rounding. A component under
+    ``sqrt(n u) sigma_1`` is lost in the Gram's rounding altogether; only a
+    QR resolves it, which is why a cut below the floor stays on
+    :func:`right_svd`.
+
+    Checked against the memory cap first: the scaled copy of the input, Q,
+    and the n x n factorizations (the Gram, ``eigh``'s copy, eigenvectors
+    and workspace, V_1 Sigma_1^-1, Q^T Q and C, ``C Sigma_1 V_1^T`` and its
+    thin SVD as counted by :func:`thin_svd`), ``2*m*n + 17*n*n + 2*n``
+    float64 elements.
+    """
+    a = as_matrix(a)
+    m, n = a.shape
+    if not GRAM_SV_TOL_FLOOR <= sv_tol < 1:
+        raise ConfigurationError(f"the Gram route needs sv_tol in [{GRAM_SV_TOL_FLOOR}, 1), got {sv_tol}")
+    ensure_capacity(8 * (2 * m * n + 17 * n * n + 2 * n), f"Gram SVD of a {m}x{n} matrix")
+    top = max(a.max(), -a.min())
+    if top == 0:
+        raise DegenerateInputError("cannot truncate an all-zero matrix (largest singular value is 0)")
+    exponent = int(np.frexp(top)[1])
+    b = np.ldexp(a, -exponent)
+    lam, v = np.linalg.eigh(b.T @ b)
+    sigma = np.sqrt(np.maximum(lam, 0.0))
+    keep = sigma > 0.5 * sv_tol * sigma[-1]
+    sigma, v = sigma[keep], v[:, keep]
+    q = b @ (v / sigma)
+    c = np.linalg.cholesky(q.T @ q, upper=True)
+    del q
+    _, sigma, vt = np.linalg.svd((c * sigma) @ v.T, full_matrices=False)
+    return truncate(SvdResult(u=None, sigma=np.ldexp(sigma, exponent), vt=vt), sv_tol)
 
 
 def singular_values(a: np.ndarray) -> np.ndarray:

@@ -510,6 +510,12 @@ def test_config_sets_a_switch(tmp_path):
         ["bench", "--log2-n", "6,x", "--out", "{out}"],
         ["bench", "--log2-n", "6.5", "--out", "{out}"],
         ["bench", "--eps", "0.5,abc", "--out", "{out}"],
+        ["bench", "--log2-n", "6", "--d", "4", "--methods", "exact", "--eps", "2", "--out", "{out}"],
+        ["bench", "--log2-n", "6", "--d", "4", "--methods", "exact", "--eps", "nan", "--out", "{out}"],
+        ["bench", "--log2-n", "6,6", "--d", "4", "--methods", "exact", "--out", "{out}"],
+        ["bench", "--log2-n", "6,-1", "--d", "4", "--methods", "exact", "--out", "{out}"],
+        ["leverage", "--in", "{mat}", "--method", "sketch-trunc", "--sv-tol", "1.5", "--out", "{out}"],
+        ["leverage", "--in", "{mat}", "--method", "sketch-trunc", "--sv-tol", "nan", "--out", "{out}"],
     ],
 )
 def test_out_of_range_counts_exit_1(tmp_path, capsys, argv):
@@ -523,3 +529,21 @@ def test_out_of_range_counts_exit_1(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith(f"levsketch {argv[0]}: error: ") and err.count("\n") == 1
 
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        (["--eps", "2"], "--eps must be in (0, 1), got 2.0"),
+        (["--eps", "0.5,nan"], "--eps must be in (0, 1), got nan"),
+        (["--log2-n", "6,6"], "--log2-n names 6 more than once"),
+        (["--methods", "exact,osnap,exact"], "--methods names 'exact' more than once"),
+        (["--eps", "0.5,0.50"], "--eps names 0.5 more than once"),
+        (["--log2-n", "6,-1"], "--log2-n must be an integer of at least 0, got -1"),
+    ],
+)
+def test_bench_grid_errors_name_the_flag(tmp_path, capsys, grid, message):
+    out = tmp_path / "bench.csv"
+    assert run(["bench", "--d", "4", "--methods", "exact", "--repeats", "1", *grid, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"levsketch bench: error: {message}\n"
+    assert not out.exists()

@@ -19,11 +19,14 @@ from levsketch import (
     load_matrix,
     merge,
     partition_rows,
+    right_svd,
     run_distributed,
     save_state,
+    truncate,
 )
 from levsketch.errors import ConfigurationError
-from levsketch.leverage import SCORE_BLOCK_ROWS, _block_scores
+from levsketch.leverage import SCORE_BLOCK_ROWS, _approx_basis, _block_scores
+from levsketch.svd import GRAM_SV_TOL_FLOOR
 
 
 def test_partition_even_split():
@@ -250,12 +253,31 @@ def test_report_contents():
     assert rep.merge_time >= 0 and rep.svd_time >= 0 and rep.score_time >= 0
     payload = rep.to_json_dict()
     assert payload["workers"] == 3
+    assert payload["svd_route"] == "gram_cholesky_qr"
     assert payload["sketch"]["family"] == "osnap"
     assert payload["bytes_communicated"] == rep.bytes_communicated
     # a numpy worker count gives the same report, all plain ints
     _, rep = run_distributed(a, spec, np.int64(3), 1e-3, max_threads=np.int64(2))
     assert json.loads(json.dumps(rep.to_json_dict()))["per_worker_rows"] == [100, 100, 100]
     assert type(rep.workers) is int
+
+
+@pytest.mark.parametrize("sv_tol", [None, 0.0, 1e-5, np.nextafter(GRAM_SV_TOL_FLOOR, 0)])
+def test_a_cut_below_the_gram_floor_takes_the_r_factor_route(monkeypatch, sv_tol):
+    # the scores of the R-factor SVD written out, bit for bit, at any worker count
+    a = gen_synthetic(SyntheticSpec(n=3000, d=24, rank=24, seed=48))
+    spec = SketchSpec("osnap", eps=0.5, d=24, seed=49)
+    svd = right_svd(apply_sketch(a, spec).data)
+    expected = _block_scores(a, _approx_basis(svd if sv_tol is None else truncate(svd, sv_tol)))
+
+    def refuse(*args):
+        raise AssertionError("the Gram route ran")
+
+    monkeypatch.setattr(levsketch.leverage, "gram_right_svd", refuse)
+    for w in (1, 3):
+        res, rep = run_distributed(a, spec, w, sv_tol)
+        assert rep.svd_route == "householder_qr"
+        assert np.array_equal(res.scores, expected)
 
 
 def test_thread_cap_does_not_change_result():

@@ -86,6 +86,10 @@ def test_zero_matrix_rejected():
         leverage_exact(z)
     with pytest.raises(DegenerateInputError):
         leverage_oracle(z)
+    # an all-zero sketch, on the Gram route and on the R-factor route
+    for sv_tol in (1e-3, 1e-5):
+        with pytest.raises(DegenerateInputError):
+            leverage_sketched_trunc(z, SketchSpec("countsketch", eps=0.5, d=3, seed=1), sv_tol)
 
 
 def test_scores_bounded_and_sum_to_rank():

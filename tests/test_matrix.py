@@ -91,6 +91,20 @@ def test_binary_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(back, m)
 
 
+@pytest.mark.parametrize("layout", ["c-order", "fortran-order", "strided"])
+def test_binary_file_is_the_header_then_little_endian_rows(tmp_path, layout):
+    m = np.array([[1.0, -2.5, 0.0], [2.0**-1074, 1e300, -0.0]])
+    arg = {"c-order": m, "fortran-order": np.asfortranarray(m), "strided": np.repeat(m, 2, axis=1)[:, ::2]}[layout]
+    path = tmp_path / "m.bin"
+    save_matrix(arg, path, "binary")
+    payload = bytes.fromhex(
+        "4c56534b" "01000000" "0200000000000000" "0300000000000000"  # LVSK, version 1, n = 2, d = 3
+        "000000000000f03f" "00000000000004c0" "0000000000000000"  # 1, -2.5, 0
+        "0100000000000000" "9c7500883ce4377e" "0000000000000080"  # 2^-1074, 1e300, -0
+    )
+    assert path.read_bytes() == payload
+
+
 def test_csv_roundtrip_exact(tmp_path):
     rng = np.random.default_rng(1)
     m = as_matrix(rng.standard_normal((20, 7)))

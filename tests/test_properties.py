@@ -3,7 +3,8 @@ Woodruff, JMLR 2012): exact scores lie in [0, 1] and sum to the rank, permute
 with the rows, and do not change when the matrix is scaled; neither do the
 sketched, truncated scores. Exact scores match the oracle on inputs built to
 defeat the exact method's internal sketch. The sketch itself is linear to
-within float64 rounding."""
+within float64 rounding. The truncated sketched method's Gram route keeps the
+rank and scores of the R-factor route on spectra that straddle its cut."""
 
 import numpy as np
 from hypothesis import assume, example, given, settings
@@ -14,10 +15,15 @@ from levsketch import (
     SyntheticSpec,
     apply_sketch,
     gen_synthetic,
+    gram_right_svd,
     leverage_exact,
     leverage_oracle,
     leverage_sketched_trunc,
+    right_svd,
+    run_distributed,
+    truncate,
 )
+from levsketch.leverage import _approx_basis, _block_scores
 
 
 @st.composite
@@ -147,3 +153,64 @@ def test_sketch_is_linear(n, d, family, seed, alpha, beta):
     relative = (2 * m + 8) * 2.0**-53 * (abs(alpha) * np.abs(a) + abs(beta) * np.abs(b)).sum(axis=0)
     bound = relative + (m + 4) * 2.0**-1074
     assert (np.abs(combined - separate) <= bound).all()
+
+
+U = 2.0**-53
+# A QR-route singular value this close to the cut, relative, may fall on
+# either side of it on the Gram route (whose sigma err by about d u / sv_tol).
+CUT_GAP = 1e-8
+
+
+@st.composite
+def straddling_spectra(draw, d=64):
+    """An n x 64 input whose spectrum reaches past a cut of 1e-3 or 1e-4: a
+    log-spaced spectrum with condition number up to 1e8; rank d/2 plus noise
+    1e-6; or multivariate-t rows with one degree of freedom (T1; Ma, Mahoney
+    & Yu, JMLR 2015), Gaussian rows of covariance 2 * 0.5^|i - j| each divided
+    by the root of a chi-square(1) draw, whose scores are far from uniform."""
+    kind = draw(st.sampled_from(["log-spectrum", "half-rank-noise", "t1-rows"]), label="kind")
+    n = draw(st.integers(1100, 3000), label="n")
+    seed = draw(st.integers(0, 2**16), label="seed")
+    rng = np.random.default_rng(seed)
+    if kind == "log-spectrum":
+        kappa = 10.0 ** draw(st.floats(2, 8), label="log10 kappa")
+        left, right = (np.linalg.qr(rng.standard_normal((m, d)))[0] for m in (n, d))
+        return (left * np.geomspace(1, 1 / kappa, d)) @ right.T
+    if kind == "half-rank-noise":
+        return gen_synthetic(SyntheticSpec(n=n, d=d, rank=d // 2, noise_sigma=1e-6, seed=seed))
+    cov = 2.0 * 0.5 ** np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
+    return rng.standard_normal((n, d)) @ np.linalg.cholesky(cov).T / np.sqrt(rng.chisquare(1, (n, 1)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    a=straddling_spectra(),
+    family=st.sampled_from(["countsketch", "osnap", "srht"]),
+    sv_tol=st.sampled_from([1e-3, 1e-4]),
+)
+def test_gram_route_keeps_the_rank_and_scores_of_the_r_factor_route(a, family, sv_tol):
+    d = a.shape[1]
+    spec = SketchSpec(family, eps=0.5, d=d, seed=3, rows_override=1024)
+    sketch = apply_sketch(a, spec).data
+    qr = right_svd(sketch)
+    ref = truncate(qr, sv_tol)
+    res, report = run_distributed(a, spec, 1, sv_tol)
+    assert report.svd_route == "gram_cholesky_qr"
+    for w in (3, 8):
+        assert np.array_equal(run_distributed(a, spec, w, sv_tol)[0].scores, res.scores)
+    near = np.abs(qr.sigma / (sv_tol * qr.sigma[0]) - 1) <= CUT_GAP
+    if near.any():
+        assert abs(res.effective_rank - ref.rank) <= np.count_nonzero(near)
+        return
+    assert res.effective_rank == ref.rank
+    # sigma as accurate as the GEMM A V_1 that formed it
+    gram = gram_right_svd(sketch, sv_tol)
+    assert (np.abs(gram.sigma - ref.sigma) <= d * U / sv_tol * ref.sigma).all()
+    # The Gram's rounding, about d u sigma_1^2, tilts each kept right vector
+    # towards the dropped ones by up to d u sigma_1^2 / (sigma_i^2 - sigma_j^2),
+    # with sigma_i > sv_tol sigma_1 and sigma_j <= sv_tol sigma_1 / 2, and the
+    # Cholesky QR pass, acting inside the kept span, keeps that tilt: so the
+    # scores move by up to about d u / sv_tol^2 (0.3 u / sv_tol^2 at most
+    # measured on these inputs), against u / sv_tol for the QR route's own.
+    expected = _block_scores(a, _approx_basis(ref))
+    assert (np.abs(res.scores - expected) <= d * U / sv_tol**2 * expected).all()

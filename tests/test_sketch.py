@@ -791,6 +791,19 @@ def test_srht_state_peak_within_its_capacity_check(n, d, k, monkeypatch):
     assert_peak_within_capacity_check(spec, np.random.default_rng(n).standard_normal((n, d)), 0, n, monkeypatch)
 
 
+def test_srht_factor_is_built_a_few_low_indices_at_a_time(monkeypatch):
+    # n = k = 16384, d = 8: the +-1 factor of all k samples would be k x (L/B)
+    # = 16384 x 128 with two temporaries, 50 MB; built for whole runs of
+    # samples that share a low index, B*d = 1024 rows at a time, it takes 3 MB
+    n, d = 1 << 14, 8
+    spec = SketchSpec("srht", eps=0.5, d=d, seed=5, rows_override=n)
+    cap = 16 << 20
+    assert 8 * _tree_state_elements(spec, n) < cap < 8 * 3 * n * (n // 128)
+    monkeypatch.setenv("LVSK_MEM_CAP", str(cap))
+    a = np.random.default_rng(47).standard_normal((n, d))
+    assert np.isfinite(consume_rows(SketchState(spec, n), a, 0).data).all()
+
+
 def test_srht_state_does_not_grow_with_the_stream(monkeypatch):
     # one sign per row would take 8 GiB here; the state keeps the tree and a leaf's draws
     monkeypatch.setenv("LVSK_MEM_CAP", str(4 << 20))

@@ -1,9 +1,21 @@
 import numpy as np
 import pytest
 
-from levsketch import SketchSpec, SyntheticSpec, apply_sketch, gen_synthetic, right_svd, thin_svd, truncate
+from levsketch import (
+    SketchSpec,
+    SyntheticSpec,
+    apply_sketch,
+    gen_synthetic,
+    gram_right_svd,
+    right_svd,
+    thin_svd,
+    truncate,
+)
 from levsketch.errors import CapacityError, ConfigurationError, DegenerateInputError, SingularInversionError
 from levsketch.leverage import _approx_basis
+from levsketch.svd import GRAM_SV_TOL_FLOOR
+
+U = 2.0**-53
 
 
 def test_identity_singular_values():
@@ -157,21 +169,76 @@ def test_right_svd_of_zero_matrix_cannot_be_truncated():
     assert not res.sigma.any()
     with pytest.raises(DegenerateInputError):
         truncate(res, 1e-3)
+    with pytest.raises(DegenerateInputError):
+        gram_right_svd(np.zeros((10, 4)), 1e-3)
 
 
-def test_right_svd_checks_the_memory_cap_before_allocating(monkeypatch):
+# per route: the call, the LAPACK step it must not reach over the cap, and its
+# figure for an m x n input: three input copies, tau, R and the thin SVD of R;
+# or the scaled copy, Q and the n x n factorizations
+CAPPED_ROUTES = {
+    "householder_qr": (right_svd, "qr", lambda m, n: 8 * (3 * m * n + 5 * n * n + 7 * n * n + n)),
+    "gram_cholesky_qr": (lambda a: gram_right_svd(a, 1e-3), "eigh", lambda m, n: 8 * (2 * m * n + 17 * n * n + 2 * n)),
+}
+
+
+@pytest.mark.parametrize("route", CAPPED_ROUTES)
+def test_right_svd_checks_the_memory_cap_before_allocating(monkeypatch, route):
+    call, step, figure = CAPPED_ROUTES[route]
     m, n = 2000, 16
     a = gen_synthetic(SyntheticSpec(n=m, d=n, rank=n, seed=27))
-    need = 8 * (3 * m * n + 5 * n * n + 7 * n * n + n)  # three input copies, tau, R, thin SVD of R
+    need = figure(m, n)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the QR ran despite the memory cap")
+        raise AssertionError(f"the {step} ran despite the memory cap")
 
     with monkeypatch.context() as patched:
-        patched.setattr(np.linalg, "qr", refuse)
+        patched.setattr(np.linalg, step, refuse)
         patched.setenv("LVSK_MEM_CAP", str(need - 1))
         with pytest.raises(CapacityError):
-            right_svd(a)
-    assert right_svd(a).rank == n
+            call(a)
+    assert call(a).rank == n
     monkeypatch.setenv("LVSK_MEM_CAP", str(need))
-    assert right_svd(a).rank == n
+    assert call(a).rank == n
+
+
+# ---------------------------------------------------------------------------
+# Truncated SVD from the Gram matrix plus one Cholesky QR pass
+
+
+@pytest.mark.parametrize("sv_tol", [1e-3, GRAM_SV_TOL_FLOOR])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_gram_right_svd_matches_the_truncated_r_factor_svd(shape, sv_tol):
+    a = SHAPES[shape]()
+    ref = truncate(right_svd(a), sv_tol)
+    res = gram_right_svd(a, sv_tol)
+    n = a.shape[1]
+    assert res.u is None and res.rank == ref.rank and res.vt.shape == ref.vt.shape
+    # Q is orthonormal to rounding, so sigma is as accurate as the GEMM A V_1
+    # that formed it, about n u sigma_1 / sigma_j relative
+    assert (np.abs(res.sigma - ref.sigma) <= n * U / sv_tol * ref.sigma).all()
+    assert np.allclose(res.vt @ res.vt.T, np.eye(res.rank), atol=1e-12)
+    # the kept span is tilted towards the dropped one by the Gram's rounding,
+    # about n u sigma_1^2 / (sigma_r^2 - sigma_(r+1)^2)
+    full = np.linalg.svd(a, compute_uv=False)
+    if res.rank < full.size:
+        gap = (full[res.rank - 1] ** 2 - full[res.rank] ** 2) / full[0] ** 2
+        tilt = np.linalg.norm(res.vt.T @ res.vt - ref.vt.T @ ref.vt, 2)
+        assert tilt <= n * U / gap
+
+
+def test_gram_right_svd_scales_exactly_by_powers_of_two():
+    # entries near the overflow threshold, and near the bottom of the normal
+    # range, where the unscaled Gram would overflow or flush to zero
+    a = SHAPES["tall"]()
+    base = gram_right_svd(a, 1e-3)
+    for power in (1000, -1000):
+        res = gram_right_svd(np.ldexp(a, power), 1e-3)
+        assert np.array_equal(res.sigma, np.ldexp(base.sigma, power))
+        assert np.array_equal(res.vt, base.vt)
+
+
+@pytest.mark.parametrize("sv_tol", [0.0, 1e-5, 0.99 * GRAM_SV_TOL_FLOOR, 1.0, np.nan])
+def test_gram_right_svd_refuses_a_cut_outside_its_range(sv_tol):
+    with pytest.raises(ConfigurationError, match="Gram route"):
+        gram_right_svd(SHAPES["tall"](), sv_tol)
