@@ -51,7 +51,7 @@ from .sketch import (
     save_state,
     sketch_rows,
 )
-from .svd import SvdResult, gram_right_svd, right_svd, singular_values, thin_svd, truncate
+from .svd import SvdResult, right_svd, singular_values, thin_svd, truncate
 
 __all__ = [
     "CoordinatorReport",
@@ -69,7 +69,6 @@ __all__ = [
     "emit_batches",
     "errors",
     "gen_synthetic",
-    "gram_right_svd",
     "leverage_exact",
     "leverage_oracle",
     "leverage_sketched",

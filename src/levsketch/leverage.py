@@ -35,7 +35,9 @@ rows, one GEMM per whole block. A block cut by a worker boundary lies inside
 one leaf (L is a power of two of at least 1024) that every worker holding its
 rows holds only in part, so all its rows already reached the coordinator in
 the sketch messages. Workers are concurrent tasks in one process exchanging
-owned values; no network transport is implemented. Communication is accounted
+owned values; no network transport is implemented. An OSNAP worker given
+spare threads sketches its rows as several leaf-aligned pieces at once, which
+merge to its state bit for bit. Communication is accounted
 as what the workers ship to the coordinator, which is exactly what
 sketch.save_state writes: each worker's canonical block-tree nodes (k x d
 each, O(log(n/L)) of them for a contiguous range over leaves of L rows) plus
@@ -61,7 +63,7 @@ from .errors import (
     SingularInversionError,
 )
 from .matrix import as_matrix, write_json, write_rows
-from .sketch import COUNTSKETCH, SketchSpec, SketchState, _consume, merge
+from .sketch import COUNTSKETCH, SketchSpec, SketchState, _consume, _leaf_rows, merge, sketch_rows
 from .svd import GRAM_SV_TOL_FLOOR, SvdResult, _right_svd, gram_right_svd, right_svd, thin_svd, truncate
 
 # Relative floor under which singular components are treated as numerically
@@ -288,6 +290,15 @@ def partition_rows(n: int, w: int) -> list[tuple[int, int]]:
     return ranges
 
 
+def _leaf_pieces(lo: int, hi: int, leaf: int, parts: int) -> list[tuple[int, int]]:
+    """``[lo, hi)`` cut at multiples of ``leaf`` into at most ``max(parts, 1)``
+    ranges holding about equal numbers of its leaves."""
+    first, count = lo // leaf, (hi - 1) // leaf - lo // leaf + 1
+    inner = sorted({(first + count * i // parts) * leaf for i in range(1, parts)} - {first * leaf})
+    bounds = [lo, *inner, hi]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 def run_distributed(
     a, spec: SketchSpec, workers: int, sv_tol: float | None, max_threads: int | None = None
 ) -> tuple[LeverageResult, CoordinatorReport]:
@@ -306,14 +317,16 @@ def run_distributed(
     merged states reproduce exactly (see the sketch module) and every globally
     aligned score block is scored whole by one GEMM. At most ``max_threads``
     tasks (at least 1) run at once, by default one per CPU; the thread count
-    never changes the result.
+    never changes the result. With more threads than workers, an OSNAP
+    worker (s > 1) sketches its rows as up to ``threads // workers``
+    leaf-aligned pieces at once, and its reported time is its pieces' times
+    plus their merges.
     """
     a = as_matrix(a)
     n = a.shape[0]
     if sv_tol is not None and not 0 <= sv_tol < 1:  # NaN fails too
         raise ConfigurationError(f"sv_tol must be in [0, 1), got {sv_tol}")
     ranges = partition_rows(n, workers)
-    los, his = zip(*ranges)
     if max_threads is not None:
         max_threads = _integer(max_threads, "max_threads", 1)
 
@@ -322,13 +335,27 @@ def run_distributed(
         state = _consume(SketchState(spec, n), a[lo:hi], lo)
         return state, time.perf_counter() - t0
 
-    pool_size = min(len(ranges), max_threads or os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=pool_size) as pool:
-        sketched = list(pool.map(sketch_partition, los, his))
+    threads = max_threads or os.cpu_count() or 1
+    # A worker with threads to spare sketches its rows as leaf-aligned pieces
+    # at once and merges their states in order, which gives its state bit for
+    # bit. That pays for OSNAP, whose leaf kernel (scipy's sparse product, on
+    # one thread without the GIL) does s > 1 multiply-adds per entry; at
+    # s = 1 (CountSketch) the merge costs about what it saves, and SRHT's
+    # GEMMs already use every BLAS thread.
+    parts = threads // len(ranges) if spec.s > 1 else 1
+    leaf = _leaf_rows(sketch_rows(spec))
+    pieces = [(w, *piece) for w, rows in enumerate(ranges) for piece in _leaf_pieces(*rows, leaf, parts)]
+    owners, los, his = zip(*pieces)
+    with ThreadPoolExecutor(max_workers=min(len(pieces), threads)) as pool:
+        states, sketch_times = [None] * len(ranges), [0.0] * len(ranges)
+        for w, (state, seconds) in zip(owners, pool.map(sketch_partition, los, his)):
+            t0 = time.perf_counter()
+            states[w] = state if states[w] is None else merge(states[w], state)
+            sketch_times[w] += seconds + time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        merged = sketched[0][0]
-        for state, _ in sketched[1:]:
+        merged = states[0]
+        for state in states[1:]:
             merged = merge(merged, state)
         merge_time = time.perf_counter() - t0
 
@@ -344,7 +371,7 @@ def run_distributed(
         t0 = time.perf_counter()
         basis = _approx_basis(svd)
         # each worker scores the aligned blocks that begin in its rows
-        cuts = [min(n, -(-lo // SCORE_BLOCK_ROWS) * SCORE_BLOCK_ROWS) for lo in los] + [n]
+        cuts = [min(n, -(-lo // SCORE_BLOCK_ROWS) * SCORE_BLOCK_ROWS) for lo, _ in ranges] + [n]
         blocks = pool.map(lambda lo, hi: _block_scores(a[lo:hi], basis), cuts[:-1], cuts[1:])
         scores = np.concatenate(list(blocks))
         score_time = time.perf_counter() - t0
@@ -359,12 +386,12 @@ def run_distributed(
     report = CoordinatorReport(
         merged=merged,
         workers=len(ranges),
-        per_worker_times=[t for _, t in sketched],
+        per_worker_times=sketch_times,
         merge_time=merge_time,
         svd_route=svd_route,
         svd_time=svd_time,
         score_time=score_time,
-        bytes_communicated=sum(state.message_bytes for state, _ in sketched),
+        bytes_communicated=sum(state.message_bytes for state in states),
         per_worker_rows=[hi - lo for lo, hi in ranges],
     )
     return result, report

@@ -510,10 +510,6 @@ def test_config_sets_a_switch(tmp_path):
         ["bench", "--log2-n", "6,x", "--out", "{out}"],
         ["bench", "--log2-n", "6.5", "--out", "{out}"],
         ["bench", "--eps", "0.5,abc", "--out", "{out}"],
-        ["bench", "--log2-n", "6", "--d", "4", "--methods", "exact", "--eps", "2", "--out", "{out}"],
-        ["bench", "--log2-n", "6", "--d", "4", "--methods", "exact", "--eps", "nan", "--out", "{out}"],
-        ["bench", "--log2-n", "6,6", "--d", "4", "--methods", "exact", "--out", "{out}"],
-        ["bench", "--log2-n", "6,-1", "--d", "4", "--methods", "exact", "--out", "{out}"],
         ["leverage", "--in", "{mat}", "--method", "sketch-trunc", "--sv-tol", "1.5", "--out", "{out}"],
         ["leverage", "--in", "{mat}", "--method", "sketch-trunc", "--sv-tol", "nan", "--out", "{out}"],
     ],
@@ -528,7 +524,6 @@ def test_out_of_range_counts_exit_1(tmp_path, capsys, argv):
     assert not paths["out"].exists()
     err = capsys.readouterr().err
     assert err.startswith(f"levsketch {argv[0]}: error: ") and err.count("\n") == 1
-
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import levsketch.leverage
+import levsketch.sketch
 from levsketch import (
     SketchSpec,
     SketchState,
@@ -25,7 +26,7 @@ from levsketch import (
     truncate,
 )
 from levsketch.errors import ConfigurationError
-from levsketch.leverage import SCORE_BLOCK_ROWS, _approx_basis, _block_scores
+from levsketch.leverage import SCORE_BLOCK_ROWS, _approx_basis, _block_scores, _leaf_pieces
 from levsketch.svd import GRAM_SV_TOL_FLOOR
 
 
@@ -286,6 +287,50 @@ def test_thread_cap_does_not_change_result():
     free, _ = run_distributed(a, spec, 4, 1e-3)
     capped, _ = run_distributed(a, spec, 4, 1e-3, max_threads=1)
     assert np.array_equal(free.scores, capped.scores)
+
+
+@pytest.mark.parametrize("family", ["countsketch", "osnap", "srht"])
+def test_spare_threads_sketch_a_worker_in_leaf_aligned_pieces(monkeypatch, family):
+    # k = 64 gives leaves of 1024 rows: each of two workers holds five leaves,
+    # the first and last of [4200, 8400) in part
+    a = gen_synthetic(SyntheticSpec(n=8400, d=8, rank=8, seed=17))
+    spec = SketchSpec(family, eps=0.5, d=8, seed=18, rows_override=64)
+    consumed = []
+
+    def recording_consume(state, rows, start):
+        consumed.append((start, start + rows.shape[0]))
+        return levsketch.sketch._consume(state, rows, start)
+
+    monkeypatch.setattr(levsketch.leverage, "_consume", recording_consume)
+    one, one_rep = run_distributed(a, spec, 2, 1e-3, max_threads=2)
+    assert sorted(consumed) == [(0, 4200), (4200, 8400)]
+    for threads in (4, 5, 64):
+        consumed.clear()
+        res, rep = run_distributed(a, spec, 2, 1e-3, max_threads=threads)
+        # only OSNAP (s = 3 here) splits: CountSketch has s = 1, and SRHT's
+        # leaf kernel is BLAS GEMMs, which already use every thread
+        if family != "osnap":
+            assert sorted(consumed) == [(0, 4200), (4200, 8400)]
+        elif threads < 64:
+            assert sorted(consumed) == [(0, 2048), (2048, 4200), (4200, 6144), (6144, 8400)]
+        else:  # one piece per leaf touched
+            assert len(consumed) == 10
+        assert np.array_equal(res.scores, one.scores)
+        assert np.array_equal(rep.merged.data, one_rep.merged.data)
+        assert rep.bytes_communicated == one_rep.bytes_communicated
+        assert len(rep.per_worker_times) == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(lo=st.integers(0, 5000), size=st.integers(1, 5000), leaf=st.sampled_from([1, 3, 1024]), parts=st.integers(0, 9))
+def test_leaf_pieces_cut_a_range_at_leaf_boundaries(lo, size, leaf, parts):
+    pieces = _leaf_pieces(lo, lo + size, leaf, parts)
+    assert pieces[0][0] == lo and pieces[-1][1] == lo + size
+    assert all(a < b for a, b in pieces)
+    assert all(b == c for (_, b), (c, _) in zip(pieces, pieces[1:]))
+    assert all(b % leaf == 0 for _, b in pieces[:-1])
+    leaves = (lo + size - 1) // leaf - lo // leaf + 1
+    assert len(pieces) == min(max(parts, 1), leaves)
 
 
 @pytest.mark.parametrize("family", ["countsketch", "osnap", "srht"])

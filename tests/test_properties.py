@@ -15,7 +15,6 @@ from levsketch import (
     SyntheticSpec,
     apply_sketch,
     gen_synthetic,
-    gram_right_svd,
     leverage_exact,
     leverage_oracle,
     leverage_sketched_trunc,
@@ -24,6 +23,7 @@ from levsketch import (
     truncate,
 )
 from levsketch.leverage import _approx_basis, _block_scores
+from levsketch.svd import gram_right_svd
 
 
 @st.composite
@@ -203,14 +203,17 @@ def test_gram_route_keeps_the_rank_and_scores_of_the_r_factor_route(a, family, s
         assert abs(res.effective_rank - ref.rank) <= np.count_nonzero(near)
         return
     assert res.effective_rank == ref.rank
-    # sigma as accurate as the GEMM A V_1 that formed it
+    # sigma as accurate as the GEMM A V_1 that formed it: about d u / sv_tol
+    # relative at most, 0.42 u / sv_tol measured (the largest over about 1,000
+    # drawn inputs of these kinds, at both cuts and for all three families)
     gram = gram_right_svd(sketch, sv_tol)
-    assert (np.abs(gram.sigma - ref.sigma) <= d * U / sv_tol * ref.sigma).all()
+    assert (np.abs(gram.sigma - ref.sigma) <= 2 * U / sv_tol * ref.sigma).all()
     # The Gram's rounding, about d u sigma_1^2, tilts each kept right vector
     # towards the dropped ones by up to d u sigma_1^2 / (sigma_i^2 - sigma_j^2),
     # with sigma_i > sv_tol sigma_1 and sigma_j <= sv_tol sigma_1 / 2, and the
     # Cholesky QR pass, acting inside the kept span, keeps that tilt: so the
-    # scores move by up to about d u / sv_tol^2 (0.3 u / sv_tol^2 at most
-    # measured on these inputs), against u / sv_tol for the QR route's own.
+    # scores move by up to about d u / sv_tol^2, against u / sv_tol for the QR
+    # route's own. Measured on the same draws: 2.4 u / sv_tol^2 at most, on
+    # scores below 1e-6 of T1 rows, 0.94 u / sv_tol^2 on scores above 1e-3.
     expected = _block_scores(a, _approx_basis(ref))
-    assert (np.abs(res.scores - expected) <= d * U / sv_tol**2 * expected).all()
+    assert (np.abs(res.scores - expected) <= 8 * U / sv_tol**2 * expected).all()

@@ -6,14 +6,13 @@ from levsketch import (
     SyntheticSpec,
     apply_sketch,
     gen_synthetic,
-    gram_right_svd,
     right_svd,
     thin_svd,
     truncate,
 )
 from levsketch.errors import CapacityError, ConfigurationError, DegenerateInputError, SingularInversionError
 from levsketch.leverage import _approx_basis
-from levsketch.svd import GRAM_SV_TOL_FLOOR
+from levsketch.svd import GRAM_SV_TOL_FLOOR, gram_right_svd
 
 U = 2.0**-53
 
