@@ -42,7 +42,12 @@ def as_matrix(obj, name: str = "matrix") -> np.ndarray:
         raise FormatError(f"{name} must be 2-D, got ndim={a.ndim}")
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise FormatError(f"{name} must be non-empty, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    # A finite sum proves every entry finite without an n x d mask; only a
+    # non-finite one, which finite entries can also give by overflowing, is
+    # checked entry by entry.
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = a.sum()
+    if not np.isfinite(total) and not np.isfinite(a).all():
         raise FormatError(f"{name} contains non-finite entries")
     return a
 

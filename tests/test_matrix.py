@@ -170,6 +170,27 @@ def test_as_matrix_validation():
         as_matrix([[1.0, np.inf]])
 
 
+def test_as_matrix_accepts_finite_entries_whose_sum_overflows():
+    for big in ([[1e308, 1e308], [1e308, 1e308]], [[-1e308, -1e308], [-1e308, 1.0]], [[1e308], [1e308], [-1e308]]):
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.sum(big))
+        assert np.array_equal(as_matrix(big), big)
+
+
+@pytest.mark.parametrize(
+    "bad", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]], ids=["nan", "inf", "minus-inf", "inf-minus-inf"]
+)
+@pytest.mark.parametrize("rest", [1.0, 1e308], ids=["small", "overflowing"])
+def test_as_matrix_rejects_any_non_finite_entry(bad, rest):
+    rng = np.random.default_rng(7)
+    for shape in ((1, len(bad)), (9, 5), (300, 7)):
+        a = np.full(shape, rest) * rng.choice([-1.0, 1.0], size=shape)
+        cells = rng.choice(a.size, size=len(bad), replace=False)
+        a.flat[cells] = bad
+        with pytest.raises(FormatError, match="non-finite"):
+            as_matrix(a)
+
+
 def test_synthetic_spec_validation():
     with pytest.raises(ConfigurationError):
         SyntheticSpec(n=10, d=5, rank=6)

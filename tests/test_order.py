@@ -9,7 +9,8 @@ from hypothesis.extra import numpy as hnp
 
 from levsketch import OrderingPlan, OrderingPolicy, emit_batches, make_plan, scores_to_distribution
 from levsketch.errors import CapacityError, ConfigurationError, DegenerateInputError
-from levsketch.order import _PLAN_CHUNK, save_manifest, save_plan
+from levsketch.matrix import philox
+from levsketch.order import _DRAW_CHUNK, _ORDER_STREAM, _PLAN_CHUNK, _stable_argsort, save_manifest, save_plan
 
 
 def str_join_plan_bytes(indices) -> bytes:
@@ -199,7 +200,9 @@ def test_numpy_integers_are_taken_as_python_ints(tmp_path):
 def test_make_plan_checks_its_memory_figure_before_drawing(monkeypatch):
     n = 50000
     p = scores_to_distribution(np.random.default_rng(6).random(n))
-    need = 32 * n  # p, then dec_swr's cumulative sum, uniform draw and drawn indices
+    # p, then dec_swr's cumulative sum, uniform draws and drawn indices, plus
+    # one chunk's uniform order, sorted uniforms and lookups
+    need = 32 * n + 24 * _DRAW_CHUNK
 
     def refuse(*args, **kwargs):
         raise AssertionError("a plan was drawn despite the memory cap")
@@ -221,6 +224,75 @@ def test_make_plan_checks_its_memory_figure_before_drawing(monkeypatch):
             tracemalloc.stop()
         assert peak <= need, kind
         assert plan.indices.dtype == np.int64 and plan.indices.size == n
+
+
+# lengths on both sides of the draw chunk and of a multiple of it
+CHUNK_EDGES = [_DRAW_CHUNK + k for k in (-1, 0, 1)] + [2 * _DRAW_CHUNK + k for k in (-1, 0, 1)]
+
+
+@st.composite
+def tied_scores(draw):
+    """Scores with many ties: a few distinct values, runs of zeros, or a
+    single nonzero, at small lengths and at lengths around the draw chunk."""
+    n = draw(st.one_of(st.integers(1, 40), st.sampled_from(CHUNK_EDGES)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["distinct", "few-values", "zeros", "one-nonzero"]))
+    if shape == "one-nonzero":
+        scores = np.zeros(n)
+        scores[rng.integers(n)] = draw(st.sampled_from([1.0, 1e-300, 3.5]))
+        return scores
+    if shape == "distinct":
+        scores = rng.random(n)
+    else:
+        scores = rng.choice(rng.random(draw(st.integers(1, 5))), size=n)
+    if shape == "zeros":
+        scores[rng.random(n) < draw(st.sampled_from([0.01, 0.5, 0.99]))] = 0.0
+    if not scores.any():
+        scores[rng.integers(n)] = 1.0
+    return scores
+
+
+@settings(max_examples=80, deadline=None)
+@given(scores=tied_scores(), seed=st.integers(0, 2**32), epoch=st.integers(0, 5))
+def test_draws_equal_numpys_choice_and_stable_argsort(scores, seed, epoch):
+    n = scores.size
+    p = scores_to_distribution(scores)
+    swr = make_plan(p, OrderingPolicy("dec_swr", seed), epoch).indices
+    assert np.array_equal(swr, philox(_ORDER_STREAM, seed, epoch).choice(n, size=n, replace=True, p=p))
+    dec = make_plan(p, OrderingPolicy("dec", seed), epoch).indices
+    assert np.array_equal(dec, np.argsort(-p, kind="stable"))
+    keys = philox(_ORDER_STREAM, seed, epoch).exponential(size=n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        keys /= p
+    swor = make_plan(p, OrderingPolicy("dec_swor", seed), epoch).indices
+    assert np.array_equal(swor, np.argsort(keys, kind="stable"))
+
+
+SPECIAL_KEYS = [-0.0, 0.0, np.inf, -np.inf, np.nan, -np.nan, 1.0, -2.5, 5e-324]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    keys=hnp.arrays(
+        np.float64,
+        st.integers(1, 120),
+        elements=st.one_of(st.sampled_from(SPECIAL_KEYS), st.floats(allow_nan=True, allow_infinity=True)),
+    )
+)
+def test_stable_argsort_orders_ties_like_numpys_stable_sort(keys):
+    expected = np.argsort(keys, kind="stable")
+    assert np.array_equal(_stable_argsort(keys.copy()), expected)
+
+
+@pytest.mark.parametrize("n", [1, 2, *CHUNK_EDGES, 3 * _DRAW_CHUNK + 5])
+def test_stable_argsort_across_chunks(n):
+    # runs of -0.0/+0.0, inf and NaN long enough to cross chunk boundaries
+    rng = np.random.default_rng(n)
+    for pool in (SPECIAL_KEYS, [-0.0, 0.0], [np.nan, -np.nan], [np.inf, 1.0], [7.0]):
+        keys = rng.choice(np.array(pool), size=n)
+        assert np.array_equal(_stable_argsort(keys.copy()), np.argsort(keys, kind="stable")), pool
+    keys = np.sort(rng.choice(np.array(SPECIAL_KEYS), size=n))
+    assert np.array_equal(_stable_argsort(keys.copy()), np.argsort(keys, kind="stable"))
 
 
 @pytest.mark.parametrize(
