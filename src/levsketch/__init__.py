@@ -37,7 +37,6 @@ from .matrix import (
 from .order import (
     OrderingPlan,
     OrderingPolicy,
-    emit_batches,
     make_plan,
     scores_to_distribution,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "apply_sketch",
     "as_matrix",
     "consume_rows",
-    "emit_batches",
     "errors",
     "gen_synthetic",
     "leverage_exact",

@@ -29,16 +29,15 @@ row-partitioned sketching in the coordinator model; the serial methods are its
 one-worker run. Workers sketch contiguous row partitions using global row
 indices, so each worker's hash assignments are identical to a serial pass; the
 coordinator merges the states in ascending worker order, runs the SVD of the
-merged sketch once, and broadcasts the basis. Each worker scores
-the globally aligned blocks of ``SCORE_BLOCK_ROWS`` rows that begin in its
-rows, one GEMM per whole block. A block cut by a worker boundary lies inside
-one leaf (L is a power of two of at least 1024) that every worker holding its
-rows holds only in part, so all its rows already reached the coordinator in
-the sketch messages. Workers are concurrent tasks in one process exchanging
-owned values; no network transport is implemented. An OSNAP worker given
-spare threads sketches its rows as several leaf-aligned pieces at once, which
-merge to its state bit for bit. Communication is accounted
-as what the workers ship to the coordinator, which is exactly what
+merged sketch once, and broadcasts the basis. A row's score needs only that
+row and the basis (Drineas, Magdon-Ismail, Mahoney & Woodruff, JMLR 2012), so
+the simulation scores all rows in one sweep of globally aligned blocks of
+``SCORE_BLOCK_ROWS`` rows, one GEMM per block, which no split of the rows
+changes. Workers are concurrent tasks in one process exchanging owned values;
+no network transport is implemented. An OSNAP worker given spare threads
+sketches its rows as several leaf-aligned pieces at once, which merge to its
+state bit for bit. Communication is accounted as the sketch messages only,
+what the workers ship to the coordinator, which is exactly what
 sketch.save_state writes: each worker's canonical block-tree nodes (k x d
 each, O(log(n/L)) of them for a contiguous range over leaves of L rows) plus
 its raw rows of the at most two leaves it holds only in part,
@@ -63,7 +62,7 @@ from .errors import (
     SingularInversionError,
 )
 from .matrix import as_matrix, write_json, write_rows
-from .sketch import COUNTSKETCH, SketchSpec, SketchState, _consume, _leaf_rows, merge, sketch_rows
+from .sketch import COUNTSKETCH, SketchSpec, SketchState, _consume, _leaf_pieces, merge
 from .svd import GRAM_SV_TOL_FLOOR, SvdResult, _right_svd, gram_right_svd, right_svd, thin_svd, truncate
 
 # Relative floor under which singular components are treated as numerically
@@ -234,18 +233,21 @@ def _approx_basis(svd: SvdResult) -> np.ndarray:
 
 
 def _block_scores(rows: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Squared row norms of ``rows @ basis`` for rows that begin at a
-    multiple of ``SCORE_BLOCK_ROWS`` and end at another or at the matrix's end.
+    """Squared row norms of ``rows @ basis``, one GEMM per block of
+    ``SCORE_BLOCK_ROWS`` rows counted from the first (the last one shorter).
 
-    BLAS does not promise a row the same bits at every GEMM height, so each
-    globally aligned block of ``SCORE_BLOCK_ROWS`` rows (the last one shorter)
-    is scored whole by one GEMM, and a row's bits do not depend on how the
-    rows were partitioned.
+    BLAS does not promise a row the same bits at every GEMM height; blocks
+    fixed from the first row fix every score's bits, whatever the worker count.
+    The scores and one block's product and row norms are checked against the
+    memory cap before they are allocated.
     """
-    scores = np.empty(rows.shape[0])
-    for lo in range(0, rows.shape[0], SCORE_BLOCK_ROWS):
+    n, r = rows.shape[0], basis.shape[1]
+    ensure_capacity(8 * (n + min(n, SCORE_BLOCK_ROWS) * (r + 1)), f"scores of {n} rows at rank {r}")
+    scores = np.empty(n)
+    for lo in range(0, n, SCORE_BLOCK_ROWS):
         u = rows[lo : lo + SCORE_BLOCK_ROWS] @ basis
-        scores[lo : lo + SCORE_BLOCK_ROWS] = np.einsum("ij,ij->i", u, u)
+        np.einsum("ij,ij->i", u, u, out=scores[lo : lo + SCORE_BLOCK_ROWS])
+        del u  # else it is held while the next block's product is allocated
     return scores
 
 
@@ -290,15 +292,6 @@ def partition_rows(n: int, w: int) -> list[tuple[int, int]]:
     return ranges
 
 
-def _leaf_pieces(lo: int, hi: int, leaf: int, parts: int) -> list[tuple[int, int]]:
-    """``[lo, hi)`` cut at multiples of ``leaf`` into at most ``max(parts, 1)``
-    ranges holding about equal numbers of its leaves."""
-    first, count = lo // leaf, (hi - 1) // leaf - lo // leaf + 1
-    inner = sorted({(first + count * i // parts) * leaf for i in range(1, parts)} - {first * leaf})
-    bounds = [lo, *inner, hi]
-    return list(zip(bounds[:-1], bounds[1:]))
-
-
 def run_distributed(
     a, spec: SketchSpec, workers: int, sv_tol: float | None, max_threads: int | None = None
 ) -> tuple[LeverageResult, CoordinatorReport]:
@@ -314,13 +307,13 @@ def run_distributed(
     row is sketched. One worker is the serial
     computation; more workers give the same scores bit for bit on any data
     and for every family, since the sketch is a fixed block-tree sum that the
-    merged states reproduce exactly (see the sketch module) and every globally
-    aligned score block is scored whole by one GEMM. At most ``max_threads``
-    tasks (at least 1) run at once, by default one per CPU; the thread count
-    never changes the result. With more threads than workers, an OSNAP
-    worker (s > 1) sketches its rows as up to ``threads // workers``
-    leaf-aligned pieces at once, and its reported time is its pieces' times
-    plus their merges.
+    merged states reproduce exactly (see the sketch module), and the scores
+    are one sweep of the globally aligned blocks of :func:`_block_scores`.
+    At most ``max_threads`` sketch tasks (at least 1) run at once, by default
+    one per CPU; the thread count never changes the result. With more threads
+    than workers, a worker may sketch its rows as up to ``threads // workers``
+    leaf-aligned pieces at once (see ``sketch._leaf_pieces``), and its
+    reported time is its pieces' times plus their merges.
     """
     a = as_matrix(a)
     n = a.shape[0]
@@ -336,45 +329,34 @@ def run_distributed(
         return state, time.perf_counter() - t0
 
     threads = max_threads or os.cpu_count() or 1
-    # A worker with threads to spare sketches its rows as leaf-aligned pieces
-    # at once and merges their states in order, which gives its state bit for
-    # bit. That pays for OSNAP, whose leaf kernel (scipy's sparse product, on
-    # one thread without the GIL) does s > 1 multiply-adds per entry; at
-    # s = 1 (CountSketch) the merge costs about what it saves, and SRHT's
-    # GEMMs already use every BLAS thread.
-    parts = threads // len(ranges) if spec.s > 1 else 1
-    leaf = _leaf_rows(sketch_rows(spec))
-    pieces = [(w, *piece) for w, rows in enumerate(ranges) for piece in _leaf_pieces(*rows, leaf, parts)]
+    parts = threads // len(ranges)
+    pieces = [(w, *piece) for w, rows in enumerate(ranges) for piece in _leaf_pieces(spec, *rows, parts)]
     owners, los, his = zip(*pieces)
+    states, sketch_times = [None] * len(ranges), [0.0] * len(ranges)
     with ThreadPoolExecutor(max_workers=min(len(pieces), threads)) as pool:
-        states, sketch_times = [None] * len(ranges), [0.0] * len(ranges)
         for w, (state, seconds) in zip(owners, pool.map(sketch_partition, los, his)):
             t0 = time.perf_counter()
             states[w] = state if states[w] is None else merge(states[w], state)
             sketch_times[w] += seconds + time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        merged = states[0]
-        for state in states[1:]:
-            merged = merge(merged, state)
-        merge_time = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    merged = states[0]
+    for state in states[1:]:
+        merged = merge(merged, state)
+    merge_time = time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        if sv_tol is not None and sv_tol >= GRAM_SV_TOL_FLOOR:
-            svd, svd_route = gram_right_svd(merged.data, sv_tol), "gram_cholesky_qr"
-        else:
-            svd, svd_route = right_svd(merged.data), "householder_qr"
-            if sv_tol is not None:
-                svd = truncate(svd, sv_tol)
-        svd_time = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    if sv_tol is not None and sv_tol >= GRAM_SV_TOL_FLOOR:
+        svd, svd_route = gram_right_svd(merged.data, sv_tol), "gram_cholesky_qr"
+    else:
+        svd, svd_route = right_svd(merged.data), "householder_qr"
+        if sv_tol is not None:
+            svd = truncate(svd, sv_tol)
+    svd_time = time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        basis = _approx_basis(svd)
-        # each worker scores the aligned blocks that begin in its rows
-        cuts = [min(n, -(-lo // SCORE_BLOCK_ROWS) * SCORE_BLOCK_ROWS) for lo, _ in ranges] + [n]
-        blocks = pool.map(lambda lo, hi: _block_scores(a[lo:hi], basis), cuts[:-1], cuts[1:])
-        scores = np.concatenate(list(blocks))
-        score_time = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    scores = _block_scores(a, _approx_basis(svd))
+    score_time = time.perf_counter() - t0
 
     result = LeverageResult(
         scores=scores,

@@ -186,13 +186,6 @@ def make_plan(p, policy: OrderingPolicy, epoch: int = 0) -> OrderingPlan:
     return OrderingPlan(epoch=epoch, indices=indices.astype(np.int64, copy=False), policy=policy)
 
 
-def emit_batches(plan: OrderingPlan, batch_size: int) -> list[np.ndarray]:
-    """Contiguous mini-batches of the plan; the final batch may be short."""
-    batch_size = _integer(batch_size, "batch_size", 1)
-    idx = plan.indices
-    return [idx[i : i + batch_size] for i in range(0, idx.size, batch_size)]
-
-
 def _decimal_lines(q: np.ndarray) -> np.ndarray:
     """The bytes of nonnegative int64 values in ASCII decimal, each followed
     by a newline."""

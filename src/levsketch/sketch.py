@@ -186,6 +186,21 @@ def _leaf_rows(k: int) -> int:
     return _next_pow2(max(k, _MIN_LEAF_ROWS))
 
 
+def _leaf_pieces(spec: SketchSpec, lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
+    """``[lo, hi)`` cut at leaf boundaries into at most ``max(parts, 1)``
+    ranges holding about equal numbers of its leaves, to be sketched at once
+    and merged in order, which gives the range's state bit for bit. Only
+    OSNAP is cut: its leaf kernel (scipy's sparse product, on one thread
+    without the GIL) does s > 1 multiply-adds per entry; at s = 1
+    (CountSketch) the merge costs about what it saves, and SRHT's GEMMs
+    already use every BLAS thread."""
+    leaf, parts = _leaf_rows(sketch_rows(spec)), parts if spec.s > 1 else 1
+    first, count = lo // leaf, (hi - 1) // leaf - lo // leaf + 1
+    inner = sorted({(first + count * i // parts) * leaf for i in range(1, parts)} - {first * leaf})
+    bounds = [lo, *inner, hi]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 def _tree_state_elements(spec: SketchSpec, n: int) -> int:
     """Float64 elements (an index entry counted as one) a state over n rows
     holds at its peak while consuming a contiguous row range: the canonical

@@ -26,7 +26,8 @@ from levsketch import (
     truncate,
 )
 from levsketch.errors import ConfigurationError
-from levsketch.leverage import SCORE_BLOCK_ROWS, _approx_basis, _block_scores, _leaf_pieces
+from levsketch.leverage import SCORE_BLOCK_ROWS, _approx_basis, _block_scores
+from levsketch.sketch import _leaf_pieces
 from levsketch.svd import GRAM_SV_TOL_FLOOR
 
 
@@ -152,6 +153,21 @@ def test_distributed_scores_of_ragged_splits_equal_one_worker(n, workers, seed):
     assert serial.effective_rank == 255
     res, _ = run_distributed(a, spec, workers, 1e-10)
     assert np.array_equal(res.scores, serial.scores)
+
+
+@pytest.mark.parametrize("workers", [1, 3, 8])
+def test_one_score_sweep_over_all_rows(monkeypatch, workers):
+    a = gen_synthetic(SyntheticSpec(n=5000, d=8, rank=8, seed=19))
+    spec = SketchSpec("countsketch", eps=0.5, d=8, seed=20, rows_override=64)
+    sweep, calls = levsketch.leverage._block_scores, []
+
+    def recording_sweep(rows, basis):
+        calls.append(rows)
+        return sweep(rows, basis)
+
+    monkeypatch.setattr(levsketch.leverage, "_block_scores", recording_sweep)
+    run_distributed(a, spec, workers, 1e-3)
+    assert len(calls) == 1 and calls[0].shape == a.shape
 
 
 def test_srht_single_worker_equals_serial():
@@ -322,9 +338,16 @@ def test_spare_threads_sketch_a_worker_in_leaf_aligned_pieces(monkeypatch, famil
 
 
 @settings(max_examples=200, deadline=None)
-@given(lo=st.integers(0, 5000), size=st.integers(1, 5000), leaf=st.sampled_from([1, 3, 1024]), parts=st.integers(0, 9))
-def test_leaf_pieces_cut_a_range_at_leaf_boundaries(lo, size, leaf, parts):
-    pieces = _leaf_pieces(lo, lo + size, leaf, parts)
+@given(
+    lo=st.integers(0, 20000),
+    size=st.integers(1, 20000),
+    k_leaf=st.sampled_from([(64, 1024), (2000, 2048), (4000, 4096)]),
+    parts=st.integers(0, 9),
+)
+def test_leaf_pieces_cut_a_range_at_leaf_boundaries(lo, size, k_leaf, parts):
+    # OSNAP, the family that is cut; k sets the leaf height
+    k, leaf = k_leaf
+    pieces = _leaf_pieces(SketchSpec("osnap", eps=0.5, d=8, rows_override=k), lo, lo + size, parts)
     assert pieces[0][0] == lo and pieces[-1][1] == lo + size
     assert all(a < b for a, b in pieces)
     assert all(b == c for (_, b), (c, _) in zip(pieces, pieces[1:]))

@@ -521,3 +521,41 @@ def test_load_scores_peak_within_its_capacity_check(tmp_path, monkeypatch, text)
     finally:
         tracemalloc.stop()
     assert peak <= need
+
+
+def test_score_sweep_checks_the_memory_cap_before_allocating(monkeypatch):
+    # 200000 x 1 at k = 4: the sketch stage needs far less than the 1.6 MB
+    # of scores, so the sweep's own check is the one that refuses
+    n = 200000
+    a = np.random.default_rng(5).standard_normal((n, 1))
+    spec = SketchSpec("countsketch", eps=0.5, d=1)
+    need = 8 * (n + SCORE_BLOCK_ROWS * (1 + 1))  # the scores, one block's product and row norms
+    for cap in (1000000, need - 1):
+        monkeypatch.setenv("LVSK_MEM_CAP", str(cap))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match=f"scores of {n} rows"):
+                run_distributed(a, spec, 1, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n  # refused before the scores were allocated
+    sweep, peaks = levsketch.leverage._block_scores, []
+
+    def traced_sweep(rows, basis):
+        tracemalloc.start()
+        try:
+            scores = sweep(rows, basis)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return scores
+
+    monkeypatch.setenv("LVSK_MEM_CAP", str(need))
+    # the first run passing the cap also fills numpy's internal caches (a few
+    # KB of small buffers that no cap figure counts); the second is traced
+    untraced, _ = run_distributed(a, spec, 1, 1e-3)
+    monkeypatch.setattr(levsketch.leverage, "_block_scores", traced_sweep)
+    res, _ = run_distributed(a, spec, 1, 1e-3)
+    assert len(peaks) == 1 and peaks[0] <= need
+    assert np.array_equal(res.scores, untraced.scores)

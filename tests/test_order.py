@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from levsketch import OrderingPlan, OrderingPolicy, emit_batches, make_plan, scores_to_distribution
+from levsketch import OrderingPlan, OrderingPolicy, make_plan, scores_to_distribution
 from levsketch.errors import CapacityError, ConfigurationError, DegenerateInputError
 from levsketch.matrix import philox
 from levsketch.order import _DRAW_CHUNK, _ORDER_STREAM, _PLAN_CHUNK, _stable_argsort, save_manifest, save_plan
@@ -149,19 +149,6 @@ def test_swor_uniform_is_uniform_shuffle():
     expected = trials / n
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     assert chi2 < 18.47  # df=4 at p=0.001
-
-
-def test_batches_shapes_and_roundtrip():
-    p = scores_to_distribution(np.arange(1.0, 6.0))
-    plan = make_plan(p, OrderingPolicy("dec", seed=0))
-    batches = emit_batches(plan, 2)
-    assert [len(b) for b in batches] == [2, 2, 1]
-    assert np.array_equal(np.concatenate(batches), plan.indices)
-    assert len(emit_batches(plan, 100)) == 1
-    assert [len(b) for b in emit_batches(plan, np.int64(2))] == [2, 2, 1]
-    for bad in (0, 2.5, 2.0, True, "2"):
-        with pytest.raises(ConfigurationError, match="batch_size"):
-            emit_batches(plan, bad)
 
 
 def test_policy_validation():
