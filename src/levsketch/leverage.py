@@ -338,11 +338,13 @@ def run_distributed(
             t0 = time.perf_counter()
             states[w] = state if states[w] is None else merge(states[w], state)
             sketch_times[w] += seconds + time.perf_counter() - t0
+    del state  # so that each worker's state is freed once merged
+    bytes_communicated = sum(state.message_bytes for state in states)
 
     t0 = time.perf_counter()
-    merged = states[0]
-    for state in states[1:]:
-        merged = merge(merged, state)
+    merged = states.pop(0)
+    while states:
+        merged = merge(merged, states.pop(0))
     merge_time = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -373,7 +375,7 @@ def run_distributed(
         svd_route=svd_route,
         svd_time=svd_time,
         score_time=score_time,
-        bytes_communicated=sum(state.message_bytes for state in states),
+        bytes_communicated=bytes_communicated,
         per_worker_rows=[hi - lo for lo, hi in ranges],
     )
     return result, report

@@ -15,15 +15,14 @@ reduced to a k x d node by its family's kernel:
 - CountSketch and OSNAP: one sparse +-1 product (a k x L CSC matrix of the
   hashed signs times the leaf's rows); every bucket sums its signed rows in
   row-index order from zero, then the leaf is scaled by ``1/sqrt(s)``.
-- SRHT: the k sampled rows of ``H_m D``, restricted to the leaf's columns,
-  times the leaf's rows, through the Sylvester split ``H_m = H_{m/B} (x) H_B``
-  with B a power of two near sqrt(k) (B <= L, so a leaf holds whole B-row
-  blocks). One batched GEMM applies the dense +-1 matrix ``H_B`` to every
-  B-row block of ``D A``; then each sampled row ``p = p1*B + p2`` is row
-  ``p1`` of ``H_{m/B}``, restricted to the leaf's blocks, times the
-  block-transformed rows at low index ``p2``, one GEMM per distinct ``p2``.
-  Over all leaves that is n*B*d + k*(n/B)*d work against m*log2(m)*d for a
-  full transform.
+- SRHT: the k sampled rows of ``H_m D``, on the leaf's columns, times its
+  rows. ``H_m[p, c] = (-1)^popcount(p & c)``, so on columns leaf*L + j,
+  j < L, row p is row ``p mod L`` of ``H_L``, negated when
+  ``popcount((p >> log2 L) & leaf)`` is odd: the kernel gathers them from
+  the leaf's full transform, two GEMMs through ``H_L = H_{L/B} (x) H_B``
+  with B a power of two near sqrt(k). That is n*(B + L/B)*d work in all,
+  what the sampled rows alone cost when k = L (k >= 1024), and up to L/k
+  times more across blocks below that, against m*log2(m)*d for a butterfly.
 
 A tree node (level, i) covers leaves [i*2^level, (i+1)*2^level); its value is
 left + right, a child past the last leaf counting as absent. A state holds
@@ -43,7 +42,6 @@ bucket, a keyed splitmix64 bit the sign. SRHT's sign of row r is draw r of one
 Philox stream, drawn when r's leaf is reduced; the sample follows the m signs.
 """
 
-import bisect
 import copy
 import json
 import math
@@ -211,27 +209,23 @@ def _tree_state_elements(spec: SketchSpec, n: int) -> int:
     its column pointer and scipy's int32 copy of it, and, per hash copy and
     row, its bucket id, sign and scipy's int32 copy of the bucket id (the
     hashing's temporaries, a few leaf-long arrays, fit in the same figure).
-    For SRHT, the sample draw (``choice`` shuffles all m indices once k
-    passes about m/50) and k-long index arrays; a leaf's signs, its
-    sign-flipped rows zero-padded to whole B-row blocks and its
-    block-transformed rows; ``H_B``; the +-1 factor of whole runs of
-    samples that share a low index, B*d rows of it or one run (at most m/B,
-    the high indices that go with one low index), and at most k, times L/B
-    columns, with two temporaries of its size; and numpy's iterator buffers
-    for a broadcast operation (``np.getbufsize()`` elements for each of
-    three operands)."""
+    For SRHT (whose gathered node is the kernel's result above), the sample
+    draw (``choice`` shuffles all m indices once k passes about m/50), its
+    sort and k-long index arrays; ``H_B`` and the kept rows of ``H_{L/B}``;
+    a leaf's signs and their draw; the kernel's two L x d buffers (m x d if
+    m < L), made once per call; and numpy's iterator buffers for a broadcast
+    operation (``np.getbufsize()`` elements for each of three operands)."""
     k, d = sketch_rows(spec), spec.d
     leaf = _leaf_rows(k)
     n_leaves = -(-n // leaf)
     height = min(leaf, n)
     tree = (2 * (n_leaves - 1).bit_length() + 2) * k * d + min(2, n_leaves) * height * d
     if spec.family == SRHT:
-        block = _srht_block_rows(k)
-        n_blocks = -(-height // block)
-        m = _next_pow2(n)
-        sample = min(m, 50 * k) + 6 * k
-        kernel = height + 2 * n_blocks * block * d + block * block + 3 * min(k, max(block * d, m // block)) * n_blocks
-        return tree + sample + kernel + 3 * np.getbufsize()
+        block, m = _srht_block_rows(k), _next_pow2(n)
+        across = -(-min(leaf, m) // block)
+        draw = min(m, 50 * k) + 6 * k
+        kernel = block * block + across * (leaf // block) + 3 * height + 2 * across * block * d + 2 * k
+        return tree + draw + kernel + 3 * np.getbufsize()
     return tree + (3 * spec.s + 4) * height
 
 
@@ -257,13 +251,13 @@ class SketchState:
             raise ConfigurationError(f"SRHT needs k <= padded row count: k={self.k}, padded rows={m}")
         ensure_capacity(8 * _tree_state_elements(spec, n_rows), "sketch tree and leaf kernel")
         if spec.family == SRHT:
-            self._block = _srht_block_rows(self.k)
-            self._scale = 1.0 / math.sqrt(self.k)
+            block = _srht_block_rows(self.k)
             rng = _srht_draws(spec.seed, m - m % 8)
             rng.integers(0, 2, m % 8)  # the last signs, where m < 8 ends mid counter step
             sample = np.sort(rng.choice(m, size=self.k, replace=False))
-            # grouped by low index, so that each group is one contiguous GEMM output
-            self._sample = sample[np.argsort(sample & (self._block - 1), kind="stable")]
+            # the sketch's row order: by low index p mod B, then by p
+            sample = sample[np.argsort(sample & (block - 1), kind="stable")]
+            self._transform = _leaf_transform(sample, block, self._leaf, m, 1.0 / math.sqrt(self.k))
             return
         s = spec.s
         if self.k < s:
@@ -313,13 +307,13 @@ class SketchState:
         lo = (i << level) * self._leaf
         return lo, min(lo + (self._leaf << level), self.n_rows)
 
-    def _reduce(self, leaf: int, rows: np.ndarray) -> np.ndarray:
+    def _reduce(self, leaf: int, rows: np.ndarray, work: list) -> np.ndarray:
         """The k x d node of ``leaf`` from all its rows (zero where absent), by
-        the family's leaf kernel."""
+        the family's leaf kernel; ``work``, SRHT's buffers (see
+        :func:`_sampled_hadamard`), is shared by one call's leaves, never kept."""
         if self.spec.family == SRHT:
-            lo = leaf * self._leaf
-            signs = 2.0 * _srht_draws(self.spec.seed, lo).integers(0, 2, rows.shape[0]) - 1.0
-            return _sampled_hadamard(rows, signs, self._sample, self._block, lo, self._scale)
+            signs = 2.0 * _srht_draws(self.spec.seed, leaf * self._leaf).integers(0, 2, rows.shape[0]) - 1.0
+            return _sampled_hadamard(rows, signs, leaf, self._transform, work)
         return self._bucket_sums(leaf, rows)
 
     def _bucket_sums(self, leaf: int, rows: np.ndarray) -> np.ndarray:
@@ -383,6 +377,7 @@ class SketchState:
         its zero-filled buffer, reducing it once it is whole."""
         stop = start + rows.shape[0]
         self._claim(start, stop)
+        work = []
         for leaf in range(start // self._leaf, (stop - 1) // self._leaf + 1):
             lo, hi = self._span(0, leaf)
             a, b = max(lo, start), min(hi, stop)
@@ -395,14 +390,14 @@ class SketchState:
                 if not held.all():
                     continue
                 part = self._pending.pop(leaf)[0]
-            self._insert(0, leaf, self._reduce(leaf, part))
+            self._insert(0, leaf, self._reduce(leaf, part, work))
 
     def _fold(self) -> np.ndarray | None:
         """Tree sum of the held nodes and of each partly held leaf reduced with
         its absent rows as zeros, paired as :meth:`_insert` pairs; None if empty."""
-        nodes = dict(self._nodes)
+        nodes, work = dict(self._nodes), []
         for leaf, (rows, _) in self._pending.items():
-            nodes[(0, leaf)] = self._reduce(leaf, rows)
+            nodes[(0, leaf)] = self._reduce(leaf, rows, work)
         for level in range(self._top):
             for i in [i for lv, i in nodes if lv == level]:
                 if (level, i) in nodes:  # else already added to its sibling
@@ -500,9 +495,9 @@ def _hadamard(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 
 def _srht_block_rows(k: int) -> int:
-    """Block height B of the split ``H_m = H_{m/B} (x) H_B``: the power of two
+    """Block height B of the split ``H_L = H_{L/B} (x) H_B``: the power of two
     at or above sqrt(k), which balances the n*B*d block transform against the
-    k*(n/B)*d sampled-row products."""
+    n*(L/B)*d transform across blocks when k = L."""
     return _next_pow2(math.ceil(math.sqrt(k)))
 
 
@@ -512,41 +507,42 @@ def _srht_draws(seed: int, start: int) -> np.random.Generator:
     return philox(_SRHT_SAMPLE_STREAM, seed, counter=start // 8)
 
 
-def _sampled_hadamard(
-    x: np.ndarray, signs: np.ndarray, sample: np.ndarray, block: int, start: int, scale: float
-) -> np.ndarray:
-    """``scale`` times rows ``sample`` of ``H_m @ diag(signs) @ X``, where X is
-    zero but for the rows ``x`` from row ``start`` on (a multiple of
-    B = ``block``) and ``signs`` are the signs of those rows: the SRHT leaf
-    kernel. Computed through ``H_m = H_{m/B} (x) H_B``: one batched GEMM of
-    ``H_B`` and every block of ``D x``, then one GEMM per run of samples that
-    share a low index."""
-    h, d = x.shape
+def _leaf_transform(sample: np.ndarray, block: int, leaf_rows: int, m: int, scale: float) -> tuple:
+    """What the SRHT leaf kernel needs of a sample of rows p of ``H_m``, for
+    leaves of L = ``leaf_rows`` and blocks of B = ``block`` rows: ``H_B``,
+    the rows of ``scale * H_{L/B}`` the sample reaches (all unless m < L),
+    ``p mod L`` and ``p >> log2 L``."""
+    local, across = np.arange(block), np.arange(leaf_rows // block)
+    return (
+        _hadamard(local, local),
+        _hadamard(across[: -(-min(leaf_rows, m) // block)], across) * scale,
+        sample & (leaf_rows - 1),
+        sample >> (leaf_rows.bit_length() - 1),
+    )
+
+
+def _sampled_hadamard(x: np.ndarray, signs: np.ndarray, leaf: int, transform: tuple, work: list) -> np.ndarray:
+    """The SRHT leaf kernel: ``scale`` times the sampled rows of
+    ``H_m @ diag(signs) @ X``, X zero but for the rows ``x`` of leaf
+    ``leaf``, ``signs`` their signs, with ``transform`` from
+    :func:`_leaf_transform`. A short last leaf of ``n_blocks`` B-row blocks
+    uses the first ``n_blocks`` columns of ``H_{L/B}``. The first call given
+    the empty list ``work`` puts the leaf transform's two buffers in it, and
+    every later call with that list reuses them."""
+    h_block, h_across, gather, high = transform
+    (h, d), block = x.shape, h_block.shape[0]
+    if not work:
+        work.append(np.empty((2, h_across.shape[0] * block, d)))
     n_blocks = -(-h // block)
-    # Step 1: H_B times every B-row block of D x, zero past row h, written
-    # block-transposed so that the rows at one low index p2 form one
-    # contiguous operand.
-    flipped = np.zeros((n_blocks * block, d))
+    flipped, blocks = work[0][:, : n_blocks * block]
     np.multiply(signs[:, None], x, out=flipped[:h])
-    local = np.arange(block)
-    transformed = np.empty((block, n_blocks, d))
-    np.matmul(_hadamard(local, local), flipped.reshape(n_blocks, block, d), out=transformed.transpose(1, 0, 2))
-    # Step 2: sampled row p = p1*B + p2 is H_{m/B}[p1, blocks] times the
-    # transformed rows at p2, one GEMM per run of samples sharing p2. The +-1
-    # factor is built for whole runs at a time, B*d rows of it at most unless
-    # one run is longer, so it holds no more than the leaf's rows.
-    low = sample & (block - 1)
-    high = sample >> (block.bit_length() - 1)
-    blocks = np.arange(start // block, start // block + n_blocks)
-    cuts = [0, *(np.flatnonzero(np.diff(low)) + 1).tolist(), sample.size]
-    out = np.empty((sample.size, d))
-    base = built = 0  # the factor holds the rows [base, built) of the samples
-    for r0, r1 in zip(cuts[:-1], cuts[1:]):
-        if r1 > built:
-            base, built = r0, max(r1, cuts[bisect.bisect_right(cuts, r0 + block * d) - 1])
-            factor = _hadamard(high[base:built], blocks)
-            factor *= scale
-        np.matmul(factor[r0 - base : r1 - base], transformed[low[r0]], out=out[r0:r1])
+    flipped[h:] = 0.0
+    # H_B on every B-row block of D x, then scale * H_{L/B} across the blocks
+    np.matmul(h_block, flipped.reshape(n_blocks, block, d), out=blocks.reshape(n_blocks, block, d))
+    full = work[0][0]
+    np.matmul(h_across[:, :n_blocks], blocks.reshape(n_blocks, block * d), out=full.reshape(-1, block * d))
+    out = full[gather]
+    np.negative(out, out=out, where=(np.bitwise_count(high & leaf) & 1).astype(bool)[:, None])
     return out
 
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -234,6 +235,43 @@ def test_srht_distributed_bit_equals_serial(workers):
     res, rep = run_distributed(a, spec, workers, 1e-3)
     assert np.array_equal(res.scores, serial.scores)
     assert np.array_equal(rep.merged.data, apply_sketch(a, spec).data)
+
+
+@pytest.mark.parametrize("workers", [1, 3, 8])
+def test_srht_distributed_bit_equals_serial_at_k_equal_to_the_leaf(workers):
+    # k = L = 2048, as the benchmarks run SRHT: three leaves, the last one
+    # 904 rows, short of whole 64-row blocks, cut at ragged worker boundaries
+    a = gen_synthetic(SyntheticSpec(n=5000, d=16, rank=16, seed=63))
+    spec = SketchSpec("srht", eps=0.5, d=16, seed=64, rows_override=2048)
+    serial = leverage_sketched_trunc(a, spec, 1e-3)
+    res, rep = run_distributed(a, spec, workers, 1e-3, max_threads=2)
+    assert np.array_equal(res.scores, serial.scores)
+    assert np.array_equal(rep.merged.data, apply_sketch(a, spec).data)
+
+
+def test_worker_states_are_freed_once_merged(monkeypatch):
+    # eight workers of one leaf each ship eight k x d nodes; once merged, only
+    # the merged sketch is left of them when the score sweep starts
+    n, d, k = 1 << 15, 16, 4096
+    a = np.random.default_rng(65).standard_normal((n, d))
+    spec = SketchSpec("countsketch", eps=0.5, d=d, seed=66, rows_override=k)
+    held = []
+
+    def spy(rows, basis):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return _block_scores(rows, basis)
+
+    monkeypatch.setattr(levsketch.leverage, "_block_scores", spy)
+    runs = []
+    for workers in (1, 8):
+        tracemalloc.start()
+        try:
+            runs.append(run_distributed(a, spec, workers, 1e-3, max_threads=2))
+        finally:
+            tracemalloc.stop()
+    assert held[1] <= held[0] + 8 * k * d + (64 << 10)
+    assert np.array_equal(runs[0][0].scores, runs[1][0].scores)
+    assert runs[1][1].bytes_communicated == 8 * runs[0][1].bytes_communicated == 8 * 8 * k * d
 
 
 def test_more_workers_than_rows_rejected():

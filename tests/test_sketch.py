@@ -36,6 +36,8 @@ from levsketch.errors import (
 from levsketch.sketch import (
     _bucket_hash,
     _hadamard,
+    _leaf_rows,
+    _leaf_transform,
     _next_pow2,
     _sampled_hadamard,
     _sign_hash,
@@ -171,8 +173,10 @@ def srht_draws(spec: SketchSpec, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([0x5348, spec.seed])))
     signs = 2.0 * rng.integers(0, 2, m) - 1.0
     sample = rng.choice(m, state.k, replace=False)
-    assert np.array_equal(np.sort(state._sample), np.sort(sample))
-    return signs, state._sample
+    _, _, low, high = state._transform  # sampled row p = high*L + low, in the state's row order
+    state_sample = high * state._leaf + low
+    assert np.array_equal(np.sort(state_sample), np.sort(sample))
+    return signs, state_sample
 
 
 def sketch_matrix(spec: SketchSpec, n_rows: int) -> np.ndarray:
@@ -636,7 +640,7 @@ def test_srht_matches_explicit_matrix_oracle():
         (100, 2, 4, 128),  # k = m, every row kept
         (777, 3, 32, 1),  # k = 1
         (300, 1, 8, 64),  # d = 1
-        (50, 3, 1, 20),  # block height 1: step 1 is the identity
+        (50, 3, 1, 20),  # block height 1: H_B is the identity
     ],
 )
 def test_sampled_hadamard_matches_butterfly_and_scipy(n, d, block, k):
@@ -647,9 +651,10 @@ def test_sampled_hadamard_matches_butterfly_and_scipy(n, d, block, k):
     signs = 2.0 * rng.integers(0, 2, m) - 1.0
     sample = np.sort(rng.choice(m, size=k, replace=False))
     sample = sample[np.argsort(sample % block, kind="stable")]  # grouped by low index, as a state holds it
-    leaf = 4 * block
+    leaf, work = 4 * block, []
+    transform = _leaf_transform(sample, block, leaf, m, 1.0)
     got = sum(
-        _sampled_hadamard(x[lo : lo + leaf], signs[lo : min(lo + leaf, n)], sample, block, lo, 1.0)
+        _sampled_hadamard(x[lo : lo + leaf], signs[lo : min(lo + leaf, n)], lo // leaf, transform, work)
         for lo in range(0, n, leaf)
     )
     padded = np.zeros((m, d))
@@ -658,6 +663,71 @@ def test_sampled_hadamard_matches_butterfly_and_scipy(n, d, block, k):
     np.testing.assert_allclose(got, fwht(flipped)[sample], rtol=1e-12, atol=1e-12)
     h = scipy.linalg.hadamard(m).astype(float)
     np.testing.assert_allclose(got, (h @ flipped)[sample], rtol=1e-12, atol=1e-12)
+
+
+def assert_leaf_kernels_sum_to_the_butterfly(n, d, block, leaf, k, seed):
+    """The leaf kernel over leaves of ``leaf`` rows, summed, equals the
+    butterfly transform's sampled rows; returns the sample."""
+    rng = np.random.default_rng(seed)
+    m = _next_pow2(n)
+    x = rng.standard_normal((n, d))
+    signs = 2.0 * rng.integers(0, 2, m) - 1.0
+    sample = rng.choice(m, size=k, replace=False)
+    transform, work = _leaf_transform(sample, block, leaf, m, 1.0), []
+    got = sum(
+        _sampled_hadamard(x[lo : lo + leaf], signs[lo : min(lo + leaf, n)], lo // leaf, transform, work)
+        for lo in range(0, n, leaf)
+    )
+    padded = np.zeros((m, d))
+    padded[:n] = x
+    np.testing.assert_allclose(got, fwht(signs[:, None] * padded)[sample], rtol=1e-12, atol=1e-12)
+    return sample
+
+
+@pytest.mark.parametrize(
+    "n, d, block, leaf, k",
+    [
+        (5 * 32 + 3, 3, 8, 32, 32),  # k = L; leaves 1-5 share bits with p1; last leaf of 3 rows, one block of four
+        (4 * 128, 64, 16, 128, 128),  # k = L, whole leaves only
+        (7 * 64 + 40, 1, 4, 64, 200),  # k > L; last leaf of ten blocks of sixteen
+        (6 * 64 + 64, 3, 8, 64, 20),  # k < L, every leaf whole
+        (50, 64, 16, 128, 64),  # n < L, k = m < L
+        (50, 1, 16, 128, 7),  # n < L, k < m
+    ],
+)
+def test_leaf_kernels_negate_by_the_high_bits_of_each_leaf(n, d, block, leaf, k):
+    sample = assert_leaf_kernels_sum_to_the_butterfly(n, d, block, leaf, k, seed=n + d + k)
+    high, leaves = sample >> (leaf.bit_length() - 1), -(-n // leaf)
+    negated = [int((np.bitwise_count(high & j) & 1).sum()) for j in range(leaves)]
+    # the leaf's sign is exercised: no row flips on leaf 0, some do on a later
+    # leaf whenever there is one
+    assert negated[0] == 0 and (leaves == 1 or any(negated))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_leaf_kernels_sum_to_the_butterfly_rows(data):
+    block = 1 << data.draw(st.integers(0, 4), label="log2 B")
+    leaf = block << data.draw(st.integers(0, 3), label="log2 L/B")
+    n = data.draw(st.integers(1, 6 * leaf), label="n")
+    m = _next_pow2(n)
+    k = data.draw(st.sampled_from([min(leaf, m), m]) | st.integers(1, m), label="k")
+    d = data.draw(st.sampled_from([1, 3, 64]), label="d")
+    assert_leaf_kernels_sum_to_the_butterfly(n, d, block, leaf, k, data.draw(st.integers(0, 2**32 - 1)))
+
+
+def test_srht_streamed_and_merged_equals_bulk_at_k_equal_to_the_leaf():
+    # k = L = 2048, as the benchmarks run SRHT; 1000-row chunks in two
+    # halves that split leaf 1, the last leaf short of whole blocks (B = 64)
+    n, d, k = 5000, 8, 2048
+    a = np.random.default_rng(61).standard_normal((n, d))
+    spec = SketchSpec("srht", eps=0.5, d=d, seed=62, rows_override=k)
+    halves = []
+    for lo, hi in ((0, 2600), (2600, n)):
+        halves.append(SketchState(spec, n))
+        for start in range(lo, hi, 1000):
+            consume_rows(halves[-1], a[start : min(start + 1000, hi)], start)
+    assert np.array_equal(merge(*halves).data, apply_sketch(a, spec).data)
 
 
 @pytest.mark.parametrize(
@@ -791,17 +861,23 @@ def test_srht_state_peak_within_its_capacity_check(n, d, k, monkeypatch):
     assert_peak_within_capacity_check(spec, np.random.default_rng(n).standard_normal((n, d)), 0, n, monkeypatch)
 
 
-def test_srht_factor_is_built_a_few_low_indices_at_a_time(monkeypatch):
-    # n = k = 16384, d = 8: the +-1 factor of all k samples would be k x (L/B)
-    # = 16384 x 128 with two temporaries, 50 MB; built for whole runs of
-    # samples that share a low index, B*d = 1024 rows at a time, it takes 3 MB
-    n, d = 1 << 14, 8
-    spec = SketchSpec("srht", eps=0.5, d=d, seed=5, rows_override=n)
-    cap = 16 << 20
-    assert 8 * _tree_state_elements(spec, n) < cap < 8 * 3 * n * (n // 128)
-    monkeypatch.setenv("LVSK_MEM_CAP", str(cap))
+@pytest.mark.parametrize("n, d, k", [(1 << 14, 8, 1 << 14), (1 << 14, 256, 1 << 13)])
+def test_srht_figure_covers_the_per_call_workspace(n, d, k, monkeypatch):
+    # k = L: the leaf kernel's two L x d buffers are made once per call and
+    # shared by its leaves (two at d = 256); the figure covers them, and the
+    # state keeps none of them once the call returns
+    spec = SketchSpec("srht", eps=0.5, d=d, seed=5, rows_override=k)
     a = np.random.default_rng(47).standard_normal((n, d))
-    assert np.isfinite(consume_rows(SketchState(spec, n), a, 0).data).all()
+    assert_peak_within_capacity_check(spec, a, 0, n, monkeypatch)
+    workspace = 2 * 8 * _leaf_rows(k) * d
+    tracemalloc.start()
+    try:
+        state = consume_rows(SketchState(spec, n), a, 0)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak >= workspace
+    assert held < state.message_bytes + workspace // 2
 
 
 def test_srht_state_does_not_grow_with_the_stream(monkeypatch):
