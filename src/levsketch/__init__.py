@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 
 from . import errors
 from .leverage import (
-    CoordinatorReport,
     LeverageResult,
     leverage_exact,
     leverage_oracle,
@@ -53,7 +52,6 @@ from .sketch import (
 from .svd import SvdResult, right_svd, singular_values, thin_svd, truncate
 
 __all__ = [
-    "CoordinatorReport",
     "LeverageResult",
     "OrderingPlan",
     "OrderingPolicy",

@@ -203,7 +203,6 @@ def cmd_gen(args) -> int:
 
 def cmd_leverage(args) -> int:
     a = load_matrix(args.infile, header=args.header)
-    report = None
     t0 = time.perf_counter()
     if args.method == "exact":
         result = leverage_exact(a)
@@ -211,15 +210,13 @@ def cmd_leverage(args) -> int:
         result = leverage_oracle(a)
     else:
         sv_tol = args.sv_tol if args.method == "sketch-trunc" else None
-        result, report = run_distributed(
-            a, _sketch_spec(args, a.shape[1]), args.workers, sv_tol, max_threads=args.threads
-        )
+        result = run_distributed(a, _sketch_spec(args, a.shape[1]), args.workers, sv_tol, max_threads=args.threads)[0]
     result.wall_time_s = time.perf_counter() - t0
 
     extra = _metadata(args, "leverage")
-    if report is not None:
+    if result.report is not None:
         report_path = Path(str(args.out) + ".report.json")
-        write_json(report_path, report.to_json_dict())
+        write_json(report_path, result.report)
         extra["report_file"] = str(report_path)
     save_scores(result, args.out, extra_meta=extra)
     return 0
@@ -295,7 +292,7 @@ def cmd_bench(args) -> int:
         except CapacityError:
             return None
 
-    rows = []
+    rows, medians = [], {}
     for k_exp in exponents:
         n = 2**k_exp
         rank = args.rank if args.rank is not None else args.d
@@ -307,25 +304,21 @@ def cmd_bench(args) -> int:
         for method in methods:
             for eps in eps_grid:
                 seconds = timings(a, method, eps)
-                for rep in range(args.repeats):
-                    if seconds is None:
-                        rows.append((n, args.d, method, eps, rep, "", "skipped"))
-                    else:
-                        rows.append((n, args.d, method, eps, rep, FLOAT_FORMAT % seconds[rep], "ok"))
+                if seconds is None:
+                    rows += [(n, args.d, method, eps, rep, "", "skipped") for rep in range(args.repeats)]
+                else:
+                    rows += [(n, args.d, method, eps, rep, FLOAT_FORMAT % x, "ok") for rep, x in enumerate(seconds)]
+                    medians[(n, args.d, method, eps)] = statistics.median(seconds)
     out = Path(args.out)
     with open(out, "w") as f:
         f.write("n,d,method,eps,repeat,seconds,status\n")
         for row in rows:
             f.write(",".join(str(v) for v in row) + "\n")
-    summary = {}
-    for n, d, method, eps, _rep, seconds, status in rows:
-        if status == "ok":
-            summary.setdefault((n, d, method, eps), []).append(float(seconds))
     summary_path = out.with_name(out.stem + "_summary" + out.suffix)
     with open(summary_path, "w") as f:
         f.write("n,d,method,eps,median_seconds\n")
-        for (n, d, method, eps), xs in sorted(summary.items()):
-            f.write(f"{n},{d},{method},{eps},{FLOAT_FORMAT % statistics.median(xs)}\n")
+        for (n, d, method, eps), median in sorted(medians.items()):
+            f.write(f"{n},{d},{method},{eps},{FLOAT_FORMAT % median}\n")
     meta = _metadata(args, "bench")
     meta["summary_file"] = str(summary_path)
     write_json(Path(str(out) + ".json"), meta)

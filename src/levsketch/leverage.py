@@ -14,7 +14,7 @@ the approximation guarantee on such inputs. From ``sv_tol`` =
 the sketch's Gram matrix plus one Cholesky QR pass
 (:func:`levsketch.svd.gram_right_svd`), two k x d x d products in place of a
 Householder QR of k rows; below, from the R factor. The route depends on
-``sv_tol`` alone and is recorded in the run's report. The exact method runs
+``sv_tol`` alone and is recorded in the result's report. The exact method runs
 the same stages on an internal CountSketch of 4d rows, always through the R
 factor (its cut, 1e-14, is far below what a Gram resolves), makes the basis
 orthonormal to float64 rounding with one Cholesky QR pass, and decides the
@@ -26,7 +26,9 @@ independent code path for testing.
 
 Both sketched variants run through :func:`run_distributed`, a simulation of
 row-partitioned sketching in the coordinator model; the serial methods are its
-one-worker run. Workers sketch contiguous row partitions using global row
+one-worker run, and every sketched result carries the run's report (stage
+times, bytes communicated, SVD route, sketch record); exact and oracle
+results carry none. Workers sketch contiguous row partitions using global row
 indices, so each worker's hash assignments are identical to a serial pass; the
 coordinator merges the states in ascending worker order, runs the SVD of the
 merged sketch once, and broadcasts the basis. A row's score needs only that
@@ -103,6 +105,7 @@ class LeverageResult:
     sv_tol: float | None = None
     wall_time_s: float | None = None
     preconditioner: SketchSpec | None = None
+    report: dict | None = None
 
 
 def leverage_exact(a) -> LeverageResult:
@@ -251,32 +254,6 @@ def _block_scores(rows: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return scores
 
 
-@dataclass
-class CoordinatorReport:
-    merged: SketchState
-    workers: int
-    per_worker_times: list[float]
-    merge_time: float
-    svd_route: str
-    svd_time: float
-    score_time: float
-    bytes_communicated: int
-    per_worker_rows: list[int]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "workers": self.workers,
-            "per_worker_times_s": self.per_worker_times,
-            "merge_time_s": self.merge_time,
-            "svd_route": self.svd_route,
-            "svd_time_s": self.svd_time,
-            "score_time_s": self.score_time,
-            "bytes_communicated": self.bytes_communicated,
-            "per_worker_rows": self.per_worker_rows,
-            "sketch": self.merged.spec.to_json_dict(),
-        }
-
-
 def partition_rows(n: int, w: int) -> list[tuple[int, int]]:
     """Split [0, n) into w contiguous ranges with sizes differing by at most 1."""
     w = _integer(w, "workers", 1)
@@ -294,15 +271,19 @@ def partition_rows(n: int, w: int) -> list[tuple[int, int]]:
 
 def run_distributed(
     a, spec: SketchSpec, workers: int, sv_tol: float | None, max_threads: int | None = None
-) -> tuple[LeverageResult, CoordinatorReport]:
+) -> tuple[LeverageResult, SketchState]:
     """Sketched leverage scores over ``workers`` row partitions: sketch, merge,
-    SVD of the merged sketch (sigma and V^T only), basis, score.
+    SVD of the merged sketch (sigma and V^T only), basis, score. Returns the
+    result and the merged sketch state. The result's ``report`` is the run's
+    record, the keys of the CLI's ``.report.json``: the worker count, each
+    worker's sketch time and row count, the merge, SVD and score times,
+    ``svd_route``, ``bytes_communicated`` and the sketch record.
 
     ``sv_tol=None`` inverts every singular component of the sketch (method
     ``"sketch"``); otherwise components at or below ``sv_tol`` times the
     largest are dropped first (``"sketch_trunc"``). The SVD is
     :func:`gram_right_svd` when ``sv_tol`` is at least ``GRAM_SV_TOL_FLOOR``
-    and the R-factor :func:`right_svd` otherwise; the report's ``svd_route``
+    and the R-factor :func:`right_svd` otherwise; ``report["svd_route"]``
     says which ran, and an ``sv_tol`` outside [0, 1) is refused before any
     row is sketched. One worker is the serial
     computation; more workers give the same scores bit for bit on any data
@@ -358,27 +339,20 @@ def run_distributed(
 
     t0 = time.perf_counter()
     scores = _block_scores(a, _approx_basis(svd))
-    score_time = time.perf_counter() - t0
-
-    result = LeverageResult(
-        scores=scores,
-        method="sketch" if sv_tol is None else "sketch_trunc",
-        effective_rank=svd.rank,
-        spec=spec,
-        sv_tol=sv_tol,
-    )
-    report = CoordinatorReport(
-        merged=merged,
-        workers=len(ranges),
-        per_worker_times=sketch_times,
-        merge_time=merge_time,
-        svd_route=svd_route,
-        svd_time=svd_time,
-        score_time=score_time,
-        bytes_communicated=bytes_communicated,
-        per_worker_rows=[hi - lo for lo, hi in ranges],
-    )
-    return result, report
+    report = {
+        "workers": len(ranges),
+        "per_worker_times_s": sketch_times,
+        "merge_time_s": merge_time,
+        "svd_route": svd_route,
+        "svd_time_s": svd_time,
+        "score_time_s": time.perf_counter() - t0,
+        "bytes_communicated": bytes_communicated,
+        "per_worker_rows": [hi - lo for lo, hi in ranges],
+        "sketch": spec.to_json_dict(),
+    }
+    method = "sketch" if sv_tol is None else "sketch_trunc"
+    result = LeverageResult(scores, method, svd.rank, spec=spec, sv_tol=sv_tol, report=report)
+    return result, merged
 
 
 def leverage_sketched(a, spec: SketchSpec) -> LeverageResult:

@@ -394,16 +394,18 @@ class SketchState:
 
     def _fold(self) -> np.ndarray | None:
         """Tree sum of the held nodes and of each partly held leaf reduced with
-        its absent rows as zeros, paired as :meth:`_insert` pairs; None if empty."""
+        its absent rows as zeros, paired as :meth:`_insert` pairs; None if empty.
+        The lowest node is summed with its sibling first: nothing lies below
+        it, so a sibling not held has no rows, and the node stands for its
+        parent."""
         nodes, work = dict(self._nodes), []
         for leaf, (rows, _) in self._pending.items():
             nodes[(0, leaf)] = self._reduce(leaf, rows, work)
-        for level in range(self._top):
-            for i in [i for lv, i in nodes if lv == level]:
-                if (level, i) in nodes:  # else already added to its sibling
-                    value, other = nodes.pop((level, i)), nodes.pop((level, i ^ 1), None)
-                    nodes[(level + 1, i >> 1)] = value if other is None else value + other
-        return nodes.get((self._top, 0))
+        while len(nodes) > 1:
+            level, i = min(nodes)
+            value, other = nodes.pop((level, i)), nodes.pop((level, i ^ 1), None)
+            nodes[(level + 1, i >> 1)] = value if other is None else value + other
+        return next(iter(nodes.values()), None)
 
     def _message(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]], np.ndarray]:
         """What this state ships: its node keys ``(level, i)`` in key order,

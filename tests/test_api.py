@@ -6,7 +6,7 @@ import pytest
 
 import levsketch
 
-REMOVED = ("Partition", "numerical_rank", "sketch_matrix", "srht_apply", "stream_update")
+REMOVED = ("CoordinatorReport", "Partition", "numerical_rank", "sketch_matrix", "srht_apply", "stream_update")
 
 
 def test_every_exported_name_resolves():

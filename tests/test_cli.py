@@ -16,6 +16,7 @@ from levsketch import (
     load_matrix,
     load_scores,
     make_plan,
+    run_distributed,
     scores_to_distribution,
     singular_values,
 )
@@ -93,6 +94,28 @@ def test_leverage_sketch_trunc_distributed(tmp_path):
         "--eps", "0.5", "--sv-tol", "1e-3", "--workers", "1", "--out", str(serial_out),
     ])
     assert load_scores(out).tolist() == load_scores(serial_out).tolist()
+
+
+def test_report_file_is_the_library_report(tmp_path):
+    mat = tmp_path / "a.bin"
+    run(["gen", "--n", "3000", "--d", "8", "--seed", "4", "--out", str(mat)])
+    out = tmp_path / "l.csv"
+    code = run([
+        "leverage", "--in", str(mat), "--method", "sketch-trunc", "--sv-tol", "1e-3",
+        "--workers", "3", "--seed", "2", "--out", str(out),
+    ])
+    assert code == 0
+    written = json.loads((tmp_path / "l.csv.report.json").read_text())
+    expected = run_distributed(load_matrix(mat), SketchSpec("countsketch", 0.5, 8, seed=2), 3, 1e-3)[0].report
+    assert set(written) == set(expected) == {
+        "workers", "per_worker_times_s", "merge_time_s", "svd_route", "svd_time_s",
+        "score_time_s", "bytes_communicated", "per_worker_rows", "sketch",
+    }  # fmt: skip
+    timings = {"per_worker_times_s", "merge_time_s", "svd_time_s", "score_time_s"}
+    assert {k: v for k, v in written.items() if k not in timings} == {
+        k: v for k, v in expected.items() if k not in timings
+    }
+    assert len(written["per_worker_times_s"]) == 3
 
 
 def test_leverage_sketch_workers_match_serial_bytes(tmp_path):
@@ -299,6 +322,36 @@ def test_bench_runs_each_cell_once_untimed(tmp_path, monkeypatch):
     assert code == 0
     assert calls == ["exact"] * 3 + ["osnap"] * 3
     assert len(out.read_text().strip().split("\n")) == 1 + 2 * 2
+
+
+def test_bench_writes_each_timing_and_its_median_to_the_last_bit(tmp_path, monkeypatch):
+    # each cell's first call is the untimed one; four timed repeats per cell
+    timed = iter([9.0, 0.1, 0.2, 0.4, 0.7, 9.0, 2.0**-40, 5e-324, 1 / 3, 7.000000000000001])
+    monkeypatch.setattr("levsketch.cli._bench_cell", lambda *args: next(timed))
+    out = tmp_path / "bench.csv"
+    code = run([
+        "bench", "--log2-n", "6", "--d", "4", "--methods", "osnap",
+        "--eps", "0.5,0.25", "--repeats", "4", "--out", str(out),
+    ])
+    assert code == 0
+    assert out.read_text() == (
+        "n,d,method,eps,repeat,seconds,status\n"
+        "64,4,osnap,0.5,0,0.10000000000000001,ok\n"
+        "64,4,osnap,0.5,1,0.20000000000000001,ok\n"
+        "64,4,osnap,0.5,2,0.40000000000000002,ok\n"
+        "64,4,osnap,0.5,3,0.69999999999999996,ok\n"
+        "64,4,osnap,0.25,0,9.0949470177292824e-13,ok\n"
+        "64,4,osnap,0.25,1,4.9406564584124654e-324,ok\n"
+        "64,4,osnap,0.25,2,0.33333333333333331,ok\n"
+        "64,4,osnap,0.25,3,7.0000000000000009,ok\n"
+    )
+    # one median per cell, sorted by cell: (2^-40 + 1/3) / 2 at eps 0.25 and
+    # (0.2 + 0.4) / 2 at eps 0.5
+    assert (tmp_path / "bench_summary.csv").read_text() == (
+        "n,d,method,eps,median_seconds\n"
+        "64,4,osnap,0.25,0.1666666666671214\n"
+        "64,4,osnap,0.5,0.30000000000000004\n"
+    )
 
 
 def test_bench_capacity_cells_skipped(tmp_path):

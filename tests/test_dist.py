@@ -62,10 +62,10 @@ def test_single_worker_identical_to_serial():
     a = gen_synthetic(SyntheticSpec(n=400, d=16, rank=16, seed=1))
     spec = SketchSpec("countsketch", eps=0.5, d=16, seed=2)
     serial = leverage_sketched_trunc(a, spec, 1e-3)
-    res, rep = run_distributed(a, spec, 1, 1e-3)
+    res, _ = run_distributed(a, spec, 1, 1e-3)
     assert np.array_equal(res.scores, serial.scores)
     assert res.effective_rank == serial.effective_rank
-    assert rep.workers == 1
+    assert res.report["workers"] == 1
 
 
 @pytest.mark.parametrize("workers", [2, 3, 4, 8])
@@ -74,9 +74,9 @@ def test_distributed_bit_equals_serial(workers, family):
     a = gen_synthetic(SyntheticSpec(n=1000, d=16, rank=16, seed=3))
     spec = SketchSpec(family, eps=0.5, d=16, seed=4)
     serial = leverage_sketched_trunc(a, spec, 1e-3)
-    res, rep = run_distributed(a, spec, workers, 1e-3)
+    res, merged = run_distributed(a, spec, workers, 1e-3)
     assert np.array_equal(res.scores, serial.scores)
-    assert rep.merged.rows_consumed == 1000
+    assert merged.rows_consumed == 1000
 
 
 def test_uneven_split_bit_equals_serial():
@@ -175,10 +175,10 @@ def test_srht_single_worker_equals_serial():
     a = gen_synthetic(SyntheticSpec(n=300, d=8, rank=8, seed=17))
     spec = SketchSpec("srht", eps=0.5, d=8, seed=18, rows_override=64)
     serial = leverage_sketched_trunc(a, spec, 1e-3)
-    res, rep = run_distributed(a, spec, 1, 1e-3)
+    res, merged = run_distributed(a, spec, 1, 1e-3)
     assert np.array_equal(res.scores, serial.scores)
     assert res.method == "sketch_trunc"
-    assert rep.merged.rows_consumed == 300
+    assert merged.rows_consumed == 300
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -232,9 +232,9 @@ def test_srht_distributed_bit_equals_serial(workers):
     a = gen_synthetic(SyntheticSpec(n=5000, d=8, rank=8, seed=7))
     spec = SketchSpec("srht", eps=0.5, d=8, seed=8, rows_override=64)
     serial = leverage_sketched_trunc(a, spec, 1e-3)
-    res, rep = run_distributed(a, spec, workers, 1e-3)
+    res, merged = run_distributed(a, spec, workers, 1e-3)
     assert np.array_equal(res.scores, serial.scores)
-    assert np.array_equal(rep.merged.data, apply_sketch(a, spec).data)
+    assert np.array_equal(merged.data, apply_sketch(a, spec).data)
 
 
 @pytest.mark.parametrize("workers", [1, 3, 8])
@@ -244,9 +244,9 @@ def test_srht_distributed_bit_equals_serial_at_k_equal_to_the_leaf(workers):
     a = gen_synthetic(SyntheticSpec(n=5000, d=16, rank=16, seed=63))
     spec = SketchSpec("srht", eps=0.5, d=16, seed=64, rows_override=2048)
     serial = leverage_sketched_trunc(a, spec, 1e-3)
-    res, rep = run_distributed(a, spec, workers, 1e-3, max_threads=2)
+    res, merged = run_distributed(a, spec, workers, 1e-3, max_threads=2)
     assert np.array_equal(res.scores, serial.scores)
-    assert np.array_equal(rep.merged.data, apply_sketch(a, spec).data)
+    assert np.array_equal(merged.data, apply_sketch(a, spec).data)
 
 
 def test_worker_states_are_freed_once_merged(monkeypatch):
@@ -271,7 +271,7 @@ def test_worker_states_are_freed_once_merged(monkeypatch):
             tracemalloc.stop()
     assert held[1] <= held[0] + 8 * k * d + (64 << 10)
     assert np.array_equal(runs[0][0].scores, runs[1][0].scores)
-    assert runs[1][1].bytes_communicated == 8 * runs[0][1].bytes_communicated == 8 * 8 * k * d
+    assert runs[1][0].report["bytes_communicated"] == 8 * runs[0][0].report["bytes_communicated"] == 8 * 8 * k * d
 
 
 def test_more_workers_than_rows_rejected():
@@ -286,35 +286,36 @@ def test_bytes_communicated_counts_nodes_and_pending_rows():
     node = 64 * 4 * 8
     a = gen_synthetic(SyntheticSpec(n=4096, d=4, rank=4, seed=12))
     # aligned: each worker ships one node (two leaves) or two nodes (one leaf each)
-    _, rep = run_distributed(a, spec, 2, 1e-3)
-    assert rep.bytes_communicated == 2 * node
-    _, rep = run_distributed(a, spec, 4, 1e-3)
-    assert rep.bytes_communicated == 4 * node
+    res, _ = run_distributed(a, spec, 2, 1e-3)
+    assert res.report["bytes_communicated"] == 2 * node
+    res, _ = run_distributed(a, spec, 4, 1e-3)
+    assert res.report["bytes_communicated"] == 4 * node
     # [0, 1500) ships leaf 0 plus rows 1024..1499 of leaf 1; [1500, 3000) ships
     # rows 1500..2047 of leaf 1 plus the last leaf, rows 2048..2999
-    _, rep = run_distributed(a[:3000], spec, 2, 1e-3)
-    assert rep.bytes_communicated == 2 * node + (476 + 548) * 4 * 8
+    res, _ = run_distributed(a[:3000], spec, 2, 1e-3)
+    assert res.report["bytes_communicated"] == 2 * node + (476 + 548) * 4 * 8
     # below one leaf every worker ships its raw rows
-    _, rep = run_distributed(a[:200], spec, 4, 1e-3)
-    assert rep.bytes_communicated == 200 * 4 * 8
+    res, _ = run_distributed(a[:200], spec, 4, 1e-3)
+    assert res.report["bytes_communicated"] == 200 * 4 * 8
 
 
 def test_report_contents():
     a = gen_synthetic(SyntheticSpec(n=300, d=16, rank=16, seed=13))
     spec = SketchSpec("osnap", eps=0.5, d=16, seed=14)
-    _, rep = run_distributed(a, spec, 3, 1e-3)
-    assert len(rep.per_worker_times) == 3
-    assert rep.per_worker_rows == [100, 100, 100]
-    assert rep.merge_time >= 0 and rep.svd_time >= 0 and rep.score_time >= 0
-    payload = rep.to_json_dict()
-    assert payload["workers"] == 3
-    assert payload["svd_route"] == "gram_cholesky_qr"
-    assert payload["sketch"]["family"] == "osnap"
-    assert payload["bytes_communicated"] == rep.bytes_communicated
+    res, _ = run_distributed(a, spec, 3, 1e-3)
+    report = res.report
+    assert len(report["per_worker_times_s"]) == 3
+    assert report["per_worker_rows"] == [100, 100, 100]
+    assert report["merge_time_s"] >= 0 and report["svd_time_s"] >= 0 and report["score_time_s"] >= 0
+    assert report["workers"] == 3
+    assert report["svd_route"] == "gram_cholesky_qr"
+    assert report["sketch"]["family"] == "osnap"
+    # the record is its own JSON: it survives a round trip unchanged
+    assert json.loads(json.dumps(report)) == report
     # a numpy worker count gives the same report, all plain ints
-    _, rep = run_distributed(a, spec, np.int64(3), 1e-3, max_threads=np.int64(2))
-    assert json.loads(json.dumps(rep.to_json_dict()))["per_worker_rows"] == [100, 100, 100]
-    assert type(rep.workers) is int
+    res, _ = run_distributed(a, spec, np.int64(3), 1e-3, max_threads=np.int64(2))
+    assert json.loads(json.dumps(res.report))["per_worker_rows"] == [100, 100, 100]
+    assert type(res.report["workers"]) is int
 
 
 @pytest.mark.parametrize("sv_tol", [None, 0.0, 1e-5, np.nextafter(GRAM_SV_TOL_FLOOR, 0)])
@@ -330,8 +331,8 @@ def test_a_cut_below_the_gram_floor_takes_the_r_factor_route(monkeypatch, sv_tol
 
     monkeypatch.setattr(levsketch.leverage, "gram_right_svd", refuse)
     for w in (1, 3):
-        res, rep = run_distributed(a, spec, w, sv_tol)
-        assert rep.svd_route == "householder_qr"
+        res, _ = run_distributed(a, spec, w, sv_tol)
+        assert res.report["svd_route"] == "householder_qr"
         assert np.array_equal(res.scores, expected)
 
 
@@ -356,11 +357,11 @@ def test_spare_threads_sketch_a_worker_in_leaf_aligned_pieces(monkeypatch, famil
         return levsketch.sketch._consume(state, rows, start)
 
     monkeypatch.setattr(levsketch.leverage, "_consume", recording_consume)
-    one, one_rep = run_distributed(a, spec, 2, 1e-3, max_threads=2)
+    one, one_merged = run_distributed(a, spec, 2, 1e-3, max_threads=2)
     assert sorted(consumed) == [(0, 4200), (4200, 8400)]
     for threads in (4, 5, 64):
         consumed.clear()
-        res, rep = run_distributed(a, spec, 2, 1e-3, max_threads=threads)
+        res, merged = run_distributed(a, spec, 2, 1e-3, max_threads=threads)
         # only OSNAP (s = 3 here) splits: CountSketch has s = 1, and SRHT's
         # leaf kernel is BLAS GEMMs, which already use every thread
         if family != "osnap":
@@ -370,9 +371,9 @@ def test_spare_threads_sketch_a_worker_in_leaf_aligned_pieces(monkeypatch, famil
         else:  # one piece per leaf touched
             assert len(consumed) == 10
         assert np.array_equal(res.scores, one.scores)
-        assert np.array_equal(rep.merged.data, one_rep.merged.data)
-        assert rep.bytes_communicated == one_rep.bytes_communicated
-        assert len(rep.per_worker_times) == 2
+        assert np.array_equal(merged.data, one_merged.data)
+        assert res.report["bytes_communicated"] == one.report["bytes_communicated"]
+        assert len(res.report["per_worker_times_s"]) == 2
 
 
 @settings(max_examples=200, deadline=None)
@@ -398,9 +399,9 @@ def test_leaf_pieces_cut_a_range_at_leaf_boundaries(lo, size, k_leaf, parts):
 def test_bytes_communicated_is_the_saved_payload(tmp_path, family):
     a = gen_synthetic(SyntheticSpec(n=3000, d=4, rank=4, seed=12))
     spec = SketchSpec(family, eps=0.5, d=4, seed=11, rows_override=None if family == "osnap" else 64)
-    _, rep = run_distributed(a, spec, 3, 1e-3)
+    res, _ = run_distributed(a, spec, 3, 1e-3)
     saved = 0
     for p, (lo, hi) in enumerate(partition_rows(3000, 3)):
         save_state(consume_rows(SketchState(spec, 3000), a[lo:hi], lo), tmp_path / f"{p}.bin")
         saved += load_matrix(tmp_path / f"{p}.bin").nbytes
-    assert rep.bytes_communicated == saved
+    assert res.report["bytes_communicated"] == saved

@@ -165,6 +165,19 @@ def test_trunc_with_zero_tol_equals_uncorrected():
     assert np.array_equal(plain.scores, trunc.scores)
 
 
+def test_serial_sketched_results_keep_their_report():
+    # the serial entry points are one-worker coordinator runs, record included;
+    # the Gram route from 1e-4 up, the R factor below
+    a = gen_synthetic(SyntheticSpec(n=2000, d=10, rank=10, seed=12))
+    spec = SketchSpec("countsketch", eps=0.5, d=10, seed=5)
+    assert leverage_sketched_trunc(a, spec, 1e-3).report["svd_route"] == "gram_cholesky_qr"
+    assert leverage_sketched_trunc(a, spec, 1e-5).report["svd_route"] == "householder_qr"
+    report = leverage_sketched(a, spec).report
+    assert (report["svd_route"], report["workers"], report["per_worker_rows"]) == ("householder_qr", 1, [2000])
+    assert report["sketch"] == spec.to_json_dict()
+    assert leverage_exact(a).report is None and leverage_oracle(a).report is None
+
+
 def test_exact_zero_singular_value_refused():
     res = SvdResult(u=np.eye(3), sigma=np.array([2.0, 1.0, 0.0]), vt=np.eye(3))
     with pytest.raises(SingularInversionError):
