@@ -14,6 +14,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__, config
 from .errors import CapacityError, ConfigurationError, LevsketchError
@@ -30,8 +31,8 @@ from .matrix import (
     FLOAT_FORMAT,
     GENERATOR_NAME,
     SyntheticSpec,
+    _read_matrix,
     gen_synthetic,
-    load_matrix,
     save_matrix,
     text_lines,
     write_json,
@@ -170,6 +171,7 @@ def _metadata(args, command: str) -> dict:
             "levsketch": __version__,
             "numpy": np.__version__,
             "python": platform.python_version(),
+            "scipy": scipy.__version__,
         },
     }
 
@@ -202,7 +204,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_leverage(args) -> int:
-    a = load_matrix(args.infile, header=args.header)
+    # every method refuses a non-finite entry: the oracle by checking A, the
+    # others from the sketch they compute anyway (see levsketch.leverage)
+    a = _read_matrix(args.infile, header=args.header)
     t0 = time.perf_counter()
     if args.method == "exact":
         result = leverage_exact(a)

@@ -44,6 +44,13 @@ sketch.save_state writes: each worker's canonical block-tree nodes (k x d
 each, O(log(n/L)) of them for a contiguous range over leaves of L rows) plus
 its raw rows of the at most two leaves it holds only in part,
 O(k*d*log(n/L) + L*d) bytes per worker, for every sketch family.
+
+Neither pipeline reads A to check it is finite. Every leaf kernel multiplies
+each entry of A by +-1 or a nonzero scale and sums, so a NaN or an infinity
+anywhere in A leaves a non-finite entry in the k x d sketch, whatever the
+BLAS; the sketched method checks its merged sketch, and the exact method its
+preconditioner's, before the SVD. So a non-finite entry raises FormatError
+after the sketch stage, not before it.
 """
 
 import os
@@ -63,9 +70,9 @@ from .errors import (
     FormatError,
     SingularInversionError,
 )
-from .matrix import as_matrix, write_json, write_rows
+from .matrix import _all_finite, _float_matrix, as_matrix, write_json, write_rows
 from .sketch import COUNTSKETCH, SketchSpec, SketchState, _consume, _leaf_pieces, merge
-from .svd import GRAM_SV_TOL_FLOOR, SvdResult, _right_svd, gram_right_svd, right_svd, thin_svd, truncate
+from .svd import GRAM_SV_TOL_FLOOR, SvdResult, _gram_right_svd, _right_svd, thin_svd, truncate
 
 # Relative floor under which singular components are treated as numerically
 # zero by the exact method, so rank-deficient inputs stay well-defined.
@@ -142,35 +149,45 @@ def leverage_exact(a) -> LeverageResult:
     relative accuracy. The Gram matrix and Z come from the same computed Y:
     folding ``C^{-1}`` into the basis and multiplying A again would bring
     back an error of O(kappa(A) u).
+
+    A's shape is checked first. A NaN or an infinity in A leaves one in the
+    preconditioner's sketch, which is then refused like one whose sums
+    overflowed; the fallback checks A itself (:func:`as_matrix`) and raises
+    FormatError on a non-finite entry. With A its own sketch only that check
+    runs.
     """
-    a = as_matrix(a)
+    a = _float_matrix(a)
     n, d = a.shape
     if n > _PRECONDITIONER_ROWS * d:
         spec = SketchSpec(
             COUNTSKETCH, eps=0.5, d=d, seed=_PRECONDITIONER_SEED, rows_override=_PRECONDITIONER_ROWS * d
         )
-        # on entries near the overflow threshold the sketch's bucket sums and
-        # norms can overflow where A's own R factor does not; an attempt that
-        # fails on a non-finite value counts as a refused sketch
+        # A non-finite entry of A leaves one in the sketch (see the module
+        # docstring). On finite entries near the overflow threshold the
+        # sketch's bucket sums and norms can overflow where A's own R factor
+        # does not. Either way the sketch is refused, and the fallback's check
+        # of A tells which.
         with np.errstate(over="ignore", invalid="ignore"):
+            sketch = _consume(SketchState(spec, n), a, 0).data
             try:
-                result = _cholesky_qr_scores(a, _consume(SketchState(spec, n), a, 0).data, _PRECONDITIONER_CUT)
+                result = _cholesky_qr_scores(a, sketch, _PRECONDITIONER_CUT) if _all_finite(sketch) else None
             except (np.linalg.LinAlgError, FormatError):
                 result = None
         if result is not None:
             result.preconditioner = spec
             return result
-    return _cholesky_qr_scores(a, a, MACHINE_RANK_TOL)
+    return _cholesky_qr_scores(as_matrix(a), a, MACHINE_RANK_TOL)
 
 
 def _cholesky_qr_scores(a: np.ndarray, sketch: np.ndarray, cut: float) -> LeverageResult | None:
     """Exact scores of A from the R-factor SVD of ``sketch`` cut at ``cut``,
     one Cholesky QR pass and the SVD of R_A (see :func:`leverage_exact`). A
-    sketch other than A itself is validated and checked, and None is returned
-    when it fails the check; A as its own sketch needs neither.
+    and a sketch other than A are finite. Such a sketch is checked against A,
+    and None is returned when it fails the check; A as its own sketch needs
+    no check.
     """
     checked = sketch is not a
-    svd = right_svd(sketch) if checked else _right_svd(a)
+    svd = _right_svd(sketch)
     if checked and svd.sigma[0] == 0:  # rows cancelled in every bucket
         return None
     kept = truncate(svd, cut)
@@ -295,8 +312,14 @@ def run_distributed(
     than workers, a worker may sketch its rows as up to ``threads // workers``
     leaf-aligned pieces at once (see ``sketch._leaf_pieces``), and its
     reported time is its pieces' times plus their merges.
+
+    A's shape is checked first; its entries are not read until they are
+    sketched. A NaN or an infinity in A, or finite entries whose sums in the
+    sketch overflow, raise FormatError once the sketch is merged, before the
+    SVD, so the errors checked first (``sv_tol``, the worker count, the
+    sketch's fit under the memory cap) come before it.
     """
-    a = as_matrix(a)
+    a = _float_matrix(a)
     n = a.shape[0]
     if sv_tol is not None and not 0 <= sv_tol < 1:  # NaN fails too
         raise ConfigurationError(f"sv_tol must be in [0, 1), got {sv_tol}")
@@ -304,9 +327,12 @@ def run_distributed(
     if max_threads is not None:
         max_threads = _integer(max_threads, "max_threads", 1)
 
+    # A non-finite sum in the sketch is refused below, so numpy's warnings
+    # on the way to it, in each thread, would only repeat that error.
     def sketch_partition(lo: int, hi: int) -> tuple[SketchState, float]:
         t0 = time.perf_counter()
-        state = _consume(SketchState(spec, n), a[lo:hi], lo)
+        with np.errstate(over="ignore", invalid="ignore"):
+            state = _consume(SketchState(spec, n), a[lo:hi], lo)
         return state, time.perf_counter() - t0
 
     threads = max_threads or os.cpu_count() or 1
@@ -314,25 +340,32 @@ def run_distributed(
     pieces = [(w, *piece) for w, rows in enumerate(ranges) for piece in _leaf_pieces(spec, *rows, parts)]
     owners, los, his = zip(*pieces)
     states, sketch_times = [None] * len(ranges), [0.0] * len(ranges)
-    with ThreadPoolExecutor(max_workers=min(len(pieces), threads)) as pool:
-        for w, (state, seconds) in zip(owners, pool.map(sketch_partition, los, his)):
-            t0 = time.perf_counter()
-            states[w] = state if states[w] is None else merge(states[w], state)
-            sketch_times[w] += seconds + time.perf_counter() - t0
-    del state  # so that each worker's state is freed once merged
-    bytes_communicated = sum(state.message_bytes for state in states)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with ThreadPoolExecutor(max_workers=min(len(pieces), threads)) as pool:
+            for w, (state, seconds) in zip(owners, pool.map(sketch_partition, los, his)):
+                t0 = time.perf_counter()
+                states[w] = state if states[w] is None else merge(states[w], state)
+                sketch_times[w] += seconds + time.perf_counter() - t0
+        del state  # so that each worker's state is freed once merged
+        bytes_communicated = sum(state.message_bytes for state in states)
 
-    t0 = time.perf_counter()
-    merged = states.pop(0)
-    while states:
-        merged = merge(merged, states.pop(0))
-    merge_time = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        merged = states.pop(0)
+        while states:
+            merged = merge(merged, states.pop(0))
+        merge_time = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
+        t0 = time.perf_counter()
+        sketch = merged.data
+    # A NaN or an infinity in A leaves one in the sketch (see the module
+    # docstring), and so can finite entries whose sums overflow; either way
+    # this is the error as_matrix gives, of A or of the sketch.
+    if not _all_finite(sketch):
+        raise FormatError("matrix contains non-finite entries")
     if sv_tol is not None and sv_tol >= GRAM_SV_TOL_FLOOR:
-        svd, svd_route = gram_right_svd(merged.data, sv_tol), "gram_cholesky_qr"
+        svd, svd_route = _gram_right_svd(sketch, sv_tol), "gram_cholesky_qr"
     else:
-        svd, svd_route = right_svd(merged.data), "householder_qr"
+        svd, svd_route = _right_svd(sketch), "householder_qr"
         if sv_tol is not None:
             svd = truncate(svd, sv_tol)
     svd_time = time.perf_counter() - t0

@@ -1,7 +1,9 @@
 """Dense row-major matrix I/O, synthetic datasets, and the package's CSV rows and random streams.
 
 Matrices are plain float64 C-contiguous 2-D numpy arrays throughout the
-package; :func:`as_matrix` is the single validation/coercion point.
+package; :func:`as_matrix` is the single validation/coercion point. The
+sketched and exact pipelines take only its shape check, and prove their input
+finite from its sketch (see :mod:`levsketch.leverage`).
 
 Binary format: little-endian header ``{magic "LVSK", version u32, n u64,
 d u64}`` followed by ``n*d`` IEEE-754 doubles, row-major. CSV: one row per
@@ -37,19 +39,40 @@ def philox(*key: int, counter: int = 0) -> np.random.Generator:
 
 def as_matrix(obj, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite float64 C-contiguous 2-D array or raise."""
+    a = _float_matrix(obj, name)
+    if not _all_finite(a):
+        raise FormatError(f"{name} contains non-finite entries")
+    return a
+
+
+def _float_matrix(obj, name: str = "matrix") -> np.ndarray:
+    """Coerce to a non-empty float64 C-contiguous 2-D array or raise; the
+    entries are not read."""
     a = np.ascontiguousarray(obj, dtype=np.float64)
     if a.ndim != 2:
         raise FormatError(f"{name} must be 2-D, got ndim={a.ndim}")
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise FormatError(f"{name} must be non-empty, got shape {a.shape}")
-    # A finite sum proves every entry finite without an n x d mask; only a
-    # non-finite one, which finite entries can also give by overflowing, is
-    # checked entry by entry.
+    return a
+
+
+# The finiteness scan reads blocks of rows of about this many entries, so
+# its mask stays about this many bytes.
+_SCAN_ENTRIES = 1 << 16
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of the 2-D array ``a`` is finite. A finite sum
+    proves it without a mask; only a non-finite one, which finite entries can
+    also give by overflowing, is followed by a scan entry by entry, one block
+    of rows at a time, that stops at the first block holding a non-finite
+    entry."""
     with np.errstate(over="ignore", invalid="ignore"):
         total = a.sum()
-    if not np.isfinite(total) and not np.isfinite(a).all():
-        raise FormatError(f"{name} contains non-finite entries")
-    return a
+    if np.isfinite(total):
+        return True
+    step = max(1, _SCAN_ENTRIES // a.shape[1])
+    return all(np.isfinite(a[lo : lo + step]).all() for lo in range(0, a.shape[0], step))
 
 
 @dataclass(frozen=True)
@@ -145,7 +168,8 @@ def write_json(path, payload: dict) -> None:
 
 
 def load_matrix(path, format: str | None = None, header: bool = False) -> np.ndarray:
-    """Read a matrix written by :func:`save_matrix` (or any conforming file).
+    """Read a matrix written by :func:`save_matrix` (or any conforming file),
+    and refuse one holding a non-finite entry.
 
     The memory cap is checked against the header's n x d before a binary
     payload is read, and against the rows parsed so far while a CSV file is
@@ -157,6 +181,15 @@ def load_matrix(path, format: str | None = None, header: bool = False) -> np.nda
     format : "csv", "binary", or None: binary if the file starts with the magic, else CSV
     header : for CSV, skip one leading header line
     """
+    a = _read_matrix(path, format, header)
+    if not _all_finite(a):
+        raise FormatError(f"{Path(path)} contains non-finite entries")
+    return a
+
+
+def _read_matrix(path, format: str | None = None, header: bool = False) -> np.ndarray:
+    """:func:`load_matrix` without the finiteness check, for a caller that
+    proves its input finite on the way (the sketched and exact pipelines)."""
     path = Path(path)
     if format is None:
         with open(path, "rb") as f:
@@ -182,7 +215,7 @@ def _load_binary(path: Path) -> np.ndarray:
         data = np.fromfile(f, dtype="<f8", count=n * d)
     if data.size != n * d:
         raise FormatError(f"{path}: expected {n * d} values, found {data.size}")
-    return as_matrix(data.reshape(n, d), str(path))
+    return _float_matrix(data.reshape(n, d), str(path))
 
 
 def _load_csv(path: Path, header: bool) -> np.ndarray:
@@ -220,4 +253,4 @@ def _load_csv(path: Path, header: bool) -> np.ndarray:
             raise
     if not rows:
         raise FormatError(f"{path}: no data rows")
-    return as_matrix(np.array(rows, dtype=np.float64), str(path))
+    return _float_matrix(np.array(rows, dtype=np.float64), str(path))

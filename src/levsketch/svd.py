@@ -84,7 +84,8 @@ def right_svd(a: np.ndarray) -> SvdResult:
 
 
 def _right_svd(a: np.ndarray) -> SvdResult:
-    """:func:`right_svd` of a matrix already validated by ``as_matrix``."""
+    """:func:`right_svd` of a matrix already validated by ``as_matrix``, or
+    a sketch already checked finite."""
     m, n = a.shape
     r = min(m, n)
     ensure_capacity(8 * (3 * m * n + 5 * r * n + 7 * r * r + r), f"R-factor SVD of a {m}x{n} matrix")
@@ -140,7 +141,12 @@ def gram_right_svd(a: np.ndarray, sv_tol: float) -> SvdResult:
     thin SVD as counted by :func:`thin_svd`), ``2*m*n + 17*n*n + 2*n``
     float64 elements.
     """
-    a = as_matrix(a)
+    return _gram_right_svd(as_matrix(a), sv_tol)
+
+
+def _gram_right_svd(a: np.ndarray, sv_tol: float) -> SvdResult:
+    """:func:`gram_right_svd` of a matrix already validated by ``as_matrix``,
+    or a sketch already checked finite."""
     m, n = a.shape
     if not GRAM_SV_TOL_FLOOR <= sv_tol < 1:
         raise ConfigurationError(f"the Gram route needs sv_tol in [{GRAM_SV_TOL_FLOOR}, 1), got {sv_tol}")

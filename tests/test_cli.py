@@ -1,4 +1,5 @@
 import json
+import struct
 import tracemalloc
 from pathlib import Path
 
@@ -40,7 +41,7 @@ def test_gen_writes_matrix_and_metadata(tmp_path):
     assert meta["seed"] == 9
     assert meta["generator"] == "philox4x64"
     assert meta["flags"]["rank"] == 3
-    assert "numpy" in meta["versions"]
+    assert set(meta["versions"]) == {"levsketch", "numpy", "python", "scipy"}
 
 
 def test_leverage_exact_pipeline(tmp_path):
@@ -262,6 +263,52 @@ def test_runtime_error_exits_1(tmp_path):
     bad.write_text("1,2\n3\n")
     code = run(["leverage", "--in", str(bad), "--method", "exact", "--out", str(tmp_path / "l.csv")])
     assert code == 1
+
+
+def write_raw_matrix(a, path):
+    """``a`` in the binary matrix format, non-finite entries included, which
+    save_matrix refuses to write."""
+    path.write_bytes(struct.pack("<4sIQQ", b"LVSK", 1, *a.shape) + a.astype("<f8").tobytes())
+
+
+def assert_refused_as_non_finite(tmp_path, capsys, argv):
+    """``leverage`` with ``argv`` exits 1 with one error line, and writes nothing."""
+    files = set(tmp_path.iterdir())
+    assert run(["leverage", *argv, "--out", str(tmp_path / "l.csv")]) == 1
+    assert capsys.readouterr().err == "levsketch leverage: error: matrix contains non-finite entries\n"
+    assert set(tmp_path.iterdir()) == files
+
+
+@pytest.mark.parametrize("workers", [1, 3, 8])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_leverage_refuses_a_non_finite_input_and_writes_nothing(tmp_path, capsys, family, workers):
+    # rows in the first leaf, a leaf cut by worker boundaries, a middle leaf
+    # and the short last leaf; the file is read unchecked, and the entry is
+    # caught from the sketch
+    a = gen_synthetic(SyntheticSpec(n=3372, d=4, rank=4, seed=70))
+    mat = tmp_path / "a.bin"
+    for bad in (np.nan, np.inf, -np.inf):
+        for row in (0, 1130, 2600, 3371):
+            b = a.copy()
+            b[row, 1] = bad
+            write_raw_matrix(b, mat)
+            argv = ["--in", str(mat), "--method", "sketch-trunc", "--sketch", family, "--workers", str(workers)]
+            assert_refused_as_non_finite(tmp_path, capsys, argv)
+
+
+def test_leverage_exact_and_oracle_refuse_a_non_finite_input_and_write_nothing(tmp_path, capsys):
+    # exact at 3372 rows through its refused preconditioner, and at 16 rows
+    # (n <= 4d) with A its own sketch; the oracle checks A itself
+    mat = tmp_path / "a.bin"
+    for n, rows in ((3372, (0, 1130, 3371)), (16, (0, 15))):
+        a = gen_synthetic(SyntheticSpec(n=n, d=4, rank=4, seed=71))
+        for bad in (np.nan, np.inf, -np.inf):
+            for row in rows:
+                b = a.copy()
+                b[row, 3] = bad
+                write_raw_matrix(b, mat)
+                for method in ("exact", "oracle") if n == 16 else ("exact",):
+                    assert_refused_as_non_finite(tmp_path, capsys, ["--in", str(mat), "--method", method])
 
 
 def test_linear_algebra_failure_exits_1(tmp_path, monkeypatch, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import levsketch.leverage
+import levsketch.matrix
 from levsketch import (
     LeverageResult,
     SketchSpec,
@@ -25,6 +26,7 @@ from levsketch import (
 )
 from levsketch.errors import CapacityError, DegenerateInputError, FormatError, SingularInversionError
 from levsketch.leverage import SCORE_BLOCK_ROWS, _approx_basis, _load_scores_bytes
+from levsketch.sketch import FAMILIES
 from levsketch.svd import SvdResult
 
 
@@ -220,6 +222,81 @@ def test_every_entry_point_rejects_a_non_finite_row(bad):
     ):
         with pytest.raises(FormatError, match="non-finite"):
             call()
+
+
+# Rows of a 3372 x 4 input, whose sketches at d = 4 have leaves of 1024 rows:
+# the first leaf, a leaf cut by worker boundaries at 3 and 8 workers (1124
+# and 1265), a middle leaf, and the last leaf, which is short.
+NON_FINITE_ROWS = (0, 1130, 2600, 3371)
+
+
+@pytest.mark.parametrize("workers", [1, 3, 8])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_non_finite_entry_anywhere_is_caught_from_the_sketch(family, workers):
+    a = gen_synthetic(SyntheticSpec(n=3372, d=4, rank=4, seed=60))
+    spec = SketchSpec(family, eps=0.5, d=4, seed=61)
+    for bad in (np.nan, np.inf, -np.inf):
+        for row in NON_FINITE_ROWS:
+            b = a.copy()
+            b[row, 1] = bad
+            for sv_tol in (None, 1e-3):  # the R-factor and the Gram routes
+                with pytest.raises(FormatError, match="^matrix contains non-finite entries$"):
+                    run_distributed(b, spec, workers, sv_tol)
+
+
+def test_exact_catches_a_non_finite_entry_on_both_routes():
+    # 3372 rows: a refused preconditioner sends the run to A's own check; 16
+    # rows (n <= 4d): A is its own sketch
+    for n, rows in ((3372, NON_FINITE_ROWS), (16, (0, 7, 15))):
+        a = gen_synthetic(SyntheticSpec(n=n, d=4, rank=4, seed=62))
+        for bad in (np.nan, np.inf, -np.inf):
+            for row in rows:
+                b = a.copy()
+                b[row, 2] = bad
+                with pytest.raises(FormatError, match="^matrix contains non-finite entries$"):
+                    leverage_exact(b)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_finite_entries_whose_sketch_overflows_raise_format_error(family):
+    # every bucket sum of two or more rows of a column of 1.7e308 overflows,
+    # and the sketch's check raises what the SVD's check of that sketch would,
+    # with none of numpy's overflow warnings on the way
+    a = gen_synthetic(SyntheticSpec(n=3000, d=4, rank=4, seed=63))
+    a[:, 2] = 1.7e308
+    spec = SketchSpec(family, eps=0.5, d=4, seed=64)
+    for workers in (1, 3):
+        for sv_tol in (None, 1e-3):
+            with pytest.raises(FormatError, match="^matrix contains non-finite entries$"):
+                run_distributed(a, spec, workers, sv_tol)
+
+
+def test_the_pipelines_check_the_sketch_for_finiteness_never_a(monkeypatch):
+    n, d = 4096, 16
+    a = gen_synthetic(SyntheticSpec(n=n, d=d, rank=d, seed=65))
+    checked = []
+
+    def refuse_n_by_d(check):
+        def refusing(x, *args, **kwargs):
+            if np.size(x) >= n * d:
+                raise AssertionError(f"a finiteness check of {np.shape(x)} ran")
+            if np.ndim(x) == 2:
+                checked.append(np.shape(x))
+            return check(x, *args, **kwargs)
+
+        return refusing
+
+    monkeypatch.setattr(np, "isfinite", refuse_n_by_d(np.isfinite))
+    refusing = refuse_n_by_d(levsketch.matrix._all_finite)
+    for module in (levsketch.matrix, levsketch.leverage):
+        monkeypatch.setattr(module, "_all_finite", refusing)
+    spec = SketchSpec("countsketch", eps=0.5, d=d, seed=66, rows_override=1024)
+    for workers in (1, 3):
+        assert run_distributed(a, spec, workers, 1e-3)[0].effective_rank == d
+    res = leverage_exact(a)
+    assert res.effective_rank == d and res.preconditioner is not None
+    # the two runs' sketches, exact's sketch, and its d x d factor C diag(sigma)
+    assert checked == [(1024, d), (1024, d), (4 * d, d), (d, d)]
 
 
 def exact_basis_bytes(n, d, k, leaks):

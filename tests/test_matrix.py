@@ -72,6 +72,31 @@ def test_csv_rejects_non_finite(tmp_path):
         load_matrix(path)
 
 
+def test_binary_rejects_non_finite(tmp_path):
+    path = tmp_path / "a.bin"
+    a = np.ones((3, 2))
+    a[2, 1] = np.nan
+    path.write_bytes(struct.pack("<4sIQQ", b"LVSK", 1, 3, 2) + a.tobytes())
+    with pytest.raises(FormatError, match=f"^{path} contains non-finite entries$"):
+        load_matrix(path)
+
+
+def test_the_finiteness_scan_masks_one_block_of_rows_at_a_time():
+    # one NaN in the last row: the sum is NaN, and the scan reads every block
+    n, d = 2**16, 64
+    a = np.ones((n, d))
+    a[-1, 7] = np.nan
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as raised:
+            as_matrix(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(raised.value) == "matrix contains non-finite entries"
+    assert peak <= n * d // 32  # a mask of all of A would take n*d bytes
+
+
 def test_single_zero_roundtrip(tmp_path):
     m = np.zeros((1, 1))
     for fmt, name in (("binary", "z.bin"), ("csv", "z.csv")):

@@ -512,6 +512,25 @@ def test_consume_rejects_rows_already_held():
     assert np.array_equal(tail.data, apply_sketch(a, spec).data)
 
 
+@pytest.mark.parametrize("family", ["countsketch", "osnap", "srht"])
+def test_consume_rows_refuses_a_non_finite_block_and_keeps_the_state(family):
+    # the streaming entry point checks each block itself: the block is
+    # refused at its own call, before any of its rows is placed
+    a = np.random.default_rng(27).standard_normal((3000, 4))
+    spec = SketchSpec(family, eps=0.5, d=4, seed=4)
+    state = consume_rows(SketchState(spec, 3000), a[:1500], 0)  # a leaf and part of the next
+    held = (state.rows_consumed, state.message_bytes, state.data.tobytes())
+    for bad in (np.nan, np.inf, -np.inf):
+        for row in (0, 500, 999):
+            block = a[1500:2500].copy()
+            block[row, 1] = bad
+            with pytest.raises(FormatError, match="^row block contains non-finite entries$"):
+                consume_rows(state, block, 1500)
+            assert (state.rows_consumed, state.message_bytes, state.data.tobytes()) == held
+    consume_rows(state, a[1500:], 1500)
+    assert np.array_equal(state.data, apply_sketch(a, spec).data)
+
+
 @pytest.mark.parametrize(
     "family, override, d, n, lo, hi",
     [
