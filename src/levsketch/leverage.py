@@ -5,16 +5,15 @@ The sketched method computes an approximate orthonormal basis
 ``S @ A``, so the k x d left factor of the sketch is never formed.
 Uncorrected, it inverts every singular value of the sketch and is
 deliberately retained because it fails on rank-deficient or noise-corrupted
-inputs; it needs every component resolved down to rounding, so it takes
-sigma and V from the SVD of the sketch's R factor
-(:func:`levsketch.svd.right_svd`). The truncated variant drops the
-components at or below ``sv_tol`` times the largest first, which restores
-the approximation guarantee on such inputs. From ``sv_tol`` =
-:data:`levsketch.svd.GRAM_SV_TOL_FLOOR` (1e-4) up it takes sigma and V from
-the sketch's Gram matrix plus one Cholesky QR pass
-(:func:`levsketch.svd.gram_right_svd`), two k x d x d products in place of a
-Householder QR of k rows; below, from the R factor. The route depends on
-``sv_tol`` alone and is recorded in the result's report. The exact method runs
+inputs. The truncated variant drops the components at or below ``sv_tol``
+times the largest first, which restores the approximation guarantee on such
+inputs. Every pipeline takes sigma and V from one SVD,
+:func:`levsketch.svd.right_svd` at its cut, which picks its route from the
+cut alone and which :func:`levsketch.svd.svd_route` names in the result's
+report: the sketch's R factor with no cut (every component resolved down to
+rounding) or one below :data:`levsketch.svd.GRAM_SV_TOL_FLOOR` (1e-4), and
+from the floor up its Gram matrix plus one Cholesky QR pass, two k x d x d
+products in place of a Householder QR of k rows. The exact method runs
 the same stages on an internal CountSketch of 4d rows, always through the R
 factor (its cut, 1e-14, is far below what a Gram resolves), makes the basis
 orthonormal to float64 rounding with one Cholesky QR pass, and decides the
@@ -48,9 +47,11 @@ O(k*d*log(n/L) + L*d) bytes per worker, for every sketch family.
 Neither pipeline reads A to check it is finite. Every leaf kernel multiplies
 each entry of A by +-1 or a nonzero scale and sums, so a NaN or an infinity
 anywhere in A leaves a non-finite entry in the k x d sketch, whatever the
-BLAS; the sketched method checks its merged sketch, and the exact method its
-preconditioner's, before the SVD. So a non-finite entry raises FormatError
-after the sketch stage, not before it.
+BLAS; ``right_svd`` validates the sketch it is given, the merged one of the
+sketched method and the preconditioner's of the exact method. So a
+non-finite entry raises FormatError after the sketch stage, not before it,
+and so do finite entries whose sums in the sketch, or whose sketch's R
+factor or sigma_1, overflow.
 """
 
 import os
@@ -70,9 +71,9 @@ from .errors import (
     FormatError,
     SingularInversionError,
 )
-from .matrix import _all_finite, _float_matrix, as_matrix, write_json, write_rows
+from .matrix import _float_matrix, as_matrix, write_json, write_rows
 from .sketch import COUNTSKETCH, SketchSpec, SketchState, _consume, _leaf_pieces, merge
-from .svd import GRAM_SV_TOL_FLOOR, SvdResult, _gram_right_svd, _right_svd, thin_svd, truncate
+from .svd import SvdResult, right_svd, svd_route, thin_svd, truncate
 
 # Relative floor under which singular components are treated as numerically
 # zero by the exact method, so rank-deficient inputs stay well-defined.
@@ -152,9 +153,9 @@ def leverage_exact(a) -> LeverageResult:
 
     A's shape is checked first. A NaN or an infinity in A leaves one in the
     preconditioner's sketch, which is then refused like one whose sums
-    overflowed; the fallback checks A itself (:func:`as_matrix`) and raises
-    FormatError on a non-finite entry. With A its own sketch only that check
-    runs.
+    overflowed; in the fallback ``right_svd`` checks A itself and raises
+    FormatError on a non-finite entry, or on finite entries whose R factor
+    or sigma_1 overflows. With A its own sketch only that check runs.
     """
     a = _float_matrix(a)
     n, d = a.shape
@@ -166,31 +167,30 @@ def leverage_exact(a) -> LeverageResult:
         # docstring). On finite entries near the overflow threshold the
         # sketch's bucket sums and norms can overflow where A's own R factor
         # does not. Either way the sketch is refused, and the fallback's check
-        # of A tells which.
+        # of A tells which. A sketch whose rows cancelled in every bucket
+        # (DegenerateInputError) is refused too.
         with np.errstate(over="ignore", invalid="ignore"):
             sketch = _consume(SketchState(spec, n), a, 0).data
             try:
-                result = _cholesky_qr_scores(a, sketch, _PRECONDITIONER_CUT) if _all_finite(sketch) else None
-            except (np.linalg.LinAlgError, FormatError):
+                result = _cholesky_qr_scores(a, sketch, _PRECONDITIONER_CUT)
+            except (np.linalg.LinAlgError, FormatError, DegenerateInputError):
                 result = None
         if result is not None:
             result.preconditioner = spec
             return result
-    return _cholesky_qr_scores(as_matrix(a), a, MACHINE_RANK_TOL)
+    return _cholesky_qr_scores(a, a, MACHINE_RANK_TOL)
 
 
 def _cholesky_qr_scores(a: np.ndarray, sketch: np.ndarray, cut: float) -> LeverageResult | None:
     """Exact scores of A from the R-factor SVD of ``sketch`` cut at ``cut``,
     one Cholesky QR pass and the SVD of R_A (see :func:`leverage_exact`). A
-    and a sketch other than A are finite. Such a sketch is checked against A,
-    and None is returned when it fails the check; A as its own sketch needs
-    no check.
+    sketch other than A is checked against A, and None is returned when it
+    fails the check; A as its own sketch needs no check. The SVD validates
+    the sketch, so a non-finite one raises FormatError, and an all-zero one
+    DegenerateInputError.
     """
     checked = sketch is not a
-    svd = _right_svd(sketch)
-    if checked and svd.sigma[0] == 0:  # rows cancelled in every bucket
-        return None
-    kept = truncate(svd, cut)
+    kept = right_svd(sketch, cut)
     n, d = a.shape
     k = kept.rank
     leaks = checked and k < d
@@ -201,10 +201,11 @@ def _cholesky_qr_scores(a: np.ndarray, sketch: np.ndarray, cut: float) -> Levera
         f"orthonormal basis of a {n}x{d} matrix",
     )
     if leaks:
-        # what A holds in the directions the sketch dropped; sigma_1(R_A) is
-        # at most ||A||_F, so a leak above the floor of that refuses the
-        # sketch before Y is formed
-        leak = np.linalg.norm(a @ svd.vt[k:].T)
+        # what A holds in the directions the sketch dropped, the complement
+        # of the kept ones; sigma_1(R_A) is at most ||A||_F, so a leak above
+        # the floor of that refuses the sketch before Y is formed
+        dropped = np.linalg.qr(kept.vt.T, mode="complete")[0][:, k:]
+        leak = np.linalg.norm(a @ dropped)
         if leak > MACHINE_RANK_TOL * np.linalg.norm(a):
             return None
     y = a @ _approx_basis(kept)
@@ -299,10 +300,10 @@ def run_distributed(
     ``sv_tol=None`` inverts every singular component of the sketch (method
     ``"sketch"``); otherwise components at or below ``sv_tol`` times the
     largest are dropped first (``"sketch_trunc"``). The SVD is
-    :func:`gram_right_svd` when ``sv_tol`` is at least ``GRAM_SV_TOL_FLOOR``
-    and the R-factor :func:`right_svd` otherwise; ``report["svd_route"]``
-    says which ran, and an ``sv_tol`` outside [0, 1) is refused before any
-    row is sketched. One worker is the serial
+    ``right_svd(sketch, sv_tol)``, whose route follows ``sv_tol`` alone;
+    ``report["svd_route"]`` names it by the same rule (:func:`svd_route`),
+    and an ``sv_tol`` outside [0, 1) is refused before any row is sketched.
+    One worker is the serial
     computation; more workers give the same scores bit for bit on any data
     and for every family, since the sketch is a fixed block-tree sum that the
     merged states reproduce exactly (see the sketch module), and the scores
@@ -315,20 +316,20 @@ def run_distributed(
 
     A's shape is checked first; its entries are not read until they are
     sketched. A NaN or an infinity in A, or finite entries whose sums in the
-    sketch overflow, raise FormatError once the sketch is merged, before the
-    SVD, so the errors checked first (``sv_tol``, the worker count, the
+    sketch overflow, raise FormatError when the SVD validates the merged
+    sketch, and so do finite entries whose sketch's R factor or sigma_1
+    overflows; the errors checked first (``sv_tol``, the worker count, the
     sketch's fit under the memory cap) come before it.
     """
     a = _float_matrix(a)
     n = a.shape[0]
-    if sv_tol is not None and not 0 <= sv_tol < 1:  # NaN fails too
-        raise ConfigurationError(f"sv_tol must be in [0, 1), got {sv_tol}")
+    route = svd_route(sv_tol)  # refuses an sv_tol outside [0, 1) before any row is sketched
     ranges = partition_rows(n, workers)
     if max_threads is not None:
         max_threads = _integer(max_threads, "max_threads", 1)
 
-    # A non-finite sum in the sketch is refused below, so numpy's warnings
-    # on the way to it, in each thread, would only repeat that error.
+    # The SVD refuses a non-finite sum in the sketch, so numpy's warnings on
+    # the way to it, in each thread, would only repeat that error.
     def sketch_partition(lo: int, hi: int) -> tuple[SketchState, float]:
         t0 = time.perf_counter()
         with np.errstate(over="ignore", invalid="ignore"):
@@ -358,16 +359,9 @@ def run_distributed(
         t0 = time.perf_counter()
         sketch = merged.data
     # A NaN or an infinity in A leaves one in the sketch (see the module
-    # docstring), and so can finite entries whose sums overflow; either way
-    # this is the error as_matrix gives, of A or of the sketch.
-    if not _all_finite(sketch):
-        raise FormatError("matrix contains non-finite entries")
-    if sv_tol is not None and sv_tol >= GRAM_SV_TOL_FLOOR:
-        svd, svd_route = _gram_right_svd(sketch, sv_tol), "gram_cholesky_qr"
-    else:
-        svd, svd_route = _right_svd(sketch), "householder_qr"
-        if sv_tol is not None:
-            svd = truncate(svd, sv_tol)
+    # docstring), and so can finite entries whose sums overflow; the SVD's
+    # check of its input then gives the error as_matrix gives of A.
+    svd = right_svd(sketch, sv_tol)
     svd_time = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -376,7 +370,7 @@ def run_distributed(
         "workers": len(ranges),
         "per_worker_times_s": sketch_times,
         "merge_time_s": merge_time,
-        "svd_route": svd_route,
+        "svd_route": route,
         "svd_time_s": svd_time,
         "score_time_s": time.perf_counter() - t0,
         "bytes_communicated": bytes_communicated,

@@ -100,11 +100,13 @@ def gen_synthetic(spec: SyntheticSpec) -> np.ndarray:
     """Generate the dataset described by ``spec``; deterministic given its seed.
 
     Checked against the memory cap before the first draw, counting G1, G2, A,
-    the noise draw and the finiteness mask of the check on the result as if
-    all were held at once: ``8*((n + d)*rank + 2*n*d) + n*d`` bytes.
+    the noise draw and the finiteness check's mask as if all were held at
+    once: ``8*((n + d)*rank + 2*n*d) + min(n*d, _SCAN_ENTRIES + d)`` bytes.
+    The check masks one block of rows of at most ``max(_SCAN_ENTRIES, d)``
+    entries, and none when A's sum is finite.
     """
     n, d, rank = spec.n, spec.d, spec.rank
-    ensure_capacity(8 * ((n + d) * rank + 2 * n * d) + n * d, f"synthetic {n}x{d} matrix")
+    ensure_capacity(8 * ((n + d) * rank + 2 * n * d) + min(n * d, _SCAN_ENTRIES + d), f"synthetic {n}x{d} matrix")
     rng = philox(_SYNTH_STREAM, spec.seed)
     a = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, d))  # G1 drawn first
     if spec.noise_sigma > 0:

@@ -46,7 +46,6 @@ _PLAN_CHUNK = 1 << 14
 # many at a time, so their temporaries add at most 24 bytes an item of one
 # chunk to a plan's working set. Chunks of 2^12 to 2^16 ran as fast at 2^18.
 _DRAW_CHUNK = 1 << 14
-_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -188,26 +187,19 @@ def make_plan(p, policy: OrderingPolicy, epoch: int = 0) -> OrderingPlan:
 
 def _decimal_lines(q: np.ndarray) -> np.ndarray:
     """The bytes of nonnegative int64 values in ASCII decimal, each followed
-    by a newline."""
-    width = np.ones(q.size, dtype=np.int64)
-    top = q.max()
-    for power in _POWERS_OF_TEN:
-        if power > top:
-            break
-        width += q >= power
-    ends = np.cumsum(width + 1)
-    buf = np.empty(int(ends[-1]), dtype=np.uint8)
-    buf[ends - 1] = ord("\n")
-    pos = ends - 2  # each value's last digit; digits are written right to left
-    for _ in range(int(width.max())):
-        q, digit = np.divmod(q, 10)
-        digit += ord("0")
-        buf[pos] = digit
-        more = q > 0
-        if not more.all():
-            q, pos = q[more], pos[more]
-        pos -= 1
-    return buf
+    by a newline: a table with a row per value, its digits right-aligned
+    behind zero bytes and a newline last, read without the zero bytes."""
+    width = len(str(int(q.max())))
+    table = np.zeros((q.size, width + 1), dtype=np.uint8)
+    table[:, width] = ord("\n")
+    for column in range(width - 1, -1, -1):
+        rest = q // 10
+        digit = q - 10 * rest + ord("0")
+        if column < width - 1:
+            digit[q == 0] = 0  # a leading position
+        table[:, column] = digit
+        q = rest
+    return table[table != 0]
 
 
 def save_plan(plan: OrderingPlan, path) -> None:

@@ -311,6 +311,18 @@ def test_leverage_exact_and_oracle_refuse_a_non_finite_input_and_write_nothing(t
                     assert_refused_as_non_finite(tmp_path, capsys, ["--in", str(mat), "--method", method])
 
 
+def test_leverage_refuses_a_finite_input_whose_sketch_svd_overflows(tmp_path, capsys):
+    # finite entries whose sketch is finite, but whose sketch's sigma_1
+    # overflows when the Gram route scales it back: refused, not scored as
+    # zeros at rank 0
+    a = gen_synthetic(SyntheticSpec(n=3372, d=4, rank=4, seed=1))[:14] * 1e300
+    a[:, 0] = 1e308
+    mat = tmp_path / "a.bin"
+    write_raw_matrix(a, mat)
+    argv = ["--in", str(mat), "--method", "sketch-trunc", "--sketch", "countsketch", "--seed", "2"]
+    assert_refused_as_non_finite(tmp_path, capsys, argv)
+
+
 def test_linear_algebra_failure_exits_1(tmp_path, monkeypatch, capsys):
     mat = tmp_path / "a.bin"
     assert run(["gen", "--n", "40", "--d", "5", "--out", str(mat)]) == 0

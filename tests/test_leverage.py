@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import levsketch
 import levsketch.leverage
 import levsketch.matrix
 from levsketch import (
@@ -18,6 +23,7 @@ from levsketch import (
     leverage_sketched,
     leverage_sketched_trunc,
     load_scores,
+    right_svd,
     run_distributed,
     save_scores,
     sketch_rows,
@@ -271,6 +277,64 @@ def test_finite_entries_whose_sketch_overflows_raise_format_error(family):
                 run_distributed(a, spec, workers, sv_tol)
 
 
+def overflowing_factors():
+    """A finite 14 x 4 input whose first column is 1e308 throughout, so that
+    its column norm, and with it the first entry of its R factor and its
+    sigma_1, overflow; and a CountSketch whose sketch of it is finite, but
+    whose sketch's R factor holds -inf."""
+    a = gen_synthetic(SyntheticSpec(n=3372, d=4, rank=4, seed=1))[:14] * 1e300
+    a[:, 0] = 1e308
+    return a, SketchSpec("countsketch", eps=0.5, d=4, seed=2)
+
+
+def test_finite_entries_whose_r_factor_or_sigma_overflows_raise_format_error():
+    a, spec = overflowing_factors()
+    assert np.isfinite(apply_sketch(a, spec).data).all()
+    for call in (
+        # the Gram route's sigma_1 overflows when it is scaled back
+        lambda: run_distributed(a, spec, 1, 1e-3),
+        lambda: run_distributed(a, spec, 3, 1e-3),
+        lambda: right_svd(a),
+        lambda: right_svd(a, 1e-3),
+        lambda: leverage_exact(a),  # A is its own sketch at n <= 4d
+        lambda: thin_svd(a),  # LAPACK scales sigma_1 back to inf
+    ):
+        with pytest.raises(FormatError, match="^matrix contains non-finite entries$"):
+            call()
+
+
+# The uncorrected run on the input of overflowing_factors: its sketch's R
+# factor holds -inf, on which LAPACK's SVD may never return.
+UNCORRECTED_RUNS = """
+import sys
+import numpy as np
+from levsketch import SketchSpec, run_distributed
+from levsketch.errors import FormatError
+
+a = np.load(sys.argv[1])
+for workers in (1, 3):
+    try:
+        run_distributed(a, SketchSpec("countsketch", eps=0.5, d=4, seed=2), workers, None)
+    except FormatError as exc:
+        print(exc)
+"""
+
+
+def test_an_overflowing_r_factor_of_the_sketch_is_refused_before_its_svd(tmp_path):
+    # in a child process, so that a regression fails on the timeout instead
+    # of hanging the suite
+    a, _ = overflowing_factors()
+    np.save(tmp_path / "a.npy", a)
+    src = str(Path(levsketch.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    child = subprocess.run(
+        [sys.executable, "-W", "error", "-c", UNCORRECTED_RUNS, str(tmp_path / "a.npy")],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert (child.returncode, child.stderr) == (0, "")
+    assert child.stdout == "matrix contains non-finite entries\n" * 2
+
+
 def test_the_pipelines_check_the_sketch_for_finiteness_never_a(monkeypatch):
     n, d = 4096, 16
     a = gen_synthetic(SyntheticSpec(n=n, d=d, rank=d, seed=65))
@@ -287,16 +351,15 @@ def test_the_pipelines_check_the_sketch_for_finiteness_never_a(monkeypatch):
         return refusing
 
     monkeypatch.setattr(np, "isfinite", refuse_n_by_d(np.isfinite))
-    refusing = refuse_n_by_d(levsketch.matrix._all_finite)
-    for module in (levsketch.matrix, levsketch.leverage):
-        monkeypatch.setattr(module, "_all_finite", refusing)
+    monkeypatch.setattr(levsketch.matrix, "_all_finite", refuse_n_by_d(levsketch.matrix._all_finite))
     spec = SketchSpec("countsketch", eps=0.5, d=d, seed=66, rows_override=1024)
     for workers in (1, 3):
         assert run_distributed(a, spec, workers, 1e-3)[0].effective_rank == d
     res = leverage_exact(a)
     assert res.effective_rank == d and res.preconditioner is not None
-    # the two runs' sketches, exact's sketch, and its d x d factor C diag(sigma)
-    assert checked == [(1024, d), (1024, d), (4 * d, d), (d, d)]
+    # the two runs' sketches, exact's sketch and its d x d R factor, and its
+    # d x d factor C diag(sigma)
+    assert checked == [(1024, d), (1024, d), (4 * d, d), (d, d), (d, d)]
 
 
 def exact_basis_bytes(n, d, k, leaks):

@@ -13,7 +13,7 @@ from levsketch import (
     singular_values,
 )
 from levsketch.errors import CapacityError, ConfigurationError, FormatError, ParseError
-from levsketch.matrix import _SYNTH_STREAM
+from levsketch.matrix import _SCAN_ENTRIES, _SYNTH_STREAM
 
 
 def numerical_rank(a: np.ndarray, rel_tol: float = 1e-8) -> int:
@@ -268,10 +268,16 @@ def test_synthetic_deterministic():
     assert not np.array_equal(gen_synthetic(spec), other)
 
 
+def synthetic_bytes(spec):
+    """The memory-cap figure of gen_synthetic: G1, G2, A and the noise draw as
+    doubles, plus the finiteness check's mask of at most one block of rows."""
+    n, d = spec.n, spec.d
+    return 8 * ((n + d) * spec.rank + 2 * n * d) + min(n * d, _SCAN_ENTRIES + d)
+
+
 def test_synthetic_memory_cap_covers_what_generation_allocates(monkeypatch):
     spec = SyntheticSpec(n=4096, d=256, rank=128, noise_sigma=0.1, seed=3)
-    # G1, G2, A and the noise draw as doubles, plus the finiteness mask
-    need = 8 * ((4096 + 256) * 128 + 2 * 4096 * 256) + 4096 * 256
+    need = synthetic_bytes(spec)
     tracemalloc.start()
     try:
         a = gen_synthetic(spec)
@@ -291,6 +297,20 @@ def test_synthetic_memory_cap_covers_what_generation_allocates(monkeypatch):
     monkeypatch.setenv("LVSK_MEM_CAP", str(need - 1))
     with pytest.raises(CapacityError):
         gen_synthetic(spec)
+
+
+@pytest.mark.parametrize("rank", [256, 1])
+def test_synthetic_peak_stays_within_its_figure_at_either_end_of_rank(monkeypatch, rank):
+    # generated under a cap of its own figure, which counts no n x d mask
+    spec = SyntheticSpec(n=4096, d=256, rank=rank, noise_sigma=0.1, seed=4)
+    monkeypatch.setenv("LVSK_MEM_CAP", str(synthetic_bytes(spec)))
+    tracemalloc.start()
+    try:
+        gen_synthetic(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= synthetic_bytes(spec)
 
 
 def test_synthetic_memory_cap(monkeypatch):

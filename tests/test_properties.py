@@ -23,7 +23,6 @@ from levsketch import (
     truncate,
 )
 from levsketch.leverage import _approx_basis, _block_scores
-from levsketch.svd import gram_right_svd
 
 
 @st.composite
@@ -206,7 +205,7 @@ def test_gram_route_keeps_the_rank_and_scores_of_the_r_factor_route(a, family, s
     # sigma as accurate as the GEMM A V_1 that formed it: about d u / sv_tol
     # relative at most, 0.42 u / sv_tol measured (the largest over about 1,000
     # drawn inputs of these kinds, at both cuts and for all three families)
-    gram = gram_right_svd(sketch, sv_tol)
+    gram = right_svd(sketch, sv_tol)
     assert (np.abs(gram.sigma - ref.sigma) <= 2 * U / sv_tol * ref.sigma).all()
     # The Gram's rounding, about d u sigma_1^2, tilts each kept right vector
     # towards the dropped ones by up to d u sigma_1^2 / (sigma_i^2 - sigma_j^2),

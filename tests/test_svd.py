@@ -12,7 +12,7 @@ from levsketch import (
 )
 from levsketch.errors import CapacityError, ConfigurationError, DegenerateInputError, SingularInversionError
 from levsketch.leverage import _approx_basis
-from levsketch.svd import GRAM_SV_TOL_FLOOR, gram_right_svd
+from levsketch.svd import GRAM_SV_TOL_FLOOR, svd_route
 
 U = 2.0**-53
 
@@ -169,7 +169,7 @@ def test_right_svd_of_zero_matrix_cannot_be_truncated():
     with pytest.raises(DegenerateInputError):
         truncate(res, 1e-3)
     with pytest.raises(DegenerateInputError):
-        gram_right_svd(np.zeros((10, 4)), 1e-3)
+        right_svd(np.zeros((10, 4)), 1e-3)
 
 
 # per route: the call, the LAPACK step it must not reach over the cap, and its
@@ -177,7 +177,7 @@ def test_right_svd_of_zero_matrix_cannot_be_truncated():
 # or the scaled copy, Q and the n x n factorizations
 CAPPED_ROUTES = {
     "householder_qr": (right_svd, "qr", lambda m, n: 8 * (3 * m * n + 5 * n * n + 7 * n * n + n)),
-    "gram_cholesky_qr": (lambda a: gram_right_svd(a, 1e-3), "eigh", lambda m, n: 8 * (2 * m * n + 17 * n * n + 2 * n)),
+    "gram_cholesky_qr": (lambda a: right_svd(a, 1e-3), "eigh", lambda m, n: 8 * (2 * m * n + 17 * n * n + 2 * n)),
 }
 
 
@@ -210,7 +210,7 @@ def test_right_svd_checks_the_memory_cap_before_allocating(monkeypatch, route):
 def test_gram_right_svd_matches_the_truncated_r_factor_svd(shape, sv_tol):
     a = SHAPES[shape]()
     ref = truncate(right_svd(a), sv_tol)
-    res = gram_right_svd(a, sv_tol)
+    res = right_svd(a, sv_tol)
     n = a.shape[1]
     assert res.u is None and res.rank == ref.rank and res.vt.shape == ref.vt.shape
     # Q is orthonormal to rounding, so sigma is as accurate as the GEMM A V_1
@@ -230,14 +230,28 @@ def test_gram_right_svd_scales_exactly_by_powers_of_two():
     # entries near the overflow threshold, and near the bottom of the normal
     # range, where the unscaled Gram would overflow or flush to zero
     a = SHAPES["tall"]()
-    base = gram_right_svd(a, 1e-3)
+    base = right_svd(a, 1e-3)
     for power in (1000, -1000):
-        res = gram_right_svd(np.ldexp(a, power), 1e-3)
+        res = right_svd(np.ldexp(a, power), 1e-3)
         assert np.array_equal(res.sigma, np.ldexp(base.sigma, power))
         assert np.array_equal(res.vt, base.vt)
 
 
 @pytest.mark.parametrize("sv_tol", [0.0, 1e-5, 0.99 * GRAM_SV_TOL_FLOOR, 1.0, np.nan])
-def test_gram_right_svd_refuses_a_cut_outside_its_range(sv_tol):
-    with pytest.raises(ConfigurationError, match="Gram route"):
-        gram_right_svd(SHAPES["tall"](), sv_tol)
+def test_gram_right_svd_refuses_a_cut_outside_its_range(monkeypatch, sv_tol):
+    # a cut below the floor takes the R factor, bit for bit, and never the
+    # Gram's eigh; a cut outside [0, 1) is refused
+    a = SHAPES["tall"]()
+    if not 0 <= sv_tol < 1:
+        with pytest.raises(ConfigurationError, match="sv_tol must be in"):
+            right_svd(a, sv_tol)
+        return
+    ref = truncate(right_svd(a), sv_tol)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Gram route ran")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    assert svd_route(sv_tol) == "householder_qr"
+    res = right_svd(a, sv_tol)
+    assert np.array_equal(res.sigma, ref.sigma) and np.array_equal(res.vt, ref.vt)
