@@ -204,8 +204,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_leverage(args) -> int:
-    # every method refuses a non-finite entry: the oracle by checking A, the
-    # others from the sketch they compute anyway (see levsketch.leverage)
+    # every method refuses a non-finite entry: the oracle by checking A and
+    # its Gram A^T A, the others from the sketch they compute anyway (see
+    # levsketch.leverage)
     a = _read_matrix(args.infile, header=args.header)
     t0 = time.perf_counter()
     if args.method == "exact":

@@ -73,7 +73,7 @@ from .errors import (
 )
 from .matrix import _float_matrix, as_matrix, write_json, write_rows
 from .sketch import COUNTSKETCH, SketchSpec, SketchState, _consume, _leaf_pieces, merge
-from .svd import SvdResult, right_svd, svd_route, thin_svd, truncate
+from .svd import SvdResult, _finite, right_svd, svd_route, thin_svd, truncate
 
 # Relative floor under which singular components are treated as numerically
 # zero by the exact method, so rank-deficient inputs stay well-defined.
@@ -137,12 +137,12 @@ def leverage_exact(a) -> LeverageResult:
     rows that alone carry a direction can cancel or merge. The preconditioner
     is therefore accepted only when (a) it kept all d directions, or what A
     holds in the directions it dropped is below the floor,
-    ``||A V_0||_F <= 1e-12 sigma_1(R_A)``, and (b) C is factored and kappa(C)
-    is at most 1e2, so that one pass is enough: ``||Z^T Z - I||`` stays near
-    kappa(C)^2 u <= 1e4 u (measured kappa on CountSketch embeddings: about 3).
-    Since ``sigma_1(R_A) <= ||A||_F``, ``||A V_0||_F > 1e-12 ||A||_F``
-    refuses the sketch before Y is formed. An attempt that overflows is
-    refused too.
+    ``||A V_0||_F <= 1e-12 sigma_1(R_A)``, with V_0 the right singular
+    vectors past the cut from the same SVD of the sketch, and (b) C is
+    factored and kappa(C) is at most 1e2, so that one pass is enough:
+    ``||Z^T Z - I||`` stays near kappa(C)^2 u <= 1e4 u (measured kappa on
+    CountSketch embeddings: about 3). An attempt that overflows is refused
+    too.
     Otherwise the same stages run with A as its own sketch, cut at the 1e-12
     floor: there the floor itself bounds kappa(Y) by about 1.03, since
     ``||Y^T Y - I|| <~ d u 1e12 <= 0.03`` at d = 256. Either way every score
@@ -190,30 +190,26 @@ def _cholesky_qr_scores(a: np.ndarray, sketch: np.ndarray, cut: float) -> Levera
     DegenerateInputError.
     """
     checked = sketch is not a
-    kept = right_svd(sketch, cut)
+    full = right_svd(sketch)
+    kept = truncate(full, cut)
     n, d = a.shape
     k = kept.rank
-    leaks = checked and k < d
-    # Y (and A V_0 when it is formed), the scores, the basis, Gram / C / R_A /
-    # the SVD of R_A / C^-1 U_R, and per score block its product and row norms
+    # Y (and A V_0 before it for a checked sketch), the scores, the basis, Gram
+    # / C / R_A / the SVD of R_A / C^-1 U_R, and per score block its product
+    # and row norms
     ensure_capacity(
-        8 * (n * (d if leaks else k) + n + d * k + 7 * k * k + min(n, SCORE_BLOCK_ROWS) * (k + 1)),
+        8 * (n * (d if checked else k) + n + d * k + 7 * k * k + min(n, SCORE_BLOCK_ROWS) * (k + 1)),
         f"orthonormal basis of a {n}x{d} matrix",
     )
-    if leaks:
-        # what A holds in the directions the sketch dropped, the complement
-        # of the kept ones; sigma_1(R_A) is at most ||A||_F, so a leak above
-        # the floor of that refuses the sketch before Y is formed
-        dropped = np.linalg.qr(kept.vt.T, mode="complete")[0][:, k:]
-        leak = np.linalg.norm(a @ dropped)
-        if leak > MACHINE_RANK_TOL * np.linalg.norm(a):
-            return None
+    # what A holds in the directions the sketch dropped: the rows of its V^T
+    # past the cut, none when it kept all d
+    leak = np.linalg.norm(a @ full.vt[k:].T) if checked else 0.0
     y = a @ _approx_basis(kept)
     c = np.linalg.cholesky(y.T @ y, upper=True)
     if checked and not np.linalg.cond(c) <= _PRECONDITIONER_KAPPA:  # NaN fails too
         return None
     r_a = truncate(thin_svd(c * kept.sigma), MACHINE_RANK_TOL)
-    if leaks and leak > MACHINE_RANK_TOL * r_a.sigma[0]:
+    if leak > MACHINE_RANK_TOL * r_a.sigma[0]:
         return None
     basis = np.linalg.inv(c)
     if r_a.rank < k:  # A's own spectrum drops components the sketch kept
@@ -225,7 +221,8 @@ def leverage_oracle(a) -> LeverageResult:
     """Brute-force scores from the projection matrix ``A (A^T A)^+ A^T``.
 
     Independent of the SVD-based path; quadratic memory in n, so capped at
-    test scale (n <= 5000).
+    test scale (n <= 5000). Finite entries whose Gram ``A^T A`` overflows
+    raise the FormatError of a non-finite input before ``pinv`` sees it.
     """
     a = as_matrix(a)
     n = a.shape[0]
@@ -234,7 +231,9 @@ def leverage_oracle(a) -> LeverageResult:
     ensure_capacity(8 * n * n, "projection matrix")
     if not a.any():
         raise DegenerateInputError("leverage scores of an all-zero matrix are undefined")
-    h = a @ np.linalg.pinv(a.T @ a) @ a.T
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        gram = a.T @ a
+    h = a @ np.linalg.pinv(_finite(gram)) @ a.T
     scores = np.einsum("ij,ij->i", h, h)
     rank = int(round(float(np.trace(h))))
     return LeverageResult(scores=scores, method="oracle", effective_rank=rank)

@@ -212,9 +212,10 @@ def _tree_state_elements(spec: SketchSpec, n: int) -> int:
     For SRHT (whose gathered node is the kernel's result above), the sample
     draw (``choice`` shuffles all m indices once k passes about m/50), its
     sort and k-long index arrays; ``H_B`` and the kept rows of ``H_{L/B}``;
-    a leaf's signs and their draw; the kernel's two L x d buffers (m x d if
-    m < L), made once per call; and numpy's iterator buffers for a broadcast
-    operation (``np.getbufsize()`` elements for each of three operands)."""
+    a leaf's signs and their draw; the kernel's two L x d buffers held at
+    once (m x d if m < L), which live only while that leaf is reduced; and
+    numpy's iterator buffers for a broadcast operation (``np.getbufsize()``
+    elements for each of three operands)."""
     k, d = sketch_rows(spec), spec.d
     leaf = _leaf_rows(k)
     n_leaves = -(-n // leaf)
@@ -307,13 +308,13 @@ class SketchState:
         lo = (i << level) * self._leaf
         return lo, min(lo + (self._leaf << level), self.n_rows)
 
-    def _reduce(self, leaf: int, rows: np.ndarray, work: list) -> np.ndarray:
+    def _reduce(self, leaf: int, rows: np.ndarray) -> np.ndarray:
         """The k x d node of ``leaf`` from all its rows (zero where absent), by
-        the family's leaf kernel; ``work``, SRHT's buffers (see
-        :func:`_sampled_hadamard`), is shared by one call's leaves, never kept."""
+        the family's leaf kernel; SRHT's two buffers (see
+        :func:`_sampled_hadamard`) live only while the leaf is reduced."""
         if self.spec.family == SRHT:
             signs = 2.0 * _srht_draws(self.spec.seed, leaf * self._leaf).integers(0, 2, rows.shape[0]) - 1.0
-            return _sampled_hadamard(rows, signs, leaf, self._transform, work)
+            return _sampled_hadamard(rows, signs, leaf, self._transform)
         return self._bucket_sums(leaf, rows)
 
     def _bucket_sums(self, leaf: int, rows: np.ndarray) -> np.ndarray:
@@ -377,7 +378,6 @@ class SketchState:
         its zero-filled buffer, reducing it once it is whole."""
         stop = start + rows.shape[0]
         self._claim(start, stop)
-        work = []
         for leaf in range(start // self._leaf, (stop - 1) // self._leaf + 1):
             lo, hi = self._span(0, leaf)
             a, b = max(lo, start), min(hi, stop)
@@ -390,7 +390,7 @@ class SketchState:
                 if not held.all():
                     continue
                 part = self._pending.pop(leaf)[0]
-            self._insert(0, leaf, self._reduce(leaf, part, work))
+            self._insert(0, leaf, self._reduce(leaf, part))
 
     def _fold(self) -> np.ndarray | None:
         """Tree sum of the held nodes and of each partly held leaf reduced with
@@ -398,9 +398,9 @@ class SketchState:
         The lowest node is summed with its sibling first: nothing lies below
         it, so a sibling not held has no rows, and the node stands for its
         parent."""
-        nodes, work = dict(self._nodes), []
+        nodes = dict(self._nodes)
         for leaf, (rows, _) in self._pending.items():
-            nodes[(0, leaf)] = self._reduce(leaf, rows, work)
+            nodes[(0, leaf)] = self._reduce(leaf, rows)
         while len(nodes) > 1:
             level, i = min(nodes)
             value, other = nodes.pop((level, i)), nodes.pop((level, i ^ 1), None)
@@ -523,26 +523,24 @@ def _leaf_transform(sample: np.ndarray, block: int, leaf_rows: int, m: int, scal
     )
 
 
-def _sampled_hadamard(x: np.ndarray, signs: np.ndarray, leaf: int, transform: tuple, work: list) -> np.ndarray:
+def _sampled_hadamard(x: np.ndarray, signs: np.ndarray, leaf: int, transform: tuple) -> np.ndarray:
     """The SRHT leaf kernel: ``scale`` times the sampled rows of
     ``H_m @ diag(signs) @ X``, X zero but for the rows ``x`` of leaf
     ``leaf``, ``signs`` their signs, with ``transform`` from
     :func:`_leaf_transform`. A short last leaf of ``n_blocks`` B-row blocks
-    uses the first ``n_blocks`` columns of ``H_{L/B}``. The first call given
-    the empty list ``work`` puts the leaf transform's two buffers in it, and
-    every later call with that list reuses them."""
+    uses the first ``n_blocks`` columns of ``H_{L/B}``. The leaf's full
+    transform is made in L x d buffers (m x d if m < L), two at a time, which
+    live only while this leaf is reduced."""
     h_block, h_across, gather, high = transform
     (h, d), block = x.shape, h_block.shape[0]
-    if not work:
-        work.append(np.empty((2, h_across.shape[0] * block, d)))
     n_blocks = -(-h // block)
-    flipped, blocks = work[0][:, : n_blocks * block]
+    flipped = np.empty((n_blocks * block, d))
     np.multiply(signs[:, None], x, out=flipped[:h])
     flipped[h:] = 0.0
     # H_B on every B-row block of D x, then scale * H_{L/B} across the blocks
-    np.matmul(h_block, flipped.reshape(n_blocks, block, d), out=blocks.reshape(n_blocks, block, d))
-    full = work[0][0]
-    np.matmul(h_across[:, :n_blocks], blocks.reshape(n_blocks, block * d), out=full.reshape(-1, block * d))
+    blocks = h_block @ flipped.reshape(n_blocks, block, d)
+    del flipped  # so that no more than two buffers are held at once
+    full = (h_across[:, :n_blocks] @ blocks.reshape(n_blocks, block * d)).reshape(-1, d)
     out = full[gather]
     np.negative(out, out=out, where=(np.bitwise_count(high & leaf) & 1).astype(bool)[:, None])
     return out

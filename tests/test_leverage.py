@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -301,6 +302,16 @@ def test_finite_entries_whose_r_factor_or_sigma_overflows_raise_format_error():
     ):
         with pytest.raises(FormatError, match="^matrix contains non-finite entries$"):
             call()
+
+
+def test_the_oracle_refuses_finite_entries_whose_gram_overflows():
+    # A^T A of that input holds inf: the oracle refuses it before pinv sees
+    # it, with the error of the other methods and no overflow warning
+    a, _ = overflowing_factors()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError, match="^matrix contains non-finite entries$"):
+            leverage_oracle(a)
 
 
 # The uncorrected run on the input of overflowing_factors: its sketch's R

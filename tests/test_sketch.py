@@ -670,10 +670,10 @@ def test_sampled_hadamard_matches_butterfly_and_scipy(n, d, block, k):
     signs = 2.0 * rng.integers(0, 2, m) - 1.0
     sample = np.sort(rng.choice(m, size=k, replace=False))
     sample = sample[np.argsort(sample % block, kind="stable")]  # grouped by low index, as a state holds it
-    leaf, work = 4 * block, []
+    leaf = 4 * block
     transform = _leaf_transform(sample, block, leaf, m, 1.0)
     got = sum(
-        _sampled_hadamard(x[lo : lo + leaf], signs[lo : min(lo + leaf, n)], lo // leaf, transform, work)
+        _sampled_hadamard(x[lo : lo + leaf], signs[lo : min(lo + leaf, n)], lo // leaf, transform)
         for lo in range(0, n, leaf)
     )
     padded = np.zeros((m, d))
@@ -692,9 +692,9 @@ def assert_leaf_kernels_sum_to_the_butterfly(n, d, block, leaf, k, seed):
     x = rng.standard_normal((n, d))
     signs = 2.0 * rng.integers(0, 2, m) - 1.0
     sample = rng.choice(m, size=k, replace=False)
-    transform, work = _leaf_transform(sample, block, leaf, m, 1.0), []
+    transform = _leaf_transform(sample, block, leaf, m, 1.0)
     got = sum(
-        _sampled_hadamard(x[lo : lo + leaf], signs[lo : min(lo + leaf, n)], lo // leaf, transform, work)
+        _sampled_hadamard(x[lo : lo + leaf], signs[lo : min(lo + leaf, n)], lo // leaf, transform)
         for lo in range(0, n, leaf)
     )
     padded = np.zeros((m, d))
@@ -882,9 +882,9 @@ def test_srht_state_peak_within_its_capacity_check(n, d, k, monkeypatch):
 
 @pytest.mark.parametrize("n, d, k", [(1 << 14, 8, 1 << 14), (1 << 14, 256, 1 << 13)])
 def test_srht_figure_covers_the_per_call_workspace(n, d, k, monkeypatch):
-    # k = L: the leaf kernel's two L x d buffers are made once per call and
-    # shared by its leaves (two at d = 256); the figure covers them, and the
-    # state keeps none of them once the call returns
+    # k = L: the leaf kernel makes two L x d buffers for each leaf it reduces
+    # (two leaves at d = 256) and frees them with it; the figure covers them,
+    # and the state keeps none of them once the call returns
     spec = SketchSpec("srht", eps=0.5, d=d, seed=5, rows_override=k)
     a = np.random.default_rng(47).standard_normal((n, d))
     assert_peak_within_capacity_check(spec, a, 0, n, monkeypatch)
