@@ -19,10 +19,12 @@ reduced to a k x d node by its family's kernel:
   rows. ``H_m[p, c] = (-1)^popcount(p & c)``, so on columns leaf*L + j,
   j < L, row p is row ``p mod L`` of ``H_L``, negated when
   ``popcount((p >> log2 L) & leaf)`` is odd: the kernel gathers them from
-  the leaf's full transform, two GEMMs through ``H_L = H_{L/B} (x) H_B``
-  with B a power of two near sqrt(k). That is n*(B + L/B)*d work in all,
-  what the sampled rows alone cost when k = L (k >= 1024), and up to L/k
-  times more across blocks below that, against m*log2(m)*d for a butterfly.
+  the leaf's full transform, made through three Sylvester factors
+  ``H_L = H_c (x) H_b (x) H_a``, one GEMM each, the signs folded into the
+  first: a = 8, and b and c powers of two that split L/a evenly (8 x 16 x 16
+  at L = 2048, 8 x 32 x 32 at L = 8192). That is n*(a + b + c)*d work in
+  all, against n*k*d for the sampled rows taken one by one and
+  m*log2(m)*d for a butterfly.
 
 A tree node (level, i) covers leaves [i*2^level, (i+1)*2^level); its value is
 left + right, a child past the last leaf counting as absent. A state holds
@@ -209,23 +211,26 @@ def _tree_state_elements(spec: SketchSpec, n: int) -> int:
     its column pointer and scipy's int32 copy of it, and, per hash copy and
     row, its bucket id, sign and scipy's int32 copy of the bucket id (the
     hashing's temporaries, a few leaf-long arrays, fit in the same figure).
-    For SRHT (whose gathered node is the kernel's result above), the sample
-    draw (``choice`` shuffles all m indices once k passes about m/50), its
-    sort and k-long index arrays; ``H_B`` and the kept rows of ``H_{L/B}``;
-    a leaf's signs and their draw; the kernel's two L x d buffers held at
-    once (m x d if m < L), which live only while that leaf is reduced; and
-    numpy's iterator buffers for a broadcast operation (``np.getbufsize()``
-    elements for each of three operands)."""
+    For SRHT, the sample draw (``choice`` shuffles all m indices once k
+    passes about m/50), its sort and the k-long gather and high-bit arrays;
+    the factors ``H_a`` and ``H_b`` and the rows of ``H_c`` the sample
+    reaches; a leaf's signs and their draw, and its copy of ``H_a`` signed
+    for each a-row block (a per row); the kernel's two L x d buffers
+    (fewer rows if m < L), which live only while that leaf is reduced; the
+    k-long mask of the rows it negates; and numpy's iterator buffers for a
+    broadcast operation (``np.getbufsize()`` elements for each of three
+    operands). The node the kernel gathers is the first of the two k x d
+    arrays above; it is made beside one of the buffers only."""
     k, d = sketch_rows(spec), spec.d
     leaf = _leaf_rows(k)
     n_leaves = -(-n // leaf)
     height = min(leaf, n)
     tree = (2 * (n_leaves - 1).bit_length() + 2) * k * d + min(2, n_leaves) * height * d
     if spec.family == SRHT:
-        block, m = _srht_block_rows(k), _next_pow2(n)
-        across = -(-min(leaf, m) // block)
-        draw = min(m, 50 * k) + 6 * k
-        kernel = block * block + across * (leaf // block) + 3 * height + 2 * across * block * d + 2 * k
+        (a, b, c), m = _srht_factors(leaf), _next_pow2(n)
+        reach = -(-min(leaf, m) // (a * b))
+        draw = min(m, 50 * k) + 4 * k
+        kernel = a * a + b * b + reach * c + (3 + a) * height + 2 * reach * a * b * d + 2 * k
         return tree + draw + kernel + 3 * np.getbufsize()
     return tree + (3 * spec.s + 4) * height
 
@@ -252,13 +257,10 @@ class SketchState:
             raise ConfigurationError(f"SRHT needs k <= padded row count: k={self.k}, padded rows={m}")
         ensure_capacity(8 * _tree_state_elements(spec, n_rows), "sketch tree and leaf kernel")
         if spec.family == SRHT:
-            block = _srht_block_rows(self.k)
             rng = _srht_draws(spec.seed, m - m % 8)
             rng.integers(0, 2, m % 8)  # the last signs, where m < 8 ends mid counter step
             sample = np.sort(rng.choice(m, size=self.k, replace=False))
-            # the sketch's row order: by low index p mod B, then by p
-            sample = sample[np.argsort(sample & (block - 1), kind="stable")]
-            self._transform = _leaf_transform(sample, block, self._leaf, m, 1.0 / math.sqrt(self.k))
+            self._transform = _leaf_transform(sample, self._leaf, m, 1.0 / math.sqrt(self.k))
             return
         s = spec.s
         if self.k < s:
@@ -496,28 +498,34 @@ def _hadamard(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * parity
 
 
-def _srht_block_rows(k: int) -> int:
-    """Block height B of the split ``H_L = H_{L/B} (x) H_B``: the power of two
-    at or above sqrt(k), which balances the n*B*d block transform against the
-    n*(L/B)*d transform across blocks when k = L."""
-    return _next_pow2(math.ceil(math.sqrt(k)))
-
-
 def _srht_draws(seed: int, start: int) -> np.random.Generator:
     """SRHT's Philox stream from 32-bit draw ``start`` on, a multiple of 8: a counter
     step gives eight draws, and ``integers(0, 2)`` takes one per value, never rejecting."""
     return philox(_SRHT_SAMPLE_STREAM, seed, counter=start // 8)
 
 
-def _leaf_transform(sample: np.ndarray, block: int, leaf_rows: int, m: int, scale: float) -> tuple:
+def _srht_factors(leaf_rows: int) -> tuple[int, int, int]:
+    """Sizes a, b, c of the split ``H_L = H_c (x) H_b (x) H_a`` for leaves of
+    L = ``leaf_rows`` rows: a = 8 (L itself if smaller), and b and c the
+    powers of two that split L/a evenly, c the larger when they cannot be
+    equal. That is 8 x 16 x 16 at L = 2048 and 8 x 32 x 32 at L = 8192."""
+    bits = leaf_rows.bit_length() - 1
+    low = min(3, bits)
+    mid = (bits - low) // 2
+    return 1 << low, 1 << mid, 1 << (bits - low - mid)
+
+
+def _leaf_transform(sample: np.ndarray, leaf_rows: int, m: int, scale: float) -> tuple:
     """What the SRHT leaf kernel needs of a sample of rows p of ``H_m``, for
-    leaves of L = ``leaf_rows`` and blocks of B = ``block`` rows: ``H_B``,
-    the rows of ``scale * H_{L/B}`` the sample reaches (all unless m < L),
-    ``p mod L`` and ``p >> log2 L``."""
-    local, across = np.arange(block), np.arange(leaf_rows // block)
+    leaves of L = ``leaf_rows`` rows split as :func:`_srht_factors`: ``H_a``,
+    ``H_b``, the rows of ``scale * H_c`` the sample reaches (all unless
+    m < L), ``p mod L`` and ``p >> log2 L``."""
+    a, b, c = _srht_factors(leaf_rows)
+    across = np.arange(c)
     return (
-        _hadamard(local, local),
-        _hadamard(across[: -(-min(leaf_rows, m) // block)], across) * scale,
+        _hadamard(np.arange(a), np.arange(a)),
+        _hadamard(np.arange(b), np.arange(b)),
+        _hadamard(across[: -(-min(leaf_rows, m) // (a * b))], across) * scale,
         sample & (leaf_rows - 1),
         sample >> (leaf_rows.bit_length() - 1),
     )
@@ -527,21 +535,34 @@ def _sampled_hadamard(x: np.ndarray, signs: np.ndarray, leaf: int, transform: tu
     """The SRHT leaf kernel: ``scale`` times the sampled rows of
     ``H_m @ diag(signs) @ X``, X zero but for the rows ``x`` of leaf
     ``leaf``, ``signs`` their signs, with ``transform`` from
-    :func:`_leaf_transform`. A short last leaf of ``n_blocks`` B-row blocks
-    uses the first ``n_blocks`` columns of ``H_{L/B}``. The leaf's full
-    transform is made in L x d buffers (m x d if m < L), two at a time, which
-    live only while this leaf is reduced."""
-    h_block, h_across, gather, high = transform
-    (h, d), block = x.shape, h_block.shape[0]
-    n_blocks = -(-h // block)
-    flipped = np.empty((n_blocks * block, d))
-    np.multiply(signs[:, None], x, out=flipped[:h])
-    flipped[h:] = 0.0
-    # H_B on every B-row block of D x, then scale * H_{L/B} across the blocks
-    blocks = h_block @ flipped.reshape(n_blocks, block, d)
-    del flipped  # so that no more than two buffers are held at once
-    full = (h_across[:, :n_blocks] @ blocks.reshape(n_blocks, block * d)).reshape(-1, d)
-    out = full[gather]
+    :func:`_leaf_transform`. A short last leaf is zero-padded to whole blocks
+    of a*b rows, and its ``n_blocks`` blocks use the first ``n_blocks``
+    columns of ``H_c``. The signs are folded into ``H_a``: each a-row block
+    of X is multiplied by ``H_a`` with its columns flipped by the block's
+    signs, so a whole leaf's rows are read where they lie. The leaf's full
+    transform is made in two L x d buffers (fewer rows if m < L), used in
+    turn, which live only while this leaf is reduced."""
+    h_a, h_b, h_c, gather, high = transform
+    (h, d), a, b = x.shape, h_a.shape[0], h_b.shape[0]
+    block = a * b
+    n_blocks, reach = -(-h // block), h_c.shape[0]
+    size = n_blocks * block * d
+    one, two = np.empty(reach * block * d), np.empty(reach * block * d)
+    rows = x
+    if h < n_blocks * block:  # zero-padded to whole blocks in the first buffer
+        rows = one[:size].reshape(-1, d)
+        rows[:h], rows[h:] = x, 0.0
+        signs = np.pad(signs, (0, n_blocks * block - h))
+    # D x then H_a on every a-row block, H_b on every b-by-a block of that,
+    # then scale * H_c across the a*b-row blocks
+    signed_h_a = np.einsum("ij,qj->qij", h_a, signs.reshape(-1, a))
+    np.matmul(signed_h_a, rows.reshape(-1, a, d), out=two[:size].reshape(-1, a, d))
+    del signed_h_a, rows  # rows may be a view of the first buffer
+    np.matmul(h_b, two[:size].reshape(-1, b, a * d), out=one[:size].reshape(-1, b, a * d))
+    full = two[: reach * block * d].reshape(reach, block * d)
+    np.matmul(h_c[:, :n_blocks], one[:size].reshape(n_blocks, block * d), out=full)
+    del one  # so that the node is gathered beside one buffer only
+    out = full.reshape(-1, d)[gather]
     np.negative(out, out=out, where=(np.bitwise_count(high & leaf) & 1).astype(bool)[:, None])
     return out
 

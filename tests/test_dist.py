@@ -79,6 +79,26 @@ def test_distributed_bit_equals_serial(workers, family):
     assert merged.rows_consumed == 1000
 
 
+@pytest.mark.parametrize("leaf", [2048, 8192])
+def test_srht_bits_hold_across_streams_merges_and_workers(leaf):
+    # k = L, so each leaf's kernel is its full three-factor transform (8 x 16
+    # x 16 at 2048, 8 x 32 x 32 at 8192); two whole leaves and a last one of
+    # 1500 rows, short of whole 128- or 256-row blocks. 1000-row chunks in two
+    # halves that split leaf 1, merged, give the bulk sketch; 1, 3 and 8
+    # workers give the same scores
+    n, d = 2 * leaf + 1500, 8
+    a = gen_synthetic(SyntheticSpec(n=n, d=d, rank=d, seed=leaf))
+    spec = SketchSpec("srht", eps=0.5, d=d, seed=7, rows_override=leaf)
+    halves = []
+    for lo, hi in ((0, n // 2), (n // 2, n)):
+        halves.append(SketchState(spec, n))
+        for start in range(lo, hi, 1000):
+            consume_rows(halves[-1], a[start : min(start + 1000, hi)], start)
+    assert np.array_equal(merge(*halves).data, apply_sketch(a, spec).data)
+    scores = [run_distributed(a, spec, workers, 1e-3)[0].scores for workers in (1, 3, 8)]
+    assert all(np.array_equal(s, scores[0]) for s in scores[1:])
+
+
 def test_uneven_split_bit_equals_serial():
     a = gen_synthetic(SyntheticSpec(n=1000, d=16, rank=16, seed=5))
     spec = SketchSpec("countsketch", eps=0.5, d=16, seed=6)

@@ -41,6 +41,7 @@ from levsketch.sketch import (
     _next_pow2,
     _sampled_hadamard,
     _sign_hash,
+    _srht_factors,
     _tree_state_elements,
 )
 
@@ -167,16 +168,16 @@ def test_numpy_integers_are_taken_as_python_ints():
 
 def srht_draws(spec: SketchSpec, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
     """SRHT's m signs and its sample, drawn in one pass from one Philox stream
-    (all m signs, then the sample), with the sample in the order of the
-    state's rows: the oracle for the per-leaf draws of the package."""
+    (all m signs, then the sample), with the sample in increasing order, the
+    order of the state's rows: the oracle for the per-leaf draws of the
+    package."""
     m, state = _next_pow2(n_rows), SketchState(spec, n_rows)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([0x5348, spec.seed])))
     signs = 2.0 * rng.integers(0, 2, m) - 1.0
-    sample = rng.choice(m, state.k, replace=False)
-    _, _, low, high = state._transform  # sampled row p = high*L + low, in the state's row order
-    state_sample = high * state._leaf + low
-    assert np.array_equal(np.sort(state_sample), np.sort(sample))
-    return signs, state_sample
+    sample = np.sort(rng.choice(m, state.k, replace=False))
+    *_, low, high = state._transform  # sampled row p = high*L + low, in the state's row order
+    assert np.array_equal(high * state._leaf + low, sample)
+    return signs, sample
 
 
 def sketch_matrix(spec: SketchSpec, n_rows: int) -> np.ndarray:
@@ -538,6 +539,7 @@ def test_consume_rows_refuses_a_non_finite_block_and_keeps_the_state(family):
         ("countsketch", 1024, 32, 13 * 1024 + 5, 300, 12 * 1024 + 7),  # thirteen leaves
         ("osnap", None, 64, 20000, 0, 20000),  # s = 6, aligned start
         ("osnap", None, 16, 3000, 700, 2100),  # a range inside few leaves
+        ("srht", 2048, 16, 3 * 2048 + 700, 300, 3 * 2048 + 700),  # 8 x 16 x 16 factors, a short last leaf
     ],
 )
 def test_tree_state_peak_within_its_capacity_check(family, override, d, n, lo, hi, monkeypatch):
@@ -651,27 +653,26 @@ def test_srht_matches_explicit_matrix_oracle():
 
 
 @pytest.mark.parametrize(
-    "n, d, block, k",
+    "n, d, leaf, k",
     [
-        (64, 5, 8, 24),  # eight full row blocks, power-of-two n
-        (1000, 3, 16, 100),  # many blocks, the last one partial
-        (5, 4, 16, 6),  # n below the block height: one zero-padded block
-        (100, 2, 4, 128),  # k = m, every row kept
-        (777, 3, 32, 1),  # k = 1
+        (64, 5, 8, 24),  # eight whole leaves of 8 x 1 x 1, power-of-two n
+        (1000, 3, 16, 100),  # many leaves of 8 x 1 x 2, the last one of one 8-row block
+        (5, 4, 16, 6),  # n below one 8-row block: one zero-padded block, m < L
+        (100, 2, 4, 128),  # k = m, every row kept; L = 4 below a = 8
+        (777, 3, 32, 1),  # k = 1, leaves of 8 x 2 x 2, the last one short of whole blocks
         (300, 1, 8, 64),  # d = 1
-        (50, 3, 1, 20),  # block height 1: H_B is the identity
+        (50, 3, 1, 20),  # leaf height 1: the kernel only flips signs and negates leaves
     ],
 )
-def test_sampled_hadamard_matches_butterfly_and_scipy(n, d, block, k):
-    # the leaf kernel on leaves of four blocks, summed over the leaves
-    rng = np.random.default_rng(n + d + block + k)
+def test_sampled_hadamard_matches_butterfly_and_scipy(n, d, leaf, k):
+    # the leaf kernel on small leaves, where some factors are 1 x 1, summed
+    # over the leaves
+    rng = np.random.default_rng(n + d + leaf + k)
     m = 1 << (n - 1).bit_length()
     x = rng.standard_normal((n, d))
     signs = 2.0 * rng.integers(0, 2, m) - 1.0
     sample = np.sort(rng.choice(m, size=k, replace=False))
-    sample = sample[np.argsort(sample % block, kind="stable")]  # grouped by low index, as a state holds it
-    leaf = 4 * block
-    transform = _leaf_transform(sample, block, leaf, m, 1.0)
+    transform = _leaf_transform(sample, leaf, m, 1.0)
     got = sum(
         _sampled_hadamard(x[lo : lo + leaf], signs[lo : min(lo + leaf, n)], lo // leaf, transform)
         for lo in range(0, n, leaf)
@@ -684,7 +685,16 @@ def test_sampled_hadamard_matches_butterfly_and_scipy(n, d, block, k):
     np.testing.assert_allclose(got, (h @ flipped)[sample], rtol=1e-12, atol=1e-12)
 
 
-def assert_leaf_kernels_sum_to_the_butterfly(n, d, block, leaf, k, seed):
+@pytest.mark.parametrize(
+    "leaf, factors",
+    [(1, (1, 1, 1)), (4, (4, 1, 1)), (16, (8, 1, 2)), (32, (8, 2, 2)), (1024, (8, 8, 16)), (2048, (8, 16, 16))]
+    + [(4096, (8, 16, 32)), (8192, (8, 32, 32)), (16384, (8, 32, 64))],
+)
+def test_srht_factors_split_the_leaf(leaf, factors):
+    assert _srht_factors(leaf) == factors
+
+
+def assert_leaf_kernels_sum_to_the_butterfly(n, d, leaf, k, seed):
     """The leaf kernel over leaves of ``leaf`` rows, summed, equals the
     butterfly transform's sampled rows; returns the sample."""
     rng = np.random.default_rng(seed)
@@ -692,7 +702,7 @@ def assert_leaf_kernels_sum_to_the_butterfly(n, d, block, leaf, k, seed):
     x = rng.standard_normal((n, d))
     signs = 2.0 * rng.integers(0, 2, m) - 1.0
     sample = rng.choice(m, size=k, replace=False)
-    transform = _leaf_transform(sample, block, leaf, m, 1.0)
+    transform = _leaf_transform(sample, leaf, m, 1.0)
     got = sum(
         _sampled_hadamard(x[lo : lo + leaf], signs[lo : min(lo + leaf, n)], lo // leaf, transform)
         for lo in range(0, n, leaf)
@@ -704,18 +714,20 @@ def assert_leaf_kernels_sum_to_the_butterfly(n, d, block, leaf, k, seed):
 
 
 @pytest.mark.parametrize(
-    "n, d, block, leaf, k",
+    "n, d, leaf, k",
     [
-        (5 * 32 + 3, 3, 8, 32, 32),  # k = L; leaves 1-5 share bits with p1; last leaf of 3 rows, one block of four
-        (4 * 128, 64, 16, 128, 128),  # k = L, whole leaves only
-        (7 * 64 + 40, 1, 4, 64, 200),  # k > L; last leaf of ten blocks of sixteen
-        (6 * 64 + 64, 3, 8, 64, 20),  # k < L, every leaf whole
-        (50, 64, 16, 128, 64),  # n < L, k = m < L
-        (50, 1, 16, 128, 7),  # n < L, k < m
-    ],
+        (5 * 32 + 3, 3, 32, 32),  # k = L; leaves 1-5 share bits with p1; last leaf of 3 rows, one 16-row block
+        (4 * 128, 64, 128, 128),  # k = L, whole leaves only
+        (7 * 64 + 40, 1, 64, 200),  # k > L; last leaf of three 16-row blocks, the last one partial
+        (6 * 64 + 64, 3, 64, 20),  # k < L, every leaf whole
+        (50, 64, 128, 64),  # n < L, k = m < L
+        (50, 1, 128, 7),  # n < L, k < m
+    ]
+    # every default leaf height, k = L, the last of three leaves short of whole blocks
+    + [(2 * leaf + leaf // 2 + 3, 2, leaf, leaf) for leaf in (1024, 2048, 4096, 8192, 16384)],
 )
-def test_leaf_kernels_negate_by_the_high_bits_of_each_leaf(n, d, block, leaf, k):
-    sample = assert_leaf_kernels_sum_to_the_butterfly(n, d, block, leaf, k, seed=n + d + k)
+def test_leaf_kernels_negate_by_the_high_bits_of_each_leaf(n, d, leaf, k):
+    sample = assert_leaf_kernels_sum_to_the_butterfly(n, d, leaf, k, seed=n + d + k)
     high, leaves = sample >> (leaf.bit_length() - 1), -(-n // leaf)
     negated = [int((np.bitwise_count(high & j) & 1).sum()) for j in range(leaves)]
     # the leaf's sign is exercised: no row flips on leaf 0, some do on a later
@@ -726,18 +738,17 @@ def test_leaf_kernels_negate_by_the_high_bits_of_each_leaf(n, d, block, leaf, k)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_leaf_kernels_sum_to_the_butterfly_rows(data):
-    block = 1 << data.draw(st.integers(0, 4), label="log2 B")
-    leaf = block << data.draw(st.integers(0, 3), label="log2 L/B")
+    leaf = 1 << data.draw(st.integers(0, 7), label="log2 L")
     n = data.draw(st.integers(1, 6 * leaf), label="n")
     m = _next_pow2(n)
     k = data.draw(st.sampled_from([min(leaf, m), m]) | st.integers(1, m), label="k")
     d = data.draw(st.sampled_from([1, 3, 64]), label="d")
-    assert_leaf_kernels_sum_to_the_butterfly(n, d, block, leaf, k, data.draw(st.integers(0, 2**32 - 1)))
+    assert_leaf_kernels_sum_to_the_butterfly(n, d, leaf, k, data.draw(st.integers(0, 2**32 - 1)))
 
 
 def test_srht_streamed_and_merged_equals_bulk_at_k_equal_to_the_leaf():
     # k = L = 2048, as the benchmarks run SRHT; 1000-row chunks in two
-    # halves that split leaf 1, the last leaf short of whole blocks (B = 64)
+    # halves that split leaf 1, the last leaf short of whole 128-row blocks
     n, d, k = 5000, 8, 2048
     a = np.random.default_rng(61).standard_normal((n, d))
     spec = SketchSpec("srht", eps=0.5, d=d, seed=62, rows_override=k)
@@ -867,9 +878,10 @@ def test_srht_merge_rejects_overlapping_rows():
         (3000, 16, 256),
         (5000, 4, 1024),
         (1 << 14, 8, 1 << 14),
-        # B = 16 < d, the paper's regime, where a leaf's rows outweigh its +-1 factor
+        # d = 64, the paper's regime, where a leaf's rows outweigh its +-1
+        # factors (8 x 8 x 16 at L = 1024)
         (4096, 64, 256),
-        # d = 1, where the leaf kernel's +-1 factor sets the peak
+        # d = 1, where the draws, a leaf's signs and numpy's buffers set the peak
         (2000, 1, 2048),
         (1500, 1, 100),
         (3000, 1, 64),
