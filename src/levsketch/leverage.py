@@ -42,7 +42,10 @@ what the workers ship to the coordinator, which is exactly what
 sketch.save_state writes: each worker's canonical block-tree nodes (k x d
 each, O(log(n/L)) of them for a contiguous range over leaves of L rows) plus
 its raw rows of the at most two leaves it holds only in part,
-O(k*d*log(n/L) + L*d) bytes per worker, for every sketch family.
+O(k*d*log(n/L) + L*d) bytes per worker, for every sketch family. L is at
+least 4k for CountSketch and OSNAP and at least k for SRHT (see
+``sketch._leaf_rows``), so a worker range shorter than a leaf ships its raw
+rows.
 
 Neither pipeline reads A to check it is finite. Every leaf kernel multiplies
 each entry of A by +-1 or a nonzero scale and sums, so a NaN or an infinity

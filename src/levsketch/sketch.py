@@ -9,8 +9,11 @@ input being implicitly zero-padded), then uniform subsampling of k of the m
 rows.
 
 Every family defines ``S @ A`` as a fixed binary tree over globally aligned
-leaves of L rows, L the power of two at or above max(k, 1024). A leaf is
-reduced to a k x d node by its family's kernel:
+leaves of L rows: for CountSketch and OSNAP, L is the power of two at or
+above max(4k, 1024), so a leaf's k x d node and its tree addition cost at
+most a quarter of its rows; for SRHT, whose leaf transform work grows with
+L, the power of two at or above max(k, 1024). A leaf is reduced to a k x d
+node by its family's kernel:
 
 - CountSketch and OSNAP: one sparse +-1 product (a k x L CSC matrix of the
   hashed signs times the leaf's rows); every bucket sums its signed rows in
@@ -29,14 +32,16 @@ reduced to a k x d node by its family's kernel:
 A tree node (level, i) covers leaves [i*2^level, (i+1)*2^level); its value is
 left + right, a child past the last leaf counting as absent. A state holds
 the complete nodes it has (combined with a sibling as soon as both are
-present) plus the raw rows of leaves it holds only in part. Rows enter a
-state one way, consumed, merged or loaded: their range is claimed whole, then
-each whole leaf is reduced to a node and a partly covered leaf's rows wait in
-its zero-filled buffer until it is whole. :func:`merge` adds one state's
-message (its nodes and its rows of partly held leaves, which is also what a
-saved state holds) to a copy of the other. The tree fixes the value of any
-set of rows, so any row partition, merge order or chunking of the stream gives
-the same bits, whatever the data.
+present) plus the raw rows of leaves it holds only in part, kept as runs of
+consecutive rows. Rows enter a state one way, consumed, merged or loaded:
+their range is claimed whole, then each whole leaf is reduced to a node and a
+partly covered leaf's rows wait as a run until the leaf's runs cover it, when
+the leaf is assembled once and reduced. No held node or run is written after
+it is made, so :func:`merge` builds a state that shares both inputs' nodes
+and runs and absorbs one input's message (its nodes and its rows of partly
+held leaves, which is also what a saved state holds). The tree fixes the value
+of any set of rows, so any row partition, merge order or chunking of the
+stream gives the same bits, whatever the data.
 
 Every draw derives from ``SketchSpec.seed``, and none is kept per row.
 CountSketch and OSNAP hash the row index: keyed multiply-shift picks the
@@ -44,6 +49,7 @@ bucket, a keyed splitmix64 bit the sign. SRHT's sign of row r is draw r of one
 Philox stream, drawn when r's leaf is reduced; the sample follows the m signs.
 """
 
+import bisect
 import copy
 import json
 import math
@@ -118,8 +124,9 @@ class SketchSpec:
 
     def to_json_dict(self) -> dict:
         """The sketch as every sidecar records it: the spec's fields plus the
-        derived row count ``k`` and nonzeros per column ``s``."""
-        return asdict(self) | {"k": sketch_rows(self), "s": self.s}
+        derived row count ``k``, nonzeros per column ``s`` and leaf height
+        ``leaf_rows`` of its block tree."""
+        return asdict(self) | {"k": sketch_rows(self), "s": self.s, "leaf_rows": _leaf_rows(self)}
 
 
 def _next_pow2(v: int) -> int:
@@ -180,10 +187,15 @@ def _sign_hash(idx: np.ndarray, key: int) -> np.ndarray:
 _MIN_LEAF_ROWS = 1024
 
 
-def _leaf_rows(k: int) -> int:
-    """Leaf height L of the block tree: the power of two at or above
-    max(k, 1024), so a leaf's k x d node costs no more than its rows."""
-    return _next_pow2(max(k, _MIN_LEAF_ROWS))
+def _leaf_rows(spec: SketchSpec) -> int:
+    """Leaf height L of the block tree. CountSketch and OSNAP: the power of
+    two at or above max(4k, 1024), so a leaf's fresh k x d node and its tree
+    addition, which together cost about as much as k rows, cost at most a
+    quarter of its rows. SRHT: the power of two at or above max(k, 1024);
+    its transform work per row grows with L, and taller leaves measured no
+    faster."""
+    k = sketch_rows(spec)
+    return _next_pow2(max(k if spec.family == SRHT else 4 * k, _MIN_LEAF_ROWS))
 
 
 def _leaf_pieces(spec: SketchSpec, lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
@@ -191,10 +203,11 @@ def _leaf_pieces(spec: SketchSpec, lo: int, hi: int, parts: int) -> list[tuple[i
     ranges holding about equal numbers of its leaves, to be sketched at once
     and merged in order, which gives the range's state bit for bit. Only
     OSNAP is cut: its leaf kernel (scipy's sparse product, on one thread
-    without the GIL) does s > 1 multiply-adds per entry; at s = 1
-    (CountSketch) the merge costs about what it saves, and SRHT's GEMMs
-    already use every BLAS thread."""
-    leaf, parts = _leaf_rows(sketch_rows(spec)), parts if spec.s > 1 else 1
+    without the GIL) does s > 1 multiply-adds per entry. At s = 1
+    (CountSketch) the cut measured neutral, by medians over alternating
+    process pairs of 0.236 -> 0.237 s at 2^16 x 256 and 0.083-0.110 ->
+    0.095-0.111 s at 2^18 x 64; SRHT's GEMMs already use every BLAS thread."""
+    leaf, parts = _leaf_rows(spec), parts if spec.s > 1 else 1
     first, count = lo // leaf, (hi - 1) // leaf - lo // leaf + 1
     inner = sorted({(first + count * i // parts) * leaf for i in range(1, parts)} - {first * leaf})
     bounds = [lo, *inner, hi]
@@ -205,12 +218,14 @@ def _tree_state_elements(spec: SketchSpec, n: int) -> int:
     """Float64 elements (an index entry counted as one) a state over n rows
     holds at its peak while consuming a contiguous row range: the canonical
     nodes held (at most two per level below the root), two more k x d arrays
-    (a leaf kernel's result, or a combination's inputs and sum), a
-    partial-leaf row buffer at each end of the range, and the leaf kernel's
-    working set. For CountSketch and OSNAP that is, per leaf row, its index,
-    its column pointer and scipy's int32 copy of it, and, per hash copy and
-    row, its bucket id, sign and scipy's int32 copy of the bucket id (the
-    hashing's temporaries, a few leaf-long arrays, fit in the same figure).
+    (a leaf kernel's result, or a combination's inputs and sum), the runs of
+    a partly held leaf at each end of the range, one leaf assembled from its
+    runs (once they cover it, or for :meth:`SketchState._fold`), and the
+    leaf kernel's working set. For CountSketch and OSNAP that is, per leaf
+    row, its index, its column pointer and scipy's int32 copy of it, and,
+    per hash copy and row, its bucket id, sign and scipy's int32 copy of the
+    bucket id (the hashing's temporaries, a few leaf-long arrays, fit in the
+    same figure).
     For SRHT, the sample draw (``choice`` shuffles all m indices once k
     passes about m/50), its sort and the k-long gather and high-bit arrays;
     the factors ``H_a`` and ``H_b`` and the rows of ``H_c`` the sample
@@ -222,10 +237,10 @@ def _tree_state_elements(spec: SketchSpec, n: int) -> int:
     operands). The node the kernel gathers is the first of the two k x d
     arrays above; it is made beside one of the buffers only."""
     k, d = sketch_rows(spec), spec.d
-    leaf = _leaf_rows(k)
+    leaf = _leaf_rows(spec)
     n_leaves = -(-n // leaf)
     height = min(leaf, n)
-    tree = (2 * (n_leaves - 1).bit_length() + 2) * k * d + min(2, n_leaves) * height * d
+    tree = (2 * (n_leaves - 1).bit_length() + 2) * k * d + (min(2, n_leaves) + 1) * height * d
     if spec.family == SRHT:
         (a, b, c), m = _srht_factors(leaf), _next_pow2(n)
         reach = -(-min(leaf, m) // (a * b))
@@ -233,6 +248,41 @@ def _tree_state_elements(spec: SketchSpec, n: int) -> int:
         kernel = a * a + b * b + reach * c + (3 + a) * height + 2 * reach * a * b * d + 2 * k
         return tree + draw + kernel + 3 * np.getbufsize()
     return tree + (3 * spec.s + 4) * height
+
+
+class _Runs:
+    """The rows a state holds of one partly held leaf: runs of consecutive
+    rows, sorted by their first row and disjoint. No run is written after it
+    is made, so states may share them."""
+
+    __slots__ = ("starts", "rows", "held")
+
+    def __init__(self, starts=(), rows=(), held=0):
+        self.starts, self.rows, self.held = list(starts), list(rows), held
+
+    def copy(self) -> "_Runs":
+        """A new list of the same runs, which it shares."""
+        return _Runs(self.starts, self.rows, self.held)
+
+    def overlaps(self, lo: int, hi: int) -> bool:
+        """Whether a run holds a row in ``[lo, hi)``: of the runs that start
+        below ``hi``, the last one ends last."""
+        i = bisect.bisect_left(self.starts, hi)
+        return i > 0 and self.starts[i - 1] + len(self.rows[i - 1]) > lo
+
+    def add(self, start: int, rows: np.ndarray) -> None:
+        i = bisect.bisect(self.starts, start)
+        self.starts.insert(i, start)
+        self.rows.insert(i, rows)
+        self.held += rows.shape[0]
+
+    def assemble(self, lo: int, height: int) -> np.ndarray:
+        """The leaf's ``height`` rows from row ``lo`` on, zero where no run holds
+        them, in a new array."""
+        out = np.zeros((height, self.rows[0].shape[1]))
+        for start, rows in zip(self.starts, self.rows):
+            out[start - lo : start - lo + rows.shape[0]] = rows
+        return out
 
 
 class SketchState:
@@ -247,11 +297,11 @@ class SketchState:
         self.d = spec.d
         self.k = sketch_rows(spec)
         self.n_rows = n_rows = _integer(n_rows, "n_rows", 1)
-        self._leaf = _leaf_rows(self.k)
+        self._leaf = _leaf_rows(spec)
         self._n_leaves = -(-n_rows // self._leaf)
         self._top = (self._n_leaves - 1).bit_length()
         self._nodes = {}  # (level, i) -> k x d sum of the rows under the node
-        self._pending = {}  # leaf -> (its rows, zero where absent; mask of rows present)
+        self._pending = {}  # leaf -> its _Runs
         m = _next_pow2(n_rows)
         if spec.family == SRHT and self.k > m:
             raise ConfigurationError(f"SRHT needs k <= padded row count: k={self.k}, padded rows={m}")
@@ -278,7 +328,7 @@ class SketchState:
     @property
     def _partial_rows(self) -> int:
         """Rows held of partly held leaves."""
-        return sum(int(held.sum()) for _, held in self._pending.values())
+        return sum(runs.held for runs in self._pending.values())
 
     @property
     def rows_consumed(self) -> int:
@@ -352,32 +402,37 @@ class SketchState:
             a, b = self._span(level, i)
             if a < hi and lo < b:
                 raise IncompatibleSketchError(f"rows under tree node ({level}, {i}) are already held")
-        for leaf, (_, held) in self._pending.items():
-            a, b = self._span(0, leaf)
-            if a < hi and lo < b and held[max(lo, a) - a : min(hi, b) - a].any():
+        for leaf, runs in self._pending.items():
+            if runs.overlaps(lo, hi):
                 raise IncompatibleSketchError(f"rows of leaf {leaf} are already held")
 
-    def _insert(self, level: int, i: int, value: np.ndarray) -> None:
+    def _insert(self, level: int, i: int, value: np.ndarray, shared: bool = False) -> None:
         """Add a complete node, combining it with its sibling for as long as
         the sibling is held; a sibling past the last leaf is absent, so the
-        node stands for its parent. The sums go into ``value`` in place, so
-        the caller hands over an array it owns (float addition commutes, so
-        left + right has the same bits either way)."""
+        node stands for its parent. A held node is only read. The sums go into
+        ``value`` in place unless it is ``shared`` (another state's node):
+        then the first sum is a new array (float addition commutes, so left +
+        right has the same bits either way)."""
         while level < self._top:
             sibling = i ^ 1
             if sibling << level < self._n_leaves:
                 other = self._nodes.pop((level, sibling), None)
                 if other is None:
                     break
-                value += other
+                if shared:
+                    value, shared = value + other, False
+                else:
+                    value += other
             level, i = level + 1, i >> 1
         self._nodes[(level, i)] = value
 
-    def _add(self, start: int, rows: np.ndarray) -> None:
+    def _add(self, start: int, rows: np.ndarray, shared: bool = False) -> None:
         """Take rows ``[start, stop)``, stop = ``start + len(rows)``: claim
         them all first, so a rejected range changes nothing, then reduce and
-        insert each whole leaf, and place the rows of a partly covered leaf in
-        its zero-filled buffer, reducing it once it is whole."""
+        insert each whole leaf, and keep the rows of a partly covered leaf as
+        a run (a copy, unless ``rows`` is ``shared``, another state's run,
+        which is never written), assembling and reducing the leaf once its
+        runs cover it."""
         stop = start + rows.shape[0]
         self._claim(start, stop)
         for leaf in range(start // self._leaf, (stop - 1) // self._leaf + 1):
@@ -385,13 +440,11 @@ class SketchState:
             a, b = max(lo, start), min(hi, stop)
             part = rows[a - start : b - start]
             if b - a < hi - lo:
-                if leaf not in self._pending:
-                    self._pending[leaf] = (np.zeros((hi - lo, self.d)), np.zeros(hi - lo, dtype=bool))
-                buffer, held = self._pending[leaf]
-                buffer[a - lo : b - lo], held[a - lo : b - lo] = part, True
-                if not held.all():
+                runs = self._pending.setdefault(leaf, _Runs())
+                runs.add(a, part if shared else part.copy())
+                if runs.held < hi - lo:
                     continue
-                part = self._pending.pop(leaf)[0]
+                part = self._pending.pop(leaf).assemble(lo, hi - lo)
             self._insert(0, leaf, self._reduce(leaf, part))
 
     def _fold(self) -> np.ndarray | None:
@@ -401,41 +454,45 @@ class SketchState:
         it, so a sibling not held has no rows, and the node stands for its
         parent."""
         nodes = dict(self._nodes)
-        for leaf, (rows, _) in self._pending.items():
-            nodes[(0, leaf)] = self._reduce(leaf, rows)
+        for leaf, runs in self._pending.items():
+            lo, hi = self._span(0, leaf)
+            nodes[(0, leaf)] = self._reduce(leaf, runs.assemble(lo, hi - lo))
         while len(nodes) > 1:
             level, i = min(nodes)
             value, other = nodes.pop((level, i)), nodes.pop((level, i ^ 1), None)
             nodes[(level + 1, i >> 1)] = value if other is None else value + other
         return next(iter(nodes.values()), None)
 
+    def _runs(self) -> list[tuple[int, np.ndarray]]:
+        """Its runs ``(first row, rows)`` of partly held leaves, in row order."""
+        return [run for _, runs in sorted(self._pending.items()) for run in zip(runs.starts, runs.rows)]
+
     def _message(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]], np.ndarray]:
         """What this state ships: its node keys ``(level, i)`` in key order,
         the ``[lo, hi)`` ranges of its held rows of partly held leaves in row
-        order, and a fresh payload of the nodes (k rows each) followed by
-        those rows."""
+        order (adjacent runs of one leaf joined), and a fresh payload of the
+        nodes (k rows each) followed by those rows."""
         keys = sorted(self._nodes)
         parts, ranges = [self._nodes[key] for key in keys], []
-        for leaf in sorted(self._pending):
-            rows, held = self._pending[leaf]
-            edges = np.flatnonzero(np.diff(held, prepend=False, append=False)).reshape(-1, 2).tolist()
-            ranges += [(leaf * self._leaf + a, leaf * self._leaf + b) for a, b in edges]
-            parts += [rows[a:b] for a, b in edges]
+        for start, rows in self._runs():
+            stop = start + rows.shape[0]
+            if ranges and ranges[-1][1] == start and ranges[-1][0] // self._leaf == start // self._leaf:
+                ranges[-1] = (ranges[-1][0], stop)
+            else:
+                ranges.append((start, stop))
+            parts.append(rows)
         return keys, ranges, np.concatenate(parts) if parts else np.empty((0, self.d))
 
-    def _absorb(self, keys, ranges, payload: np.ndarray) -> None:
-        """Add a message (see :meth:`_message`): claim the rows under each node
-        and insert it, then pass each row range to :meth:`_add`. The payload is
-        taken over: its nodes stay views of it unless it also carries rows,
-        which no node may keep alive."""
-        for j, (level, i) in enumerate(keys):
+    def _absorb(self, nodes, runs) -> None:
+        """Add another state's message: claim the rows under each node
+        ``((level, i), value)`` and insert it, then pass each run ``(first row,
+        rows)`` to :meth:`_add`. The arrays are shared, never written (see
+        :meth:`_insert` and :meth:`_add`)."""
+        for (level, i), node in nodes:
             self._claim(*self._span(level, i))
-            node = payload[j * self.k : (j + 1) * self.k]
-            self._insert(level, i, node.copy() if ranges else node)
-        at = len(keys) * self.k
-        for lo, hi in ranges:
-            self._add(lo, payload[at : at + hi - lo])
-            at += hi - lo
+            self._insert(level, i, node, shared=True)
+        for start, rows in runs:
+            self._add(start, rows, shared=True)
 
 
 def consume_rows(state: SketchState, rows, start_index: int) -> SketchState:
@@ -467,12 +524,14 @@ def apply_sketch(a, spec: SketchSpec) -> SketchState:
 def merge(s1: SketchState, s2: SketchState) -> SketchState:
     """Sum two states built from disjoint row sets of the same stream.
 
-    The result is a copy of ``s1`` that absorbs the message of ``s2`` (the
-    nodes and held row ranges :func:`save_state` writes) as :func:`load_state`
-    does. Linearity of the sketch makes it the state that would have been
-    produced by consuming both row sets in one pass, bit for bit. A row held
-    by both inputs raises IncompatibleSketchError. It runs no memory-cap check
-    (the inputs passed theirs). Neither input is modified.
+    The result holds ``s1``'s nodes and runs of rows and absorbs the message
+    of ``s2`` (the nodes and held row runs :func:`save_state` writes) as
+    :func:`load_state` does, sharing both inputs' arrays, which no state
+    writes, rather than copying them. Linearity of the sketch makes it the
+    state that would have been produced by consuming both row sets in one
+    pass, bit for bit. A row held by both inputs raises
+    IncompatibleSketchError. It runs no memory-cap check (the inputs passed
+    theirs). Neither input is modified.
     """
     if s1.spec != s2.spec or s1.n_rows != s2.n_rows:
         raise IncompatibleSketchError(
@@ -481,8 +540,8 @@ def merge(s1: SketchState, s2: SketchState) -> SketchState:
         )
     out = copy.copy(s1)
     out._nodes = dict(s1._nodes)
-    out._pending = {leaf: (rows.copy(), held.copy()) for leaf, (rows, held) in s1._pending.items()}
-    out._absorb(*s2._message())
+    out._pending = {leaf: runs.copy() for leaf, runs in s1._pending.items()}
+    out._absorb(s2._nodes.items(), s2._runs())
     return out
 
 
@@ -600,7 +659,8 @@ def load_state(data_path) -> SketchState:
     """Rebuild a state from :func:`save_state` output.
 
     The sidecar is checked as outside input: its fields build a spec and a
-    state, its ``k`` and ``s`` are the spec's, every node key lies inside the
+    state, its ``k``, ``s`` and ``leaf_rows`` are the spec's (so a state saved
+    under another leaf rule is refused), every node key lies inside the
     tree, no two keys or row ranges overlap, every range lies inside one leaf,
     and the payload holds k rows per node plus the held rows; a violation
     raises FormatError. The result is an ordinary state, built by the
@@ -613,9 +673,10 @@ def load_state(data_path) -> SketchState:
         with open(meta_path) as f:
             meta = json.load(f)
         spec = SketchSpec(**{field.name: meta[field.name] for field in fields(SketchSpec)})
-        k, s = sketch_rows(spec), spec.s
-        if (meta["k"], meta["s"]) != (k, s):
-            raise FormatError(f"{meta_path}: k={meta['k']}, s={meta['s']}, but its spec gives k={k}, s={s}")
+        derived = {"k": sketch_rows(spec), "s": spec.s, "leaf_rows": _leaf_rows(spec)}
+        if any(meta[key] != value for key, value in derived.items()):
+            saved, given = (", ".join(f"{key}={v[key]}" for key in derived) for v in (meta, derived))
+            raise FormatError(f"{meta_path}: {saved}, but its spec gives {given}")
         state = SketchState(spec, meta["n_rows"])
         keys = _integer_pairs(meta["nodes"], f"{meta_path}: nodes")
         ranges = _integer_pairs(meta["rows"], f"{meta_path}: rows")
@@ -632,8 +693,15 @@ def load_state(data_path) -> SketchState:
     expected = (len(keys) * state.k + sum(hi - lo for lo, hi in ranges), state.d)
     if data.shape != expected:
         raise FormatError(f"{data_path}: payload shape {data.shape} does not match the sidecar's {expected}")
+    at = len(keys) * state.k
+    head = data[:at].copy() if ranges else data[:at]  # so that no node keeps the rows alive
+    nodes = [(key, head[j * state.k : (j + 1) * state.k]) for j, key in enumerate(keys)]
+    runs = []
+    for lo, hi in ranges:
+        runs.append((lo, data[at : at + hi - lo]))
+        at += hi - lo
     try:
-        state._absorb(keys, ranges, data)
+        state._absorb(nodes, runs)
     except IncompatibleSketchError as exc:
         raise FormatError(f"{meta_path}: overlapping nodes or row ranges: {exc}") from None
     return state

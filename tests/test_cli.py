@@ -560,7 +560,7 @@ def test_leverage_mem_cap_reaches_the_worker_threads(tmp_path, capsys):
             "--mem-cap", "12000000", "--out", str(tmp_path / "l.csv")]
     # the 10240000-byte input fits; each worker's sketch state does not
     assert run(argv) == 1
-    assert "sketch tree and leaf kernel needs 51249152 bytes" in capsys.readouterr().err
+    assert "sketch tree and leaf kernel needs 38377216 bytes" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("env", [None, "123456789"])

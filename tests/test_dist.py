@@ -1,3 +1,5 @@
+import functools
+import itertools
 import json
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -28,7 +30,7 @@ from levsketch import (
 )
 from levsketch.errors import ConfigurationError
 from levsketch.leverage import SCORE_BLOCK_ROWS, _approx_basis, _block_scores
-from levsketch.sketch import _leaf_pieces
+from levsketch.sketch import _leaf_pieces, _leaf_rows
 from levsketch.svd import GRAM_SV_TOL_FLOOR
 
 
@@ -97,6 +99,42 @@ def test_srht_bits_hold_across_streams_merges_and_workers(leaf):
     assert np.array_equal(merge(*halves).data, apply_sketch(a, spec).data)
     scores = [run_distributed(a, spec, workers, 1e-3)[0].scores for workers in (1, 3, 8)]
     assert all(np.array_equal(s, scores[0]) for s in scores[1:])
+
+
+@pytest.mark.parametrize("family, k", [("countsketch", 1024), ("osnap", None)])
+@pytest.mark.parametrize("workers", [1, 3, 8])
+def test_hashed_leaves_split_across_states_give_the_bulk_bits(family, k, workers):
+    # leaves of L = 4k rows (4096 for CountSketch at k = 1024, 2048 for OSNAP
+    # at its default k = 355): two whole leaves and a last one of 1500 rows,
+    # rows of magnitudes 1e-8..1e8 so that sums depend on their order. Each
+    # worker's range, streamed in 1000-row chunks, holds parts of leaves as
+    # runs; its states merged in any order give the bulk sketch bit for bit
+    d = 16
+    spec = SketchSpec(family, eps=0.5, d=d, seed=9, rows_override=k)
+    leaf = _leaf_rows(spec)
+    assert leaf == {"countsketch": 4096, "osnap": 2048}[family]
+    n = 2 * leaf + 1500
+    rng = np.random.default_rng(leaf + workers)
+    a = gen_synthetic(SyntheticSpec(n=n, d=d, rank=d, seed=workers)) * 10.0 ** rng.integers(-8, 9, (n, 1))
+    bulk = apply_sketch(a, spec).data
+    states = []
+    for lo, hi in partition_rows(n, workers):
+        states.append(SketchState(spec, n))
+        for start in range(lo, hi, 1000):
+            consume_rows(states[-1], a[start : min(start + 1000, hi)], start)
+    if workers <= 3:
+        orders = list(itertools.permutations(range(workers)))
+    else:
+        orders = [range(workers), range(workers - 1, -1, -1)] + [rng.permutation(workers) for _ in range(6)]
+    for order in orders:
+        merged = functools.reduce(merge, [states[i] for i in order])
+        assert np.array_equal(merged.data, bulk) and merged.rows_consumed == n
+    while len(states) > 1:  # a balanced tree of merges
+        states = [merge(*states[i : i + 2]) if i + 1 < len(states) else states[i] for i in range(0, len(states), 2)]
+    assert np.array_equal(states[0].data, bulk)
+    res, merged = run_distributed(a, spec, workers, 1e-3, max_threads=2)
+    assert np.array_equal(merged.data, bulk)
+    assert np.array_equal(res.scores, leverage_sketched_trunc(a, spec, 1e-3).scores)
 
 
 def test_uneven_split_bit_equals_serial():
@@ -270,7 +308,8 @@ def test_srht_distributed_bit_equals_serial_at_k_equal_to_the_leaf(workers):
 
 
 def test_worker_states_are_freed_once_merged(monkeypatch):
-    # eight workers of one leaf each ship eight k x d nodes; once merged, only
+    # leaves of 4k rows: eight workers of k rows each ship their raw rows, k x
+    # d each, and one worker ships one node of two leaves; once merged, only
     # the merged sketch is left of them when the score sweep starts
     n, d, k = 1 << 15, 16, 4096
     a = np.random.default_rng(65).standard_normal((n, d))
@@ -400,13 +439,14 @@ def test_spare_threads_sketch_a_worker_in_leaf_aligned_pieces(monkeypatch, famil
 @given(
     lo=st.integers(0, 20000),
     size=st.integers(1, 20000),
-    k_leaf=st.sampled_from([(64, 1024), (2000, 2048), (4000, 4096)]),
+    k=st.sampled_from([64, 500, 1000, 2000]),
     parts=st.integers(0, 9),
 )
-def test_leaf_pieces_cut_a_range_at_leaf_boundaries(lo, size, k_leaf, parts):
-    # OSNAP, the family that is cut; k sets the leaf height
-    k, leaf = k_leaf
-    pieces = _leaf_pieces(SketchSpec("osnap", eps=0.5, d=8, rows_override=k), lo, lo + size, parts)
+def test_leaf_pieces_cut_a_range_at_leaf_boundaries(lo, size, k, parts):
+    # OSNAP, the family that is cut; k sets the leaf height, 1024 to 8192
+    spec = SketchSpec("osnap", eps=0.5, d=8, rows_override=k)
+    leaf = _leaf_rows(spec)
+    pieces = _leaf_pieces(spec, lo, lo + size, parts)
     assert pieces[0][0] == lo and pieces[-1][1] == lo + size
     assert all(a < b for a, b in pieces)
     assert all(b == c for (_, b), (c, _) in zip(pieces, pieces[1:]))

@@ -391,17 +391,19 @@ OSNAP_S3 = dict(family="osnap", eps=0.5, d=16, osnap_s=3, seed=5)
     ],
 )
 def test_tree_matches_row_order_loop_per_leaf(spec):
-    # the definition, byte for byte (so +0.0 and -0.0 differ): per leaf of 1024
-    # rows, every bucket adds its signed rows in row order to zero, then the
-    # leaf is scaled; the root is leaf 0 + leaf 1. At k = 1024 a last leaf of
-    # 76 rows leaves most of its buckets empty.
-    n = 1100 if spec.rows_override == 1024 else 1500
+    # the definition, byte for byte (so +0.0 and -0.0 differ): per leaf of L
+    # rows (1024 at k = 64, 2048 at k = 355, 4096 at k = 1024), every bucket
+    # adds its signed rows in row order to zero, then the leaf is scaled; the
+    # root is leaf 0 + leaf 1. At k = 1024 a last leaf of 76 rows leaves most
+    # of its buckets empty.
+    leaf = _leaf_rows(spec)
+    n = leaf + (76 if spec.rows_override == 1024 else 476)
     a = adversarial_rows(28, n, d=16)
     a[::5] = 0.0
     a[1::10] = -0.0
     state = SketchState(spec, n)
     leaves = []
-    for lo, hi in ((0, 1024), (1024, n)):
+    for lo, hi in ((0, leaf), (leaf, n)):
         acc = np.zeros((state.k, 16))
         for i in range(lo, hi):
             idx = np.array([i], dtype=np.uint64)
@@ -410,6 +412,27 @@ def test_tree_matches_row_order_loop_per_leaf(spec):
                 acc[state._block_offsets[j] + b] += _sign_hash(idx, state._sign_keys[j])[0] * a[i]
         leaves.append(acc * state._scale if spec.s > 1 else acc)
     assert apply_sketch(a, spec).data.tobytes() == (leaves[0] + leaves[1]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "family, k, leaf",
+    [
+        ("countsketch", 1, 1024),
+        ("countsketch", 256, 1024),
+        ("countsketch", 257, 2048),
+        ("countsketch", 16384, 65536),
+        ("osnap", 2130, 16384),
+        ("osnap", 11357, 65536),
+        ("srht", 1024, 1024),
+        ("srht", 2048, 2048),
+        ("srht", 8192, 8192),
+    ],
+)
+def test_leaf_rows_follow_the_family_rule(family, k, leaf):
+    # the power of two at or above max(4k, 1024) for the hashed families,
+    # max(k, 1024) for SRHT; every sidecar records it
+    spec = SketchSpec(family, eps=0.5, d=64, rows_override=k)
+    assert _leaf_rows(spec) == spec.to_json_dict()["leaf_rows"] == SketchState(spec, 1 << 17)._leaf == leaf
 
 
 def small_k(family, n):
@@ -900,7 +923,7 @@ def test_srht_figure_covers_the_per_call_workspace(n, d, k, monkeypatch):
     spec = SketchSpec("srht", eps=0.5, d=d, seed=5, rows_override=k)
     a = np.random.default_rng(47).standard_normal((n, d))
     assert_peak_within_capacity_check(spec, a, 0, n, monkeypatch)
-    workspace = 2 * 8 * _leaf_rows(k) * d
+    workspace = 2 * 8 * _leaf_rows(spec) * d
     tracemalloc.start()
     try:
         state = consume_rows(SketchState(spec, n), a, 0)
@@ -1037,8 +1060,10 @@ def test_saved_state_is_its_message_and_round_trips(tmp_path, family):
 
 
 @pytest.mark.parametrize("family", ["countsketch", "osnap", "srht"])
-@pytest.mark.parametrize("key", ["k", "s"])
+@pytest.mark.parametrize("key", ["k", "s", "leaf_rows"])
 def test_load_state_rejects_a_sidecar_whose_k_or_s_was_edited(tmp_path, family, key):
+    # a state saved under another leaf rule (leaf_rows other than the spec's,
+    # or not recorded) would be absorbed into a tree of another height
     a = np.random.default_rng(37).standard_normal((300, 8))
     spec = SketchSpec(family, eps=0.5, d=8, seed=9, rows_override=64 if family == "srht" else None)
     path, meta_path = tmp_path / "s.bin", tmp_path / "s.json"
@@ -1049,21 +1074,87 @@ def test_load_state_rejects_a_sidecar_whose_k_or_s_was_edited(tmp_path, family, 
     meta_path.write_text(json.dumps(meta | message | {key: meta[key] + 1}))
     with pytest.raises(FormatError, match="but its spec gives"):
         load_state(path)
+    del meta[key]
+    meta_path.write_text(json.dumps(meta | message))
+    with pytest.raises(FormatError, match="malformed sketch sidecar"):
+        load_state(path)
 
 
-def test_absorbed_nodes_do_not_keep_the_message_rows_alive():
+def test_absorbed_nodes_do_not_keep_the_message_rows_alive(tmp_path):
     # leaves of 1024 rows: s2's message is the node of leaf 1 plus rows 2048..2500
     a = np.random.default_rng(41).standard_normal((4096, 4))
     spec = cs_spec(d=4, rows_override=64)
     s1 = consume_rows(SketchState(spec, 4096), a[:1024], 0)
     s2 = consume_rows(SketchState(spec, 4096), a[1024:2500], 1024)
-    both = merge(s1, s2)
+    save_state(s2, tmp_path / "s2.bin")
+    loaded = load_state(tmp_path / "s2.bin")
+    assert list(loaded._nodes) == [(0, 1)] and list(loaded._pending) == [2]
+    node = loaded._nodes[(0, 1)]
+    assert node.base is not None and node.base.nbytes == node.nbytes
+    both = merge(s1, loaded)
     assert list(both._nodes) == [(1, 0)] and list(both._pending) == [2]
     assert both._nodes[(1, 0)].base is None
     assert np.array_equal(both.data, apply_sketch(np.where(np.arange(4096)[:, None] < 2500, a, 0.0), spec).data)
     # a message of nodes only is absorbed without a copy
     s3 = consume_rows(SketchState(spec, 4096), a[1024:2048], 1024)
-    assert merge(s1, s3)._nodes[(1, 0)].base is not None
+    save_state(s3, tmp_path / "s3.bin")
+    assert load_state(tmp_path / "s3.bin")._nodes[(0, 1)].base is not None
+
+
+def message_bytes(state):
+    keys, ranges, payload = state._message()
+    return json.dumps([keys, ranges]).encode() + payload.tobytes()
+
+
+@pytest.mark.parametrize("spec", [cs_spec(d=8, rows_override=1024), SketchSpec(**OSNAP_S3 | {"d": 8})])
+def test_merge_leaves_both_inputs_messages_unchanged(spec):
+    # leaves of 4096 (CountSketch, k = 1024) or 2048 rows (OSNAP, k = 355):
+    # s1 holds leaf 0 and runs of leaves 1 and 2, s2 the rest of leaf 1 and
+    # runs of leaf 2; the merge completes leaf 1, and the merged state is then
+    # fed the rest of leaf 2 and read
+    leaf = _leaf_rows(spec)
+    n = 3 * leaf
+    a = adversarial_rows(52, n, d=8)
+    s1 = consume_rows(SketchState(spec, n), a[: leaf + 100], 0)
+    consume_rows(s1, a[2 * leaf + 10 : 2 * leaf + 20], 2 * leaf + 10)
+    s2 = consume_rows(SketchState(spec, n), a[leaf + 100 : 2 * leaf + 10], leaf + 100)
+    consume_rows(s2, a[2 * leaf + 20 : 2 * leaf + 30], 2 * leaf + 20)
+    before = message_bytes(s1), message_bytes(s2)
+    for left, right in ((s1, s2), (s2, s1)):
+        both = merge(left, right)
+        assert list(both._pending) == [2]
+        consume_rows(both, a[2 * leaf + 30 :], 2 * leaf + 30)
+        assert np.array_equal(both.data, apply_sketch(a, spec).data)
+        assert (message_bytes(s1), message_bytes(s2)) == before
+
+
+@pytest.mark.parametrize("spec", [cs_spec(d=64, rows_override=1024), SketchSpec(**OSNAP_S3 | {"d": 64})])
+def test_merge_allocates_no_copy_of_either_sides_runs(spec):
+    # leaves of 4096 (CountSketch, k = 1024) or 2048 rows (OSNAP, k = 355)
+    leaf, d = _leaf_rows(spec), 64
+    a = np.random.default_rng(53).standard_normal((2 * leaf, d))
+
+    def merge_peak(first, second):
+        s1 = consume_rows(SketchState(spec, 2 * leaf), a[first[0] : first[1]], first[0])
+        s2 = consume_rows(SketchState(spec, 2 * leaf), a[second[0] : second[1]], second[0])
+        tracemalloc.start()
+        try:
+            both = merge(s1, s2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return both, peak
+
+    # quarters of leaf 0 that leave it partly held: the merge shares both
+    # runs, and allocates far less than one of them
+    run_bytes = 8 * (leaf // 4) * d
+    both, peak = merge_peak((0, leaf // 4), (leaf // 2, 3 * leaf // 4))
+    assert peak < run_bytes // 8 and both._pending[0].held == leaf // 2
+    # halves of leaf 0: the merge assembles the leaf once, beside the leaf
+    # kernel's working set and its k x d node, and keeps neither run
+    both, peak = merge_peak((0, leaf // 2), (leaf // 2, leaf))
+    assert peak <= 8 * (leaf * d + (3 * spec.s + 4) * leaf + both.k * d) + (64 << 10)
+    assert list(both._nodes) == [(0, 0)] and not both._pending
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**63 + 5])
