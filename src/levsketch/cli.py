@@ -204,6 +204,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_leverage(args) -> int:
+    config._integer(args.workers, "--workers", 1)
+    if args.threads is not None:
+        config._integer(args.threads, "--threads", 1)
     # every method refuses a non-finite entry: the oracle by checking A and
     # its Gram A^T A, the others from the sketch they compute anyway (see
     # levsketch.leverage)

@@ -62,15 +62,9 @@ _SCAN_ENTRIES = 1 << 16
 
 
 def _all_finite(a: np.ndarray) -> bool:
-    """Whether every entry of the 2-D array ``a`` is finite. A finite sum
-    proves it without a mask; only a non-finite one, which finite entries can
-    also give by overflowing, is followed by a scan entry by entry, one block
-    of rows at a time, that stops at the first block holding a non-finite
-    entry."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = a.sum()
-    if np.isfinite(total):
-        return True
+    """Whether every entry of the 2-D array ``a`` is finite: a scan entry by
+    entry, one block of rows at a time, that stops at the first block holding
+    a non-finite entry."""
     step = max(1, _SCAN_ENTRIES // a.shape[1])
     return all(np.isfinite(a[lo : lo + step]).all() for lo in range(0, a.shape[0], step))
 
@@ -103,7 +97,7 @@ def gen_synthetic(spec: SyntheticSpec) -> np.ndarray:
     the noise draw and the finiteness check's mask as if all were held at
     once: ``8*((n + d)*rank + 2*n*d) + min(n*d, _SCAN_ENTRIES + d)`` bytes.
     The check masks one block of rows of at most ``max(_SCAN_ENTRIES, d)``
-    entries, and none when A's sum is finite.
+    entries.
     """
     n, d, rank = spec.n, spec.d, spec.rank
     ensure_capacity(8 * ((n + d) * rank + 2 * n * d) + min(n * d, _SCAN_ENTRIES + d), f"synthetic {n}x{d} matrix")

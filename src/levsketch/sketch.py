@@ -26,7 +26,8 @@ node by its family's kernel:
   ``H_L = H_c (x) H_b (x) H_a``, one GEMM each, the signs folded into the
   first: a = 8, and b and c powers of two that split L/a evenly (8 x 16 x 16
   at L = 2048, 8 x 32 x 32 at L = 8192). That is n*(a + b + c)*d work in
-  all, against n*k*d for the sampled rows taken one by one and
+  all, n rounded up to whole leaves (a short last leaf is zero-padded to L
+  rows), against n*k*d for the sampled rows taken one by one and
   m*log2(m)*d for a butterfly.
 
 A tree node (level, i) covers leaves [i*2^level, (i+1)*2^level); its value is
@@ -228,14 +229,14 @@ def _tree_state_elements(spec: SketchSpec, n: int) -> int:
     same figure).
     For SRHT, the sample draw (``choice`` shuffles all m indices once k
     passes about m/50), its sort and the k-long gather and high-bit arrays;
-    the factors ``H_a`` and ``H_b`` and the rows of ``H_c`` the sample
-    reaches; a leaf's signs and their draw, and its copy of ``H_a`` signed
-    for each a-row block (a per row); the kernel's two L x d buffers
-    (fewer rows if m < L), which live only while that leaf is reduced; the
-    k-long mask of the rows it negates; and numpy's iterator buffers for a
-    broadcast operation (``np.getbufsize()`` elements for each of three
-    operands). The node the kernel gathers is the first of the two k x d
-    arrays above; it is made beside one of the buffers only."""
+    the factors ``H_a``, ``H_b`` and ``H_c``; a leaf's signs (zero-padded
+    to L) and their draw, and its copy of ``H_a`` signed for each a-row
+    block (a per row); the kernel's two L x d buffers, which live only while
+    that leaf is reduced; the k-long mask of the rows it negates; and
+    numpy's iterator buffers for a broadcast operation (``np.getbufsize()``
+    elements for each of three operands). The node the kernel gathers is the
+    first of the two k x d arrays above; it is made beside one of the
+    buffers only."""
     k, d = sketch_rows(spec), spec.d
     leaf = _leaf_rows(spec)
     n_leaves = -(-n // leaf)
@@ -243,9 +244,8 @@ def _tree_state_elements(spec: SketchSpec, n: int) -> int:
     tree = (2 * (n_leaves - 1).bit_length() + 2) * k * d + (min(2, n_leaves) + 1) * height * d
     if spec.family == SRHT:
         (a, b, c), m = _srht_factors(leaf), _next_pow2(n)
-        reach = -(-min(leaf, m) // (a * b))
         draw = min(m, 50 * k) + 4 * k
-        kernel = a * a + b * b + reach * c + (3 + a) * height + 2 * reach * a * b * d + 2 * k
+        kernel = a * a + b * b + c * c + (3 + a) * leaf + 2 * leaf * d + 2 * k
         return tree + draw + kernel + 3 * np.getbufsize()
     return tree + (3 * spec.s + 4) * height
 
@@ -310,7 +310,7 @@ class SketchState:
             rng = _srht_draws(spec.seed, m - m % 8)
             rng.integers(0, 2, m % 8)  # the last signs, where m < 8 ends mid counter step
             sample = np.sort(rng.choice(m, size=self.k, replace=False))
-            self._transform = _leaf_transform(sample, self._leaf, m, 1.0 / math.sqrt(self.k))
+            self._transform = _leaf_transform(sample, self._leaf, 1.0 / math.sqrt(self.k))
             return
         s = spec.s
         if self.k < s:
@@ -574,17 +574,15 @@ def _srht_factors(leaf_rows: int) -> tuple[int, int, int]:
     return 1 << low, 1 << mid, 1 << (bits - low - mid)
 
 
-def _leaf_transform(sample: np.ndarray, leaf_rows: int, m: int, scale: float) -> tuple:
+def _leaf_transform(sample: np.ndarray, leaf_rows: int, scale: float) -> tuple:
     """What the SRHT leaf kernel needs of a sample of rows p of ``H_m``, for
     leaves of L = ``leaf_rows`` rows split as :func:`_srht_factors`: ``H_a``,
-    ``H_b``, the rows of ``scale * H_c`` the sample reaches (all unless
-    m < L), ``p mod L`` and ``p >> log2 L``."""
+    ``H_b``, ``scale * H_c``, ``p mod L`` and ``p >> log2 L``."""
     a, b, c = _srht_factors(leaf_rows)
-    across = np.arange(c)
     return (
         _hadamard(np.arange(a), np.arange(a)),
         _hadamard(np.arange(b), np.arange(b)),
-        _hadamard(across[: -(-min(leaf_rows, m) // (a * b))], across) * scale,
+        _hadamard(np.arange(c), np.arange(c)) * scale,
         sample & (leaf_rows - 1),
         sample >> (leaf_rows.bit_length() - 1),
     )
@@ -594,34 +592,29 @@ def _sampled_hadamard(x: np.ndarray, signs: np.ndarray, leaf: int, transform: tu
     """The SRHT leaf kernel: ``scale`` times the sampled rows of
     ``H_m @ diag(signs) @ X``, X zero but for the rows ``x`` of leaf
     ``leaf``, ``signs`` their signs, with ``transform`` from
-    :func:`_leaf_transform`. A short last leaf is zero-padded to whole blocks
-    of a*b rows, and its ``n_blocks`` blocks use the first ``n_blocks``
-    columns of ``H_c``. The signs are folded into ``H_a``: each a-row block
-    of X is multiplied by ``H_a`` with its columns flipped by the block's
-    signs, so a whole leaf's rows are read where they lie. The leaf's full
-    transform is made in two L x d buffers (fewer rows if m < L), used in
-    turn, which live only while this leaf is reduced."""
+    :func:`_leaf_transform`. A leaf of fewer than L rows (a short last leaf,
+    or the whole input when m < L) is zero-padded to L rows, its signs with
+    zeros. The signs are folded into ``H_a``: each a-row block of X is
+    multiplied by ``H_a`` with its columns flipped by the block's signs, so a
+    whole leaf's rows are read where they lie. The leaf's full transform is
+    made in two L x d buffers, used in turn, which live only while this leaf
+    is reduced."""
     h_a, h_b, h_c, gather, high = transform
-    (h, d), a, b = x.shape, h_a.shape[0], h_b.shape[0]
-    block = a * b
-    n_blocks, reach = -(-h // block), h_c.shape[0]
-    size = n_blocks * block * d
-    one, two = np.empty(reach * block * d), np.empty(reach * block * d)
-    rows = x
-    if h < n_blocks * block:  # zero-padded to whole blocks in the first buffer
-        rows = one[:size].reshape(-1, d)
-        rows[:h], rows[h:] = x, 0.0
-        signs = np.pad(signs, (0, n_blocks * block - h))
+    (h, d), a, b, c = x.shape, h_a.shape[0], h_b.shape[0], h_c.shape[0]
+    height = a * b * c
+    one, two = np.empty((height, d)), np.empty((height, d))
+    if h < height:  # zero-padded to a whole leaf in the first buffer
+        one[:h], one[h:] = x, 0.0
+        x, signs = one, np.pad(signs, (0, height - h))
     # D x then H_a on every a-row block, H_b on every b-by-a block of that,
     # then scale * H_c across the a*b-row blocks
     signed_h_a = np.einsum("ij,qj->qij", h_a, signs.reshape(-1, a))
-    np.matmul(signed_h_a, rows.reshape(-1, a, d), out=two[:size].reshape(-1, a, d))
-    del signed_h_a, rows  # rows may be a view of the first buffer
-    np.matmul(h_b, two[:size].reshape(-1, b, a * d), out=one[:size].reshape(-1, b, a * d))
-    full = two[: reach * block * d].reshape(reach, block * d)
-    np.matmul(h_c[:, :n_blocks], one[:size].reshape(n_blocks, block * d), out=full)
+    np.matmul(signed_h_a, x.reshape(-1, a, d), out=two.reshape(-1, a, d))
+    del signed_h_a, x  # x may be the first buffer
+    np.matmul(h_b, two.reshape(-1, b, a * d), out=one.reshape(-1, b, a * d))
+    np.matmul(h_c, one.reshape(c, -1), out=two.reshape(c, -1))
     del one  # so that the node is gathered beside one buffer only
-    out = full.reshape(-1, d)[gather]
+    out = two[gather]
     np.negative(out, out=out, where=(np.bitwise_count(high & leaf) & 1).astype(bool)[:, None])
     return out
 
@@ -637,9 +630,12 @@ def save_state(state: SketchState, data_path) -> None:
     sidecar (``data_path`` with suffix ``.json``) of the sketch record
     (:meth:`SketchSpec.to_json_dict`), the row count, the node keys
     ``[level, i]`` and the held row ranges ``[lo, hi)``. A state holding no
-    rows has no message to save."""
+    rows has no message to save, and a ``data_path`` that is its own sidecar
+    path (suffix ``.json``) is refused before anything is written."""
     data_path = Path(data_path)
     meta_path = data_path.with_suffix(".json")
+    if meta_path == data_path:
+        raise ConfigurationError(f"{data_path}: the sketch sidecar would overwrite the payload")
     keys, ranges, payload = state._message()
     if not keys and not ranges:
         raise ConfigurationError("an empty sketch state has no message to save")

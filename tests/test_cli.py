@@ -598,6 +598,10 @@ def test_config_sets_a_switch(tmp_path):
     [
         ["leverage", "--in", "{mat}", "--method", "sketch", "--workers", "2", "--threads", "0", "--out", "{out}"],
         ["leverage", "--in", "{mat}", "--method", "sketch", "--workers", "2", "--threads", "-3", "--out", "{out}"],
+        ["leverage", "--in", "{mat}", "--method", "exact", "--workers", "0", "--out", "{out}"],
+        ["leverage", "--in", "{mat}", "--method", "exact", "--threads", "0", "--out", "{out}"],
+        ["leverage", "--in", "{mat}", "--method", "oracle", "--workers", "0", "--out", "{out}"],
+        ["leverage", "--in", "{mat}", "--method", "oracle", "--threads", "0", "--out", "{out}"],
         ["leverage", "--in", "{mat}", "--config", "{cfg}", "--out", "{out}"],  # header=maybe
         ["figure", "--kind", "rank-full", "--n", "0", "--out", "{out}"],
         ["figure", "--kind", "rank-full", "--d", "0", "--out", "{out}"],

@@ -695,7 +695,7 @@ def test_sampled_hadamard_matches_butterfly_and_scipy(n, d, leaf, k):
     x = rng.standard_normal((n, d))
     signs = 2.0 * rng.integers(0, 2, m) - 1.0
     sample = np.sort(rng.choice(m, size=k, replace=False))
-    transform = _leaf_transform(sample, leaf, m, 1.0)
+    transform = _leaf_transform(sample, leaf, 1.0)
     got = sum(
         _sampled_hadamard(x[lo : lo + leaf], signs[lo : min(lo + leaf, n)], lo // leaf, transform)
         for lo in range(0, n, leaf)
@@ -725,7 +725,7 @@ def assert_leaf_kernels_sum_to_the_butterfly(n, d, leaf, k, seed):
     x = rng.standard_normal((n, d))
     signs = 2.0 * rng.integers(0, 2, m) - 1.0
     sample = rng.choice(m, size=k, replace=False)
-    transform = _leaf_transform(sample, leaf, m, 1.0)
+    transform = _leaf_transform(sample, leaf, 1.0)
     got = sum(
         _sampled_hadamard(x[lo : lo + leaf], signs[lo : min(lo + leaf, n)], lo // leaf, transform)
         for lo in range(0, n, leaf)
@@ -795,6 +795,7 @@ def test_srht_streamed_and_merged_equals_bulk_at_k_equal_to_the_leaf():
         (3, 2, 4),  # m = 4
         (5, 2, 3),  # m = 8: the sample starts at the second counter step
         (5000, 3, 64),  # five leaves, each drawing its signs from its first row
+        (1025, 2, 8),  # a last leaf of one row, zero-padded to a whole leaf
     ],
 )
 def test_srht_state_matches_butterfly(n, d, k):
@@ -908,6 +909,10 @@ def test_srht_merge_rejects_overlapping_rows():
         (2000, 1, 2048),
         (1500, 1, 100),
         (3000, 1, 64),
+        # m = 512 < L = 1024: the kernel's two buffers are L x d all the same
+        (300, 64, 64),
+        # a last leaf of one row, zero-padded to a whole leaf
+        (1025, 16, 256),
     ],
 )
 def test_srht_state_peak_within_its_capacity_check(n, d, k, monkeypatch):
@@ -1004,6 +1009,14 @@ def test_state_roundtrip(tmp_path):
         assert np.array_equal(back.data, state.data)
         with pytest.raises(ConfigurationError, match="empty sketch state"):
             save_state(SketchState(spec, 120), tmp_path / "empty.bin")
+
+
+def test_save_state_refuses_a_data_path_that_is_its_own_sidecar(tmp_path):
+    spec = SketchSpec("countsketch", eps=0.5, d=4, seed=3, rows_override=16)
+    state = apply_sketch(np.random.default_rng(18).standard_normal((50, 4)), spec)
+    with pytest.raises(ConfigurationError, match="sidecar would overwrite the payload"):
+        save_state(state, tmp_path / "state.json")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("family", ["countsketch", "osnap", "srht"])
